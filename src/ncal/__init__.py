@@ -7,9 +7,7 @@ scene      rig/object definitions, pose synthesis, perturbation, batching
 nn         dense-tensor autodiff, point-based transformer, optimizer, checkpoints
 losses     parameter / geodesic / reprojection losses and the compound loss
 training   training loop, evaluation, decalibration detection
-baseline   Levenberg-Marquardt bundle adjustment and runtime comparisons
-dataset    binary dataset files written by the `synth` command
-cli        command-line entry point (`ncal`)
+errors     exception types shared across the toolkit
 """
 
 __version__ = "0.1.0"

@@ -52,19 +52,5 @@ class NonFiniteLoss(NcalError):
         )
 
 
-class SingularNormalEquations(NcalError):
-    """The damped normal equations are rank deficient.
-
-    `deficient_indices` lists the offending free-parameter columns.
-    """
-
-    def __init__(self, deficient_indices, message=None):
-        self.deficient_indices = list(deficient_indices)
-        super().__init__(
-            message
-            or f"normal equations singular; zero-influence columns: {self.deficient_indices}"
-        )
-
-
 class ConfigError(NcalError):
     """Run configuration is invalid or inconsistent."""

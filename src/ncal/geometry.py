@@ -154,19 +154,11 @@ def project(P, params: CameraParams) -> np.ndarray:
     return np.array([intr.fx * x_d + intr.cx, intr.fy * y_d + intr.cy])
 
 
-def project_array(params_vec, pts, z_min: float = Z_MIN):
-    """Vectorized projection of many points through many cameras.
+def _project_forward(params_vec, pts, z_min):
+    """Forward pass shared by the array kernels.
 
-    Parameters
-    ----------
-    params_vec : (..., 21) flattened camera parameters.
-    pts : (..., F, 3) world points; leading axes broadcast against params_vec.
-
-    Returns
-    -------
-    pixels : (..., F, 2) projected pixels. Entries where ``valid`` is False are
-        computed with the depth clamped to z_min and are meaningless.
-    valid : (..., F) bool, True where depth > z_min.
+    Returns (pixels, valid, parts) where parts holds the intermediates the
+    Jacobian reuses: (p, pts, zs, x_n, y_n, r2, radial, x_d, y_d).
     """
     p = np.asarray(params_vec, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -187,38 +179,43 @@ def project_array(params_vec, pts, z_min: float = Z_MIN):
     y_d = y_n * radial + p1 * (r2 + 2.0 * y_n * y_n) + 2.0 * p2 * x_n * y_n
     u = p[..., 12, None] * x_d + p[..., 14, None]
     v = p[..., 13, None] * y_d + p[..., 15, None]
-    return np.stack([u, v], axis=-1), valid
+    return np.stack([u, v], axis=-1), valid, (p, pts, zs, x_n, y_n, r2, radial, x_d, y_d)
+
+
+def project_array(params_vec, pts, z_min: float = Z_MIN):
+    """Vectorized projection of many points through many cameras.
+
+    Parameters
+    ----------
+    params_vec : (..., 21) flattened camera parameters.
+    pts : (..., F, 3) world points; leading axes broadcast against params_vec.
+
+    Returns
+    -------
+    pixels : (..., F, 2) projected pixels. Entries where ``valid`` is False are
+        computed with the depth clamped to z_min and are meaningless.
+    valid : (..., F) bool, True where depth > z_min.
+    """
+    pixels, valid, _ = _project_forward(params_vec, pts, z_min)
+    return pixels, valid
 
 
 def project_jacobian_array(params_vec, pts, z_min: float = Z_MIN):
     """Analytic Jacobian of the projection w.r.t. all 21 camera parameters.
 
-    Same broadcasting as project_array. Returns (pixels, valid, jac) with
-    jac of shape (..., F, 2, 21). Columns follow the canonical parameter
-    layout; rotation derivatives are taken w.r.t. the 9 matrix entries.
-    Jacobian rows for invalid points are zeroed.
+    Same broadcasting as project_array, with bitwise-equal pixels. Returns
+    (pixels, valid, jac) with jac of shape (..., F, 2, 21). Columns follow
+    the canonical parameter layout; rotation derivatives are taken w.r.t.
+    the 9 matrix entries. Jacobian rows for invalid points are zeroed.
     """
-    p = np.asarray(params_vec, dtype=float)
-    pts = np.asarray(pts, dtype=float)
-    R = p[..., ROT_SLICE].reshape(p.shape[:-1] + (3, 3))
-    t = p[..., TRANS_SLICE]
-    Pc = pts @ np.swapaxes(R, -1, -2) + t[..., None, :]
-    z = Pc[..., 2]
-    valid = z > z_min
-    zs = np.where(valid, z, z_min)
-    x_n = Pc[..., 0] / zs
-    y_n = Pc[..., 1] / zs
-
+    pixels, valid, (p, pts, zs, x_n, y_n, r2, radial, x_d, y_d) = _project_forward(
+        params_vec, pts, z_min
+    )
     fx, fy = p[..., 12, None], p[..., 13, None]
     k1, k2, k3 = p[..., 16, None], p[..., 17, None], p[..., 18, None]
     p1, p2 = p[..., 19, None], p[..., 20, None]
-
-    r2 = x_n * x_n + y_n * y_n
-    radial = 1.0 + r2 * (k1 + r2 * (k2 + r2 * k3))
     # g = d(radial)/d(r2)
     g = k1 + r2 * (2.0 * k2 + 3.0 * k3 * r2)
-    x_d = x_n * radial + 2.0 * p1 * x_n * y_n + p2 * (r2 + 2.0 * x_n * x_n)
-    y_d = y_n * radial + p1 * (r2 + 2.0 * y_n * y_n) + 2.0 * p2 * x_n * y_n
 
     # Distorted-coordinate partials w.r.t. normalized coordinates.
     dxd_dxn = radial + 2.0 * x_n * x_n * g + 2.0 * p1 * y_n + 6.0 * p2 * x_n
@@ -261,10 +258,8 @@ def project_jacobian_array(params_vec, pts, z_min: float = Z_MIN):
     jac[..., 1, 19] = fy * (r2 + 2.0 * y_n * y_n)
     jac[..., 1, 20] = fy * 2.0 * x_n * y_n
 
-    jac = np.where(valid[..., None, None], jac, 0.0)
-    u = fx * x_d + p[..., 14, None]
-    v = fy * y_d + p[..., 15, None]
-    return np.stack([u, v], axis=-1), valid, jac
+    jac[~valid] = 0.0
+    return pixels, valid, jac
 
 
 def project_jacobian(P, params: CameraParams) -> np.ndarray:
@@ -281,40 +276,23 @@ def project_jacobian(P, params: CameraParams) -> np.ndarray:
 
 
 def rot6d_to_matrix(r6) -> np.ndarray:
-    """Orthogonalize a 6D rotation vector into a 3x3 rotation matrix.
+    """Orthogonalize 6D rotation vectors: (..., 6) -> (..., 3, 3).
 
     The two 3-vectors are interpreted as (unnormalized) first and second
     columns; Gram-Schmidt yields b1, b2 and the third column is b1 x b2.
-    Raises DegenerateRotation when the first vector is near zero or the two
+    Raises DegenerateRotation when any first vector is near zero or any two
     vectors are near parallel.
     """
-    r6 = np.asarray(r6, dtype=float).reshape(6)
-    a1, a2 = r6[:3], r6[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 <= GS_EPS:
-        raise DegenerateRotation(f"first column norm {n1:.3g} below {GS_EPS}")
-    b1 = a1 / n1
-    u2 = a2 - (b1 @ a2) * b1
-    n2 = np.linalg.norm(u2)
-    if n2 <= GS_EPS:
-        raise DegenerateRotation(f"columns nearly parallel (residual norm {n2:.3g})")
-    b2 = u2 / n2
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=1)
-
-
-def rot6d_to_matrix_batch(r6) -> np.ndarray:
-    """Batched Gram-Schmidt: (..., 6) -> (..., 3, 3). Same degeneracy rules."""
     r6 = np.asarray(r6, dtype=float)
     a1, a2 = r6[..., :3], r6[..., 3:]
     n1 = np.linalg.norm(a1, axis=-1, keepdims=True)
     if np.any(n1 <= GS_EPS):
-        raise DegenerateRotation("first column norm below threshold in batch")
+        raise DegenerateRotation(f"first column norm {n1.min():.3g} below {GS_EPS}")
     b1 = a1 / n1
     u2 = a2 - np.sum(b1 * a2, axis=-1, keepdims=True) * b1
     n2 = np.linalg.norm(u2, axis=-1, keepdims=True)
     if np.any(n2 <= GS_EPS):
-        raise DegenerateRotation("near-parallel columns in batch")
+        raise DegenerateRotation(f"columns nearly parallel (residual norm {n2.min():.3g})")
     b2 = u2 / n2
     b3 = np.cross(b1, b2)
     return np.stack([b1, b2, b3], axis=-1)

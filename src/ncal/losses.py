@@ -32,6 +32,12 @@ from .nn.autodiff import Tensor
 BEHIND_CAMERA_PENALTY_DIAGONALS = 10.0
 
 
+def behind_camera_penalty(image_size) -> float:
+    """Squared pixel error charged for a fiducial behind a predicted camera."""
+    w, h = image_size
+    return (BEHIND_CAMERA_PENALTY_DIAGONALS * float(np.hypot(w, h))) ** 2
+
+
 @dataclass(frozen=True)
 class LossWeights:
     """Loss coefficients; lam_scale amplifies rotation/distortion entries."""
@@ -83,9 +89,7 @@ def loss_reproj(
     pix, valid = F.project_fiducials_t(pred, fiducials)
     diff = pix - ad.constant(observations)
     sq = (diff * diff).sum(axis=-1)
-    w, h = image_size
-    penalty = BEHIND_CAMERA_PENALTY_DIAGONALS * float(np.hypot(w, h))
-    sq = ad.masked_fill(sq, valid, penalty**2)
+    sq = ad.masked_fill(sq, valid, behind_camera_penalty(image_size))
     return sq.mean() ** 0.5
 
 
@@ -131,9 +135,7 @@ def reprojection_rmse(
     pred_pix, pred_valid = geometry.project_array(pred_params, fiducials)
     gt_pix, _ = geometry.project_array(gt_params, fiducials)
     sq = ((pred_pix - gt_pix) ** 2).sum(axis=-1)
-    w, h = image_size
-    penalty = (BEHIND_CAMERA_PENALTY_DIAGONALS * float(np.hypot(w, h))) ** 2
-    sq = np.where(pred_valid, sq, penalty)
+    sq = np.where(pred_valid, sq, behind_camera_penalty(image_size))
     total = float(np.sqrt(sq.mean()))
     if not per_camera:
         return total

@@ -29,24 +29,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 
 import numpy as np
 
 from ..errors import CorruptCheckpoint, UnsupportedVersion
-from .model import PtModel, PtModelConfig
+from .model import PtModel, PtModelConfig, reference_from_state
 from .optim import AdamState
 
 MAGIC = b"NCAL"
 FORMAT_VERSION = 2
-
-# Neutral reference used only to construct a model shell before its stored
-# output maps are loaded over it.
-def _placeholder_reference(n_cameras):
-    ref = np.zeros((n_cameras, 21))
-    ref[:, 0] = ref[:, 4] = ref[:, 8] = 1.0  # identity rotations
-    ref[:, 12:14] = 1.0  # unit focal lengths
-    return ref
 
 
 def _pack_blob(name: str, arr: np.ndarray) -> bytes:
@@ -84,7 +77,11 @@ class _Reader:
 
 def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = None,
                     extra: dict | None = None) -> None:
-    """Write model (and optionally optimizer) state to a checkpoint file."""
+    """Write model (and optionally optimizer) state to a checkpoint file.
+
+    The file is written next to `path` under a temporary name and moved over
+    `path` only once complete, so a failed save leaves the previous file.
+    """
     config = {
         "model": model.config.to_dict(),
         "image_size": list(model.image_size),
@@ -108,8 +105,15 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
     for name in blobs:
         body += _pack_blob(name, blobs[name])
     digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as f:
-        f.write(body + digest)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(body + digest)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_checkpoint(path):
@@ -147,16 +151,15 @@ def load_checkpoint(path):
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after last blob")
 
-    mc = PtModelConfig(**config["model"])
-    model = PtModel(
-        mc,
-        _placeholder_reference(mc.n_cameras),
-        tuple(config["image_size"]),
-        config["radius"],
-        seed=config["model_seed"],
-    )
     model_arrays = {k: v for k, v in blobs.items() if not k.startswith("adam_")}
     try:
+        model = PtModel(
+            PtModelConfig(**config["model"]),
+            reference_from_state(model_arrays),
+            tuple(config["image_size"]),
+            config["radius"],
+            seed=config["model_seed"],
+        )
         model.load_state_arrays(model_arrays)
     except KeyError as e:
         raise CorruptCheckpoint(f"missing blob: {e}") from e

@@ -2,9 +2,8 @@
 
 Includes the bridge between the network and the camera model: an
 orthogonalizing 6D-to-matrix expansion whose gradient comes from the
-primitive chain rule, a fiducial-projection op whose backward pass uses the
-analytic projection Jacobian, and the standalone 9x6 Jacobian of the
-6D expansion used by the classical bundle-adjustment solver.
+primitive chain rule, and a fiducial-projection op whose backward pass uses
+the analytic projection Jacobian.
 """
 
 from __future__ import annotations
@@ -95,11 +94,9 @@ def project_fiducials_t(params: Tensor, fiducials: np.ndarray):
     are computed with clamped depth and should be masked by the caller).
     """
     fid = np.asarray(fiducials, dtype=np.float64)
-    pix, valid = geometry.project_array(params.data, fid)
-    params_data = params.data
+    pix, valid, jac = geometry.project_jacobian_array(params.data, fid)
 
     def backward(g):
-        _, _, jac = geometry.project_jacobian_array(params_data, fid)
         # (..., F, 2, 21) contracted with upstream (..., F, 2) over (F, 2).
         params._accum(np.einsum("...fc,...fcp->...p", g * valid[..., None], jac))
 
@@ -111,49 +108,3 @@ def project_fiducials_t(params: Tensor, fiducials: np.ndarray):
     )
     return out, valid
 
-
-def _skew(v):
-    return np.array([[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]])
-
-
-def rot6d_jacobian(r6) -> np.ndarray:
-    """Analytic 9x6 Jacobian of the 6D-to-matrix expansion (row-major output).
-
-    Rows index the 9 matrix entries in row-major order; columns index the
-    6D vector. Used to chain the projection Jacobian onto 6D rotation
-    parameters in the bundle-adjustment solver.
-    """
-    r6 = np.asarray(r6, dtype=float).reshape(6)
-    a1, a2 = r6[:3], r6[3:]
-    n1 = np.linalg.norm(a1)
-    if n1 <= geometry.GS_EPS:
-        raise DegenerateRotation("first 6D column has near-zero norm")
-    b1 = a1 / n1
-    I = np.eye(3)
-    db1_da1 = (I - np.outer(b1, b1)) / n1
-    d = b1 @ a2
-    u2 = a2 - d * b1
-    n2 = np.linalg.norm(u2)
-    if n2 <= geometry.GS_EPS:
-        raise DegenerateRotation("6D columns are near parallel")
-    b2 = u2 / n2
-    du2_db1 = -np.outer(b1, a2) - d * I
-    du2_da1 = du2_db1 @ db1_da1
-    du2_da2 = I - np.outer(b1, b1)
-    db2_du2 = (I - np.outer(b2, b2)) / n2
-    db2_da1 = db2_du2 @ du2_da1
-    db2_da2 = db2_du2 @ du2_da2
-    db3_da1 = -_skew(b2) @ db1_da1 + _skew(b1) @ db2_da1
-    db3_da2 = _skew(b1) @ db2_da2
-
-    jac = np.zeros((9, 6))
-    cols = (
-        (db1_da1, np.zeros((3, 3))),
-        (db2_da1, db2_da2),
-        (db3_da1, db3_da2),
-    )
-    for j, (da1, da2_) in enumerate(cols):
-        for i in range(3):
-            jac[3 * i + j, 0:3] = da1[i]
-            jac[3 * i + j, 3:6] = da2_[i]
-    return jac

@@ -99,6 +99,21 @@ def camera_identity_encoding(n_cameras, d_model, sigma, rng) -> np.ndarray:
     return codes
 
 
+def reference_from_state(arrays) -> np.ndarray:
+    """The (n_cameras, 21) reference calibration from stored arrays: the
+    ``reference_R`` rotations and the ``center_{t,fc,pp,kc}`` output-map
+    centers, bit for bit. Raises KeyError when one of them is missing."""
+    R = arrays["reference_R"]
+    n = R.shape[0]
+    out = np.empty((n, geometry.N_PARAMS))
+    out[:, geometry.ROT_SLICE] = R.reshape(n, 9)
+    out[:, geometry.TRANS_SLICE] = arrays["center_t"]
+    out[:, 12:14] = arrays["center_fc"]
+    out[:, 14:16] = arrays["center_pp"]
+    out[:, 16:21] = arrays["center_kc"]
+    return out
+
+
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -177,14 +192,7 @@ class PtModel:
     def reference_params(self) -> np.ndarray:
         """The (n_cameras, 21) reference calibration: the stored rotation
         matrices and the centers of the other output maps, bit for bit."""
-        n = self.config.n_cameras
-        out = np.empty((n, geometry.N_PARAMS))
-        out[:, geometry.ROT_SLICE] = self._reference_R.reshape(n, 9)
-        out[:, geometry.TRANS_SLICE] = self._centers["t"]
-        out[:, 12:14] = self._centers["fc"]
-        out[:, 14:16] = self._centers["pp"]
-        out[:, 16:21] = self._centers["kc"]
-        return out
+        return reference_from_state(self.state_arrays())
 
     def parameters(self) -> dict:
         return self.params

@@ -51,8 +51,6 @@ class TrainConfig:
     scheduler_patience: int = 200
     scheduler_rel_threshold: float = 1e-4
     lr_min: float = 1e-6
-    checkpoint_every: int = 500
-    n_threads: int = 1
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -135,7 +133,7 @@ def train(
 
     for epoch in range(start_epoch, cfg.epochs):
         batch_seed = derive_seed(cfg.seed, _TRAIN_STREAM, epoch)
-        batch = synthesize_batch(scene_cfg, cfg.batch_size, batch_seed, cfg.n_threads)
+        batch = synthesize_batch(scene_cfg, cfg.batch_size, batch_seed)
         phase = 1 if epoch < cfg.phase1_epochs else 2
 
         pred = model.forward(batch.observations)
@@ -211,7 +209,6 @@ def evaluate(
     seed: int = 0,
     latency_runs: int = 0,
     oracle_mode: bool = False,
-    n_threads: int = 1,
 ) -> EvalReport:
     """Reprojection RMSE of model predictions over freshly drawn test sets.
 
@@ -227,9 +224,7 @@ def evaluate(
     res, cams = [], []
     first_obs = None
     for t in range(trials):
-        batch = synthesize_batch(
-            scene_cfg, n_samples, derive_seed(seed, _EVAL_STREAM, t), n_threads
-        )
+        batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _EVAL_STREAM, t))
         if first_obs is None and len(batch) > 0:
             first_obs = batch.observations[0]
         pred = batch.gt_params if oracle_mode else _predict_batched(model, batch.observations)

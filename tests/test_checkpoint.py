@@ -1,11 +1,15 @@
 """Checkpoint format: round trips, corruption, version handling."""
 
+import builtins
+import errno
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
 from ncal.errors import CorruptCheckpoint, UnsupportedVersion
+from ncal.nn import checkpoint
 from ncal.nn.checkpoint import FORMAT_VERSION, MAGIC, load_checkpoint, save_checkpoint
 from ncal.nn.optim import AdamState
 
@@ -89,16 +93,12 @@ class TestCorruption:
             load_checkpoint(ckpt)
 
     def test_bad_magic(self, ckpt):
-        import hashlib
-
         body = b"XXXX" + struct.pack("<I", FORMAT_VERSION)
         ckpt.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(ckpt)
 
     def test_version_bump_raises_unsupported(self, ckpt):
-        import hashlib
-
         m = tiny_model()
         save_checkpoint(ckpt, m)
         data = bytearray(ckpt.read_bytes())[:-32]
@@ -112,8 +112,6 @@ class TestCorruption:
     def test_version_1_refused(self, ckpt):
         # Version 1 stored the absolute reference rotation in center_r6 and had
         # no reference_R blob; it must not load with the residual meaning.
-        import hashlib
-
         save_checkpoint(ckpt, tiny_model())
         data = bytearray(ckpt.read_bytes())[:-32]
         data[4:8] = struct.pack("<I", 1)
@@ -126,3 +124,51 @@ class TestCorruption:
         ckpt.write_bytes(b"tiny")
         with pytest.raises(CorruptCheckpoint):
             load_checkpoint(ckpt)
+
+    def test_missing_reference_blob(self, ckpt):
+        # The model is rebuilt from the stored reference, so a checkpoint
+        # without reference_R (renamed here, then re-hashed) cannot load.
+        save_checkpoint(ckpt, tiny_model())
+        body = ckpt.read_bytes()[:-32]
+        assert body.count(b"reference_R") == 1
+        body = body.replace(b"reference_R", b"reference_X")
+        ckpt.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CorruptCheckpoint, match="reference_R"):
+            load_checkpoint(ckpt)
+
+
+class _HalfWriter:
+    """File stand-in that writes half of the data, then fails like a full disk."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+    def write(self, data):
+        self._f.write(data[: len(data) // 2])
+        self._f.flush()
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+class TestCrashSafety:
+    def test_failed_write_keeps_previous_file(self, ckpt, tmp_path, monkeypatch):
+        save_checkpoint(ckpt, tiny_model(seed=0))
+        before = ckpt.read_bytes()
+        monkeypatch.setattr(
+            checkpoint, "open", lambda *a, **k: _HalfWriter(builtins.open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError):
+            save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+
+    def test_successful_save_leaves_only_the_file(self, ckpt, tmp_path):
+        save_checkpoint(ckpt, tiny_model())
+        save_checkpoint(ckpt, randomize(tiny_model()))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+        load_checkpoint(ckpt)

@@ -17,7 +17,6 @@ from ncal.geometry import (
     project_jacobian,
     project_jacobian_array,
     rot6d_to_matrix,
-    rot6d_to_matrix_batch,
     world_to_camera,
 )
 
@@ -177,7 +176,7 @@ class TestRot6d:
     def test_orthogonality_over_random_draws(self):
         rng = np.random.default_rng(0)
         r6 = rng.normal(size=(10_000, 6))
-        R = rot6d_to_matrix_batch(r6)
+        R = rot6d_to_matrix(r6)
         err = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
         assert err.max() < 1e-9
         assert np.abs(np.linalg.det(R) - 1.0).max() < 1e-9

@@ -33,7 +33,7 @@ def perturbed_pred(gt, seed=0, scale=1e-3):
     r6 = np.concatenate(
         [pred[..., [0, 3, 6]], pred[..., [1, 4, 7]]], axis=-1
     )  # columns 0 and 1 of the noisy matrix
-    R = geometry.rot6d_to_matrix_batch(r6)
+    R = geometry.rot6d_to_matrix(r6)
     pred[..., :9] = np.swapaxes(R, -1, -2).reshape(pred.shape[:-1] + (9,))[..., [0, 3, 6, 1, 4, 7, 2, 5, 8]]
     return pred
 

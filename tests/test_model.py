@@ -53,7 +53,7 @@ class TestRot6dTensor:
         rng = np.random.default_rng(0)
         r6 = rng.normal(size=(5, 3, 6))
         out = F.rot6d_to_matrix_t(ad.constant(r6))
-        expected = geometry.rot6d_to_matrix_batch(r6).reshape(5, 3, 9)
+        expected = geometry.rot6d_to_matrix(r6).reshape(5, 3, 9)
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
@@ -68,8 +68,8 @@ class TestRot6dTensor:
             hi, lo = r6.copy(), r6.copy()
             hi[idx] += h
             lo[idx] -= h
-            fhi = (geometry.rot6d_to_matrix_batch(hi).reshape(2, 9) * w).sum()
-            flo = (geometry.rot6d_to_matrix_batch(lo).reshape(2, 9) * w).sum()
+            fhi = (geometry.rot6d_to_matrix(hi).reshape(2, 9) * w).sum()
+            flo = (geometry.rot6d_to_matrix(lo).reshape(2, 9) * w).sum()
             num[idx] = (fhi - flo) / (2 * h)
         np.testing.assert_allclose(t.grad, num, rtol=1e-5, atol=1e-8)
 
@@ -78,42 +78,12 @@ class TestRot6dTensor:
             F.rot6d_to_matrix_t(ad.constant(np.zeros((1, 6))))
 
 
-class TestRot6dJacobian:
-    def test_matches_finite_differences(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            r6 = rng.normal(size=6)
-            J = F.rot6d_jacobian(r6)
-            h = 1e-7
-            num = np.zeros((9, 6))
-            for j in range(6):
-                hi, lo = r6.copy(), r6.copy()
-                hi[j] += h
-                lo[j] -= h
-                num[:, j] = (
-                    geometry.rot6d_to_matrix(hi).reshape(9)
-                    - geometry.rot6d_to_matrix(lo).reshape(9)
-                ) / (2 * h)
-            np.testing.assert_allclose(J, num, rtol=1e-5, atol=1e-7)
-
-    def test_matches_autodiff_route(self):
-        # Two independent derivations of the same chain rule.
-        rng = np.random.default_rng(3)
-        r6 = rng.normal(size=6)
-        J = F.rot6d_jacobian(r6)
-        for k in range(9):
-            t = ad.parameter(r6[None])
-            row = F.rot6d_to_matrix_t(t)[0, k]
-            row.backward()
-            np.testing.assert_allclose(t.grad[0], J[k], rtol=1e-10, atol=1e-12)
-
-
 class TestGeodesicTensor:
     def test_matches_geometry(self):
         rng = np.random.default_rng(4)
         r6 = rng.normal(size=(6, 6))
-        R = geometry.rot6d_to_matrix_batch(r6)
-        gt = geometry.rot6d_to_matrix_batch(rng.normal(size=(6, 6)))
+        R = geometry.rot6d_to_matrix(r6)
+        gt = geometry.rot6d_to_matrix(rng.normal(size=(6, 6)))
         angles = F.geodesic_angles_t(ad.constant(R.reshape(6, 9)), gt.reshape(6, 9))
         expected = geometry.geodesic_distance(R, gt)
         np.testing.assert_allclose(angles.data, expected, atol=1e-12)
