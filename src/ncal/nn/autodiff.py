@@ -223,8 +223,8 @@ def _subgradient(derivative, singular) -> np.ndarray:
     """Evaluate a local derivative, taking 0 wherever `singular` is set.
 
     This is the one convention for every op whose derivative is infinite or
-    undefined at an edge of its domain (a**p with p < 1 and sqrt at 0, acos
-    at or past the clamp): the gradient there is the zero subgradient, so a
+    undefined at an edge of its domain (a**p with p < 1 at 0, acos at or
+    past the clamp): the gradient there is the zero subgradient, so a
     residual that is exactly zero contributes nothing instead of inf/NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,7 +234,7 @@ def _subgradient(derivative, singular) -> np.ndarray:
 
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise a**p for a constant exponent; for p < 1 the gradient at
-    a == 0 is the zero subgradient."""
+    a == 0 is the zero subgradient. Square roots are written a**0.5."""
     p = float(p)
 
     def backward(g):
@@ -242,32 +242,6 @@ def power(a: Tensor, p: float) -> Tensor:
         a._accum(g * _subgradient(lambda: p * a.data ** (p - 1.0), singular))
 
     return _node(a.data**p, (a,), backward)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root; the gradient at a == 0 is the zero subgradient."""
-    out_data = np.sqrt(a.data)
-
-    def backward(g):
-        a._accum(g * _subgradient(lambda: 0.5 / out_data, out_data == 0.0))
-
-    return _node(out_data, (a,), backward)
-
-
-def exp(a: Tensor) -> Tensor:
-    out_data = np.exp(a.data)
-
-    def backward(g):
-        a._accum(g * out_data)
-
-    return _node(out_data, (a,), backward)
-
-
-def log(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accum(g / a.data)
-
-    return _node(np.log(a.data), (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:

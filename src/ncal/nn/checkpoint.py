@@ -3,26 +3,29 @@
 Layout (little-endian):
 
     magic   b"NCAL"
-    u32     format version (currently 2)
+    u32     format version (currently 3)
     u64     config length, followed by that many bytes of UTF-8 JSON
     u32     blob count
     blobs   u16 name length, name bytes, u8 ndim, ndim x u64 dims,
             raw float64 data
     sha256  32-byte digest of every preceding byte
 
-The config block stores the model architecture, image size, radius, and an
-"extra" dict for training state (epoch, optimizer step, scheduler state).
-Blobs hold the model's trainable parameters, its frozen constants, and
-optionally the Adam moments. The frozen constants are the identity codes
-``cie``, the per-head ``center_*`` and ``scale_*`` output maps, and
-``reference_R``, the (n_cameras, 3, 3) reference rotations that the
-predicted residual rotations are composed onto. Round trips are bitwise
-exact.
+The config block stores the model architecture, image size, radius and
+seed, and an "extra" dict for training state (epoch, optimizer step,
+scheduler state). Blobs hold the model's trainable parameters, its
+(n_cameras, 21) ``reference`` calibration, and optionally the Adam moments.
 
-Version history: version 2 added ``reference_R`` and made ``center_r6`` the
-center of the residual rotation (the identity 6D vector). In version 1,
-``center_r6`` held the absolute reference rotation; such files are refused
-with UnsupportedVersion rather than loaded with the wrong meaning.
+A model is stored as its constructor's inputs plus its trainable
+parameters: config, image size, radius, seed and ``reference``. Everything
+the constructor derives from them (the reference rotation matrices, the
+affine output maps, the identity codes) is recomputed on load, never
+stored. Round trips are bitwise exact.
+
+Version history: version 1 stored the absolute reference rotation as the
+rotation head's center. Version 2 stored the derived constants as frozen
+blobs: ``reference_R``, ``cie`` and the per-head ``center_*`` and
+``scale_*`` maps. Version 3 stores ``reference`` alone. Files of other
+versions are refused with UnsupportedVersion.
 """
 
 from __future__ import annotations
@@ -31,15 +34,16 @@ import hashlib
 import json
 import os
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
 from ..errors import CorruptCheckpoint, UnsupportedVersion
-from .model import PtModel, PtModelConfig, reference_from_state
+from .model import PtModel, PtModelConfig
 from .optim import AdamState
 
 MAGIC = b"NCAL"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 def _pack_blob(name: str, arr: np.ndarray) -> bytes:
@@ -83,7 +87,7 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
     `path` only once complete, so a failed save leaves the previous file.
     """
     config = {
-        "model": model.config.to_dict(),
+        "model": asdict(model.config),
         "image_size": list(model.image_size),
         "radius": model.radius,
         "model_seed": model.seed,
@@ -151,16 +155,15 @@ def load_checkpoint(path):
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after last blob")
 
-    model_arrays = {k: v for k, v in blobs.items() if not k.startswith("adam_")}
     try:
         model = PtModel(
             PtModelConfig(**config["model"]),
-            reference_from_state(model_arrays),
+            blobs["reference"],
             tuple(config["image_size"]),
             config["radius"],
             seed=config["model_seed"],
         )
-        model.load_state_arrays(model_arrays)
+        model.load_state_arrays(blobs)
     except KeyError as e:
         raise CorruptCheckpoint(f"missing blob: {e}") from e
 

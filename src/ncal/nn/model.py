@@ -10,10 +10,11 @@ cameras and regresses the full 21-parameter calibration of every camera:
 3. a pre-norm transformer encoder mixes information across the camera axis
    (no masking: every camera attends to every camera),
 4. five linear heads emit rotation (6D), translation, focal lengths,
-   principal point, and distortion; head outputs live in a normalized space
-   and are affinely mapped to physical ranges centered on the rig's
-   reference calibration; the rotation head is centered on the identity
-   6D vector (1, 0, 0, 0, 1, 0) and predicts a residual rotation,
+   principal point, and distortion; their 18 outputs per camera live in a
+   normalized space and go through one affine map, center + scale * raw,
+   whose centers are the rig's reference calibration; the rotation head is
+   centered on the identity 6D vector (1, 0, 0, 0, 1, 0) and predicts a
+   residual rotation,
 5. the residual 6D rotation is expanded to an orthonormal matrix R_delta by
    Gram-Schmidt and composed onto the stored world-to-camera reference
    rotation as R_ref @ R_delta, giving a (cameras x 21) output whose
@@ -40,7 +41,10 @@ from . import autodiff as ad
 from . import functional as F
 from .autodiff import Tensor
 
-# Affine output ranges around the reference calibration.
+# Affine output ranges around the reference calibration. Checkpoints store
+# only the reference and recompute the maps from these constants, as they do
+# the identity codes from camera_identity_encoding: a change to how either is
+# computed changes what a stored model means and needs a FORMAT_VERSION bump.
 TRANSLATION_SCALE_RADII = 2.0  # +/- 2 rho meters
 FOCAL_SCALE_FRACTION = 0.5  # (0.5, 1.5) x nominal
 PRINCIPAL_POINT_SCALE_FRACTION = 0.25  # +/- size/4 pixels
@@ -73,17 +77,6 @@ class PtModelConfig:
                 "identity encodings collide: n_cameras > d_model requires cie_noise_sigma > 0"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "n_cameras": self.n_cameras,
-            "n_fiducials": self.n_fiducials,
-            "d_model": self.d_model,
-            "n_layers": self.n_layers,
-            "n_heads": self.n_heads,
-            "d_ff": self.d_ff,
-            "cie_noise_sigma": self.cie_noise_sigma,
-        }
-
 
 def camera_identity_encoding(n_cameras, d_model, sigma, rng) -> np.ndarray:
     """One-hot-plus-noise identity codes, one row per camera.
@@ -99,21 +92,6 @@ def camera_identity_encoding(n_cameras, d_model, sigma, rng) -> np.ndarray:
     return codes
 
 
-def reference_from_state(arrays) -> np.ndarray:
-    """The (n_cameras, 21) reference calibration from stored arrays: the
-    ``reference_R`` rotations and the ``center_{t,fc,pp,kc}`` output-map
-    centers, bit for bit. Raises KeyError when one of them is missing."""
-    R = arrays["reference_R"]
-    n = R.shape[0]
-    out = np.empty((n, geometry.N_PARAMS))
-    out[:, geometry.ROT_SLICE] = R.reshape(n, 9)
-    out[:, geometry.TRANS_SLICE] = arrays["center_t"]
-    out[:, 12:14] = arrays["center_fc"]
-    out[:, 14:16] = arrays["center_pp"]
-    out[:, 16:21] = arrays["center_kc"]
-    return out
-
-
 def _glorot(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
@@ -124,7 +102,7 @@ class PtModel:
 
     reference_params: (n_cameras, 21) world calibration of the rig at its
     reference pose; defines the centers of the affine output maps. Its
-    rotations are stored as frozen matrices that the predicted residual
+    rotation blocks become the frozen matrices that the predicted residual
     rotations are composed onto.
     """
 
@@ -145,8 +123,20 @@ class PtModel:
         err = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
         if err.max() > 1e-9 or np.abs(np.linalg.det(R) - 1.0).max() > 1e-9:
             raise ValueError("reference rotations must be proper rotations")
+        self._reference = ref.copy()
         self._reference_R = R.copy()
-        self._centers, self._scales = self._output_maps(ref)
+        # One affine output map over the 18 head outputs per camera, columns
+        # in head order: r6, t, fc, pp, kc.
+        w, h = self.image_size
+        n = config.n_cameras
+        self._center = np.concatenate([np.tile(IDENTITY_R6, (n, 1)), ref[:, 9:21]], axis=1)
+        self._scale = np.concatenate([
+            np.ones((n, 6)),
+            np.full((n, 3), TRANSLATION_SCALE_RADII * self.radius),
+            FOCAL_SCALE_FRACTION * ref[:, 12:14],
+            PRINCIPAL_POINT_SCALE_FRACTION * np.tile([float(w), float(h)], (n, 1)),
+            np.full((n, 5), DISTORTION_SCALE),
+        ], axis=1)
 
         d, ff, nf = config.d_model, config.d_ff, config.n_fiducials
         p = {}
@@ -169,33 +159,10 @@ class PtModel:
             p[f"head_{nm}_b"] = np.zeros(width)
         self.params = {k: ad.parameter(v) for k, v in p.items()}
 
-    def _output_maps(self, ref):
-        n = self.config.n_cameras
-        w, h = self.image_size
-        centers = {
-            "r6": np.tile(IDENTITY_R6, (n, 1)),
-            "t": ref[:, geometry.TRANS_SLICE].copy(),
-            "fc": ref[:, 12:14].copy(),
-            "pp": ref[:, 14:16].copy(),
-            "kc": ref[:, 16:21].copy(),
-        }
-        scales = {
-            "r6": np.ones((n, 6)),
-            "t": np.full((n, 3), TRANSLATION_SCALE_RADII * self.radius),
-            "fc": FOCAL_SCALE_FRACTION * ref[:, 12:14],
-            "pp": PRINCIPAL_POINT_SCALE_FRACTION * np.tile([float(w), float(h)], (n, 1)),
-            "kc": np.full((n, 5), DISTORTION_SCALE),
-        }
-        return centers, scales
-
     @property
     def reference_params(self) -> np.ndarray:
-        """The (n_cameras, 21) reference calibration: the stored rotation
-        matrices and the centers of the other output maps, bit for bit."""
-        return reference_from_state(self.state_arrays())
-
-    def parameters(self) -> dict:
-        return self.params
+        """The (n_cameras, 21) reference calibration the model was built on."""
+        return self._reference.copy()
 
     def param_group(self, name: str) -> str:
         """Learning-rate group: prediction heads vs everything else."""
@@ -269,14 +236,15 @@ class PtModel:
         h = h + ad.constant(self.cie)
         h = self.encode(h)
 
-        outs = {}
-        for nm in ("r6", "t", "fc", "pp", "kc"):
-            raw = F.linear(h, self.params[f"head_{nm}_w"], self.params[f"head_{nm}_b"])
-            outs[nm] = ad.constant(self._centers[nm]) + ad.constant(self._scales[nm]) * raw
-        batch = outs["r6"].data.shape[:-1]
-        r_delta = F.rot6d_to_matrix_t(outs["r6"]).reshape(batch + (3, 3))
+        raw = ad.concat([
+            F.linear(h, self.params[f"head_{nm}_w"], self.params[f"head_{nm}_b"])
+            for nm in ("r6", "t", "fc", "pp", "kc")
+        ], axis=-1)
+        out = ad.constant(self._center) + ad.constant(self._scale) * raw
+        batch = out.data.shape[:-1]
+        r_delta = F.rot6d_to_matrix_t(out[..., 0:6]).reshape(batch + (3, 3))
         r9 = (ad.constant(self._reference_R) @ r_delta).reshape(batch + (9,))
-        return ad.concat([r9, outs["t"], outs["fc"], outs["pp"], outs["kc"]], axis=-1)
+        return ad.concat([r9, out[..., 6:]], axis=-1)
 
     def predict(self, X) -> np.ndarray:
         """Forward pass returning a plain array; drops the batch axis that
@@ -286,24 +254,21 @@ class PtModel:
         return out[0] if X.ndim == 3 else out
 
     def state_arrays(self) -> dict:
-        """All persistent arrays: trainable parameters plus frozen constants."""
+        """All persistent arrays: the trainable parameters plus the reference.
+
+        Everything else the constructor computes (identity codes, reference
+        rotations, output maps) follows from the reference, the config, the
+        image size, the radius and the seed, and is not stored.
+        """
         out = {k: v.data for k, v in self.params.items()}
-        out["cie"] = self.cie
-        out["reference_R"] = self._reference_R
-        for nm in ("r6", "t", "fc", "pp", "kc"):
-            out[f"center_{nm}"] = self._centers[nm]
-            out[f"scale_{nm}"] = self._scales[nm]
+        out["reference"] = self._reference
         return out
 
     def load_state_arrays(self, arrays: dict):
+        """Set the trainable parameters from `arrays`; other keys are ignored."""
         for k, t in self.params.items():
             a = arrays[k]
             if a.shape != t.data.shape:
                 raise ShapeMismatch(f"parameter {k}: expected {t.data.shape}, got {a.shape}")
             t.data = np.array(a, dtype=np.float64)
             t.grad = None
-        self.cie = np.array(arrays["cie"], dtype=np.float64)
-        self._reference_R = np.array(arrays["reference_R"], dtype=np.float64)
-        for nm in ("r6", "t", "fc", "pp", "kc"):
-            self._centers[nm] = np.array(arrays[f"center_{nm}"], dtype=np.float64)
-            self._scales[nm] = np.array(arrays[f"scale_{nm}"], dtype=np.float64)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -76,7 +76,6 @@ class PlateauScheduler:
     factor: float = 0.5
     patience: int = 200
     rel_threshold: float = 1e-4
-    lr_min: float = 1e-6
     best: float = float("inf")
     bad_count: int = 0
     lr_scale: float = 1.0
@@ -95,15 +94,7 @@ class PlateauScheduler:
         return False
 
     def state_dict(self) -> dict:
-        return {
-            "factor": self.factor,
-            "patience": self.patience,
-            "rel_threshold": self.rel_threshold,
-            "lr_min": self.lr_min,
-            "best": self.best,
-            "bad_count": self.bad_count,
-            "lr_scale": self.lr_scale,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_state_dict(d: dict) -> "PlateauScheduler":

@@ -13,8 +13,7 @@ test sets out-of-sample by construction.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,7 +72,7 @@ class TrainResult:
 
 @dataclass
 class EvalReport:
-    """Reprojection accuracy over repeated trials plus inference latency."""
+    """Reprojection accuracy over repeated trials."""
 
     re_avg: float
     re_std: float
@@ -81,24 +80,7 @@ class EvalReport:
     per_camera: list  # mean per-camera RMSE across trials
     n_samples: int
     trials: int
-    latency_median_s: float = 0.0
-    latency_mean_s: float = 0.0
-    latency_runs: int = 0
     seed: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "re_avg": self.re_avg,
-            "re_std": self.re_std,
-            "re_trials": list(self.re_trials),
-            "per_camera": list(self.per_camera),
-            "n_samples": self.n_samples,
-            "trials": self.trials,
-            "latency_median_s": self.latency_median_s,
-            "latency_mean_s": self.latency_mean_s,
-            "latency_runs": self.latency_runs,
-            "seed": self.seed,
-        }
 
 
 def train(
@@ -124,7 +106,6 @@ def train(
         factor=cfg.scheduler_factor,
         patience=cfg.scheduler_patience,
         rel_threshold=cfg.scheduler_rel_threshold,
-        lr_min=cfg.lr_min,
     )
     lr_map = cfg.lr_map()
     fiducials = scene_cfg.obj.fiducials
@@ -189,53 +170,30 @@ def _predict_batched(model, observations, chunk=1024):
     return out
 
 
-def measure_latency(model: PtModel, observations_one, runs: int = 1000):
-    """Median/mean wall-clock of a single-capture forward pass on a warm model."""
-    for _ in range(3):
-        model.predict(observations_one)
-    times = np.empty(runs)
-    for i in range(runs):
-        t0 = time.perf_counter()
-        model.predict(observations_one)
-        times[i] = time.perf_counter() - t0
-    return float(np.median(times)), float(times.mean())
-
-
 def evaluate(
-    model: PtModel | None,
+    model: PtModel,
     scene_cfg: SceneConfig,
     n_samples: int,
     trials: int = 3,
     seed: int = 0,
-    latency_runs: int = 0,
-    oracle_mode: bool = False,
 ) -> EvalReport:
     """Reprojection RMSE of model predictions over freshly drawn test sets.
 
     Each trial synthesizes n_samples captures from the evaluation seed
     stream, predicts all camera parameters, and scores the RMSE between
     fiducial projections under predicted and ground-truth parameters.
-    oracle_mode scores the ground truth against itself (pipeline check).
     """
-    if model is None and not oracle_mode:
-        raise ConfigError("evaluate needs a model unless oracle_mode is set")
     fiducials = scene_cfg.obj.fiducials
     image_size = scene_cfg.rig.image_size
     res, cams = [], []
-    first_obs = None
     for t in range(trials):
         batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _EVAL_STREAM, t))
-        if first_obs is None and len(batch) > 0:
-            first_obs = batch.observations[0]
-        pred = batch.gt_params if oracle_mode else _predict_batched(model, batch.observations)
+        pred = _predict_batched(model, batch.observations)
         total, per_cam = reprojection_rmse(
             pred, batch.gt_params, fiducials, image_size, per_camera=True
         )
         res.append(total)
         cams.append(per_cam)
-    lat_med = lat_mean = 0.0
-    if latency_runs > 0 and model is not None and first_obs is not None:
-        lat_med, lat_mean = measure_latency(model, first_obs, latency_runs)
     return EvalReport(
         re_avg=float(np.mean(res)),
         re_std=float(np.std(res, ddof=1)) if trials > 1 else 0.0,
@@ -243,9 +201,6 @@ def evaluate(
         per_camera=list(np.mean(cams, axis=0)) if cams else [],
         n_samples=n_samples,
         trials=trials,
-        latency_median_s=lat_med,
-        latency_mean_s=lat_mean,
-        latency_runs=latency_runs if model is not None else 0,
         seed=seed,
     )
 
@@ -254,22 +209,15 @@ def evaluate(
 
 # Intrinsic entries of the flattened parameter vector are pose-invariant, so
 # the drift monitor compares them (scaled like the parameter loss) against
-# the factory values by default.
+# the factory values.
 _INTRINSIC_SLICE = slice(12, 21)
 
 
-def parameter_distances(
-    pred_params: np.ndarray,
-    reference: np.ndarray,
-    lam_scale: float = 1000.0,
-    include_extrinsics: bool = False,
-) -> np.ndarray:
-    """Per-camera RMSE between predicted and reference parameters, using the
-    same entry scaling as the parameter loss."""
-    scale = param_scale_vector(lam_scale)
-    d = (np.asarray(pred_params) - np.asarray(reference)) * scale
-    if not include_extrinsics:
-        d = d[..., _INTRINSIC_SLICE]
+def parameter_distances(pred_params: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """Per-camera RMSE over the intrinsic entries between predicted and
+    reference parameters, using the same entry scaling as the parameter loss."""
+    scale = param_scale_vector(LossWeights().lam_scale)
+    d = ((np.asarray(pred_params) - np.asarray(reference)) * scale)[..., _INTRINSIC_SLICE]
     return np.sqrt((d**2).mean(axis=-1))
 
 
@@ -278,8 +226,6 @@ def detect_decalibration(
     observations: np.ndarray,
     reference: np.ndarray,
     threshold: float,
-    lam_scale: float = 1000.0,
-    include_extrinsics: bool = False,
 ) -> dict:
     """Flag cameras whose predicted calibration drifted from the reference.
 
@@ -289,7 +235,7 @@ def detect_decalibration(
     "any_drift": bool}.
     """
     pred = model.predict(observations)
-    dist = parameter_distances(pred, reference, lam_scale, include_extrinsics)
+    dist = parameter_distances(pred, reference)
     drifted = dist > threshold
     return {
         "distances": dist,
@@ -305,13 +251,11 @@ def calibrate_detection_threshold(
     n_samples: int,
     seed: int = 0,
     margin: float = 1.25,
-    lam_scale: float = 1000.0,
-    include_extrinsics: bool = False,
 ) -> float:
     """Threshold = margin x the largest per-camera distance observed on a
     clean (unperturbed) sample set drawn from the detection seed stream."""
     reference = model.reference_params
     batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _DETECT_STREAM, 0))
     pred = _predict_batched(model, batch.observations)
-    dist = parameter_distances(pred, reference, lam_scale, include_extrinsics)
+    dist = parameter_distances(pred, reference)
     return float(dist.max() * margin)

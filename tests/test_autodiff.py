@@ -66,13 +66,6 @@ class TestPrimitiveGradients:
         check_unary(lambda a: a ** 3, self.rng.uniform(0.5, 2.0, size=(4,)))
         check_unary(lambda a: a ** 0.5, self.rng.uniform(0.5, 2.0, size=(4,)))
 
-    def test_sqrt(self):
-        check_unary(ad.sqrt, self.rng.uniform(0.5, 3.0, size=(5,)))
-
-    def test_exp_log(self):
-        check_unary(ad.exp, self.rng.uniform(-1, 1, size=(4,)))
-        check_unary(ad.log, self.rng.uniform(0.5, 2.0, size=(4,)))
-
     def test_relu_away_from_kink(self):
         x = self.rng.normal(size=(10,))
         x[np.abs(x) < 0.1] = 0.5  # keep clear of the non-differentiable point
@@ -98,9 +91,9 @@ class TestPrimitiveGradients:
         assert t.grad[4] == pytest.approx(-1.0 / np.sqrt(0.75))
 
     def test_zero_subgradient_at_zero_residual(self):
-        # sqrt and fractional powers have an infinite derivative at 0; the
-        # convention is the zero subgradient there, and the usual one elsewhere.
-        for op in (ad.sqrt, lambda a: a**0.5, lambda a: a**0.25):
+        # Fractional powers have an infinite derivative at 0; the convention
+        # is the zero subgradient there, and the usual one elsewhere.
+        for op in (lambda a: a**0.5, lambda a: a**0.25):
             t = ad.parameter([0.0, 4.0])
             with np.errstate(all="raise"):
                 op(t).sum().backward()

@@ -4,9 +4,13 @@ import builtins
 import errno
 import hashlib
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncal.errors import CorruptCheckpoint, UnsupportedVersion
 from ncal.nn import checkpoint
@@ -73,6 +77,38 @@ class TestRoundTrip:
         save_checkpoint(other, m)
         assert ckpt.read_bytes() == other.read_bytes()
 
+    @settings(derandomize=True, deadline=None, max_examples=40, database=None)
+    @given(
+        n_cameras=st.integers(1, 4),
+        n_fiducials=st.integers(1, 5),
+        n_heads=st.integers(1, 2),
+        head_width=st.integers(1, 3),
+        n_layers=st.integers(1, 2),
+        d_ff=st.integers(1, 6),
+        seed=st.integers(0, 2**31),
+        weight_seed=st.integers(0, 2**31),
+        with_optimizer=st.booleans(),
+    )
+    def test_save_load_save_is_byte_stable(self, n_cameras, n_fiducials, n_heads, head_width,
+                                           n_layers, d_ff, seed, weight_seed, with_optimizer):
+        m = randomize(tiny_model(n_cameras, n_fiducials, n_heads * head_width, n_layers,
+                                 n_heads, d_ff, seed=seed), seed=weight_seed)
+        state = None
+        if with_optimizer:
+            rng = np.random.default_rng(weight_seed + 1)
+            state = AdamState(step=int(rng.integers(1, 1000)))
+            for k, t in m.params.items():
+                state.m[k] = rng.normal(size=t.data.shape)
+                state.v[k] = rng.uniform(0, 1, size=t.data.shape)
+        with tempfile.TemporaryDirectory() as d:
+            first, second = Path(d) / "first.ckpt", Path(d) / "second.ckpt"
+            save_checkpoint(first, m, optimizer_state=state)
+            m2, state2, _ = load_checkpoint(first)
+            save_checkpoint(second, m2, optimizer_state=state2)
+            assert first.read_bytes() == second.read_bytes()
+        X = np.random.default_rng(weight_seed).uniform(0, 1024, size=(2, n_cameras, n_fiducials, 2))
+        assert m.forward(X).data.tobytes() == m2.forward(X).data.tobytes()
+
 
 class TestCorruption:
     def test_truncated_file(self, ckpt):
@@ -110,15 +146,17 @@ class TestCorruption:
             load_checkpoint(ckpt)
 
     def test_version_1_refused(self, ckpt):
-        # Version 1 stored the absolute reference rotation in center_r6 and had
-        # no reference_R blob; it must not load with the residual meaning.
+        # Version 1 stored the absolute reference rotation as the rotation
+        # head's center; version 2 stored derived constants that version 3
+        # recomputes. Neither may load with the current meaning.
         save_checkpoint(ckpt, tiny_model())
         data = bytearray(ckpt.read_bytes())[:-32]
-        data[4:8] = struct.pack("<I", 1)
-        body = bytes(data)
-        ckpt.write_bytes(body + hashlib.sha256(body).digest())
-        with pytest.raises(UnsupportedVersion):
-            load_checkpoint(ckpt)
+        for version in (1, 2):
+            data[4:8] = struct.pack("<I", version)
+            body = bytes(data)
+            ckpt.write_bytes(body + hashlib.sha256(body).digest())
+            with pytest.raises(UnsupportedVersion):
+                load_checkpoint(ckpt)
 
     def test_not_a_file(self, ckpt):
         ckpt.write_bytes(b"tiny")
@@ -127,13 +165,13 @@ class TestCorruption:
 
     def test_missing_reference_blob(self, ckpt):
         # The model is rebuilt from the stored reference, so a checkpoint
-        # without reference_R (renamed here, then re-hashed) cannot load.
+        # without it (renamed here, then re-hashed) cannot load.
         save_checkpoint(ckpt, tiny_model())
         body = ckpt.read_bytes()[:-32]
-        assert body.count(b"reference_R") == 1
-        body = body.replace(b"reference_R", b"reference_X")
+        assert body.count(b"reference") == 1
+        body = body.replace(b"reference", b"referencX")
         ckpt.write_bytes(body + hashlib.sha256(body).digest())
-        with pytest.raises(CorruptCheckpoint, match="reference_R"):
+        with pytest.raises(CorruptCheckpoint, match="reference"):
             load_checkpoint(ckpt)
 
 

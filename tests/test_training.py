@@ -186,14 +186,6 @@ class TestTrainLoop:
 
 
 class TestEvaluate:
-    def test_oracle_mode_zero(self):
-        scn, _ = small_setup(kappa=0.05)
-        report = evaluate(None, scn, n_samples=20, trials=2, seed=9, oracle_mode=True)
-        assert report.re_avg == 0.0
-        assert report.re_std == 0.0
-        assert len(report.per_camera) == 4
-        assert all(c == 0.0 for c in report.per_camera)
-
     def test_untrained_model_exact_at_reference_regime(self):
         # kappa = 0 and a fully pinned pose: ground truth equals the factory
         # calibration, which is exactly what zero-initialized heads predict.
@@ -212,17 +204,6 @@ class TestEvaluate:
         rep = evaluate(model, scn, n_samples=15, trials=3, seed=17)
         assert len(set(rep.re_trials)) == 3
 
-    def test_latency_measured_when_requested(self):
-        scn, model = small_setup()
-        rep = evaluate(model, scn, n_samples=4, trials=1, seed=19, latency_runs=10)
-        assert rep.latency_median_s > 0
-        assert rep.latency_runs == 10
-
-    def test_needs_model_or_oracle(self):
-        scn, _ = small_setup()
-        with pytest.raises(ConfigError):
-            evaluate(None, scn, n_samples=4, trials=1)
-
 
 class TestDetection:
     def test_distance_formula(self):
@@ -240,10 +221,9 @@ class TestDetection:
         ref[:, :9] = np.eye(3).reshape(9)
         pred = ref.copy()
         pred[0, 1] += 0.001  # rotation entry; scaled by 1000 -> deviation 1.0
-        d_int = parameter_distances(pred, ref, include_extrinsics=False)
-        d_all = parameter_distances(pred, ref, include_extrinsics=True)
-        assert d_int[0] == 0.0
-        assert d_all[0] == pytest.approx(np.sqrt(1.0 / 21.0))
+        # The distance compares intrinsics only, so a scaled rotation
+        # deviation leaves it at zero.
+        assert parameter_distances(pred, ref)[0] == 0.0
 
     def test_infinite_threshold_always_ok(self):
         scn, model = small_setup()
