@@ -35,6 +35,9 @@ Z_MIN = 1e-6
 # Gram-Schmidt degeneracy threshold on column norms.
 GS_EPS = 1e-9
 
+# Proper-rotation test tolerance on both ||R^T R - I||_F and |det R - 1|.
+ROTATION_TOL = 1e-9
+
 # Slices of the flattened 21-parameter vector.
 ROT_SLICE = slice(0, 9)
 TRANS_SLICE = slice(9, 12)
@@ -75,6 +78,14 @@ class Intrinsics:
         return Intrinsics(*a.tolist())
 
 
+def is_proper_rotation(R) -> bool:
+    """True iff every (3, 3) block of R (..., 3, 3) is orthonormal with
+    determinant +1 within ROTATION_TOL; non-finite entries fail."""
+    R = np.asarray(R, dtype=float)
+    err = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
+    return bool(np.all(err <= ROTATION_TOL) and np.all(abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL))
+
+
 @dataclass(frozen=True)
 class Extrinsics:
     """Camera pose as a world-to-camera rotation matrix and translation."""
@@ -87,7 +98,7 @@ class Extrinsics:
         t = np.asarray(self.t, dtype=float).reshape(3)
         if R.shape != (3, 3):
             raise ValueError(f"R must be 3x3, got {R.shape}")
-        if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-9 or abs(np.linalg.det(R) - 1.0) > 1e-9:
+        if not is_proper_rotation(R):
             raise ValueError("R is not a proper rotation (orthogonality/det check failed)")
         object.__setattr__(self, "R", R)
         object.__setattr__(self, "t", t)
@@ -154,7 +165,7 @@ def project(P, params: CameraParams) -> np.ndarray:
     return np.array([intr.fx * x_d + intr.cx, intr.fy * y_d + intr.cy])
 
 
-def _project_forward(params_vec, pts, z_min):
+def _project_forward(params_vec, pts):
     """Forward pass shared by the array kernels.
 
     Returns (pixels, valid, parts) where parts holds the intermediates the
@@ -167,8 +178,8 @@ def _project_forward(params_vec, pts, z_min):
     # (..., F, 3) @ (..., 3, 3)^T + t
     Pc = pts @ np.swapaxes(R, -1, -2) + t[..., None, :]
     z = Pc[..., 2]
-    valid = z > z_min
-    zs = np.where(valid, z, z_min)
+    valid = z > Z_MIN
+    zs = np.where(valid, z, Z_MIN)
     x_n = Pc[..., 0] / zs
     y_n = Pc[..., 1] / zs
     k1, k2, k3 = p[..., 16, None], p[..., 17, None], p[..., 18, None]
@@ -182,7 +193,7 @@ def _project_forward(params_vec, pts, z_min):
     return np.stack([u, v], axis=-1), valid, (p, pts, zs, x_n, y_n, r2, radial, x_d, y_d)
 
 
-def project_array(params_vec, pts, z_min: float = Z_MIN):
+def project_array(params_vec, pts):
     """Vectorized projection of many points through many cameras.
 
     Parameters
@@ -193,14 +204,14 @@ def project_array(params_vec, pts, z_min: float = Z_MIN):
     Returns
     -------
     pixels : (..., F, 2) projected pixels. Entries where ``valid`` is False are
-        computed with the depth clamped to z_min and are meaningless.
-    valid : (..., F) bool, True where depth > z_min.
+        computed with the depth clamped to Z_MIN and are meaningless.
+    valid : (..., F) bool, True where depth > Z_MIN.
     """
-    pixels, valid, _ = _project_forward(params_vec, pts, z_min)
+    pixels, valid, _ = _project_forward(params_vec, pts)
     return pixels, valid
 
 
-def project_jacobian_array(params_vec, pts, z_min: float = Z_MIN):
+def project_jacobian_array(params_vec, pts):
     """Analytic Jacobian of the projection w.r.t. all 21 camera parameters.
 
     Same broadcasting as project_array, with bitwise-equal pixels. Returns
@@ -208,9 +219,7 @@ def project_jacobian_array(params_vec, pts, z_min: float = Z_MIN):
     the canonical parameter layout; rotation derivatives are taken w.r.t.
     the 9 matrix entries. Jacobian rows for invalid points are zeroed.
     """
-    pixels, valid, (p, pts, zs, x_n, y_n, r2, radial, x_d, y_d) = _project_forward(
-        params_vec, pts, z_min
-    )
+    pixels, valid, (p, pts, zs, x_n, y_n, r2, radial, x_d, y_d) = _project_forward(params_vec, pts)
     fx, fy = p[..., 12, None], p[..., 13, None]
     k1, k2, k3 = p[..., 16, None], p[..., 17, None], p[..., 18, None]
     p1, p2 = p[..., 19, None], p[..., 20, None]

@@ -3,7 +3,7 @@
 Three terms drive the network toward the ground-truth calibration:
 
 - a parameter-space RMSE over all 21 values per camera, with the rotation
-  and distortion entries amplified by ``lam_scale`` so their small magnitudes
+  and distortion entries amplified by ``LAM_SCALE`` so their small magnitudes
   still register against pixel-scale values,
 - a geodesic rotation loss (mean rotation angle between predicted and
   ground-truth matrices),
@@ -11,14 +11,12 @@ Three terms drive the network toward the ground-truth calibration:
   ground-truth parameters, differentiable through the analytic projection
   Jacobian.
 
-The compound loss is ``lam1 * (diff + geo)`` in phase 1 and additionally
-``+ lam2 * reproj`` in phase 2. All RMSEs pool over every element of the
+The compound loss is ``LAM1 * (diff + geo)`` in phase 1 and additionally
+``+ LAM2 * reproj`` in phase 2. All RMSEs pool over every element of the
 batch (a single square root of the grand mean).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +24,21 @@ from . import geometry
 from .nn import autodiff as ad
 from .nn import functional as F
 from .nn.autodiff import Tensor
+
+# Weights of the compound loss: LAM1 on the parameter and geodesic terms,
+# LAM2 on the phase-2 reprojection term.
+LAM1 = 100.0
+LAM2 = 0.01
+
+# Amplification of the rotation and distortion entries in the parameter loss.
+LAM_SCALE = 1000.0
+
+# Per-entry scaling of the flattened 21-vector, shared by the parameter loss
+# and the drift monitor.
+PARAM_SCALE = np.ones(geometry.N_PARAMS)
+PARAM_SCALE[geometry.ROT_SLICE] = LAM_SCALE
+PARAM_SCALE[geometry.DIST_SLICE] = LAM_SCALE
+PARAM_SCALE.flags.writeable = False
 
 # A fiducial that falls behind a predicted camera contributes a fixed error
 # of this many image diagonals instead of aborting the step.
@@ -38,31 +51,10 @@ def behind_camera_penalty(image_size) -> float:
     return (BEHIND_CAMERA_PENALTY_DIAGONALS * float(np.hypot(w, h))) ** 2
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    """Loss coefficients; lam_scale amplifies rotation/distortion entries."""
-
-    lam1: float = 100.0
-    lam2: float = 0.01
-    lam_scale: float = 1000.0
-
-    def __post_init__(self):
-        if self.lam1 < 0 or self.lam2 < 0 or self.lam_scale < 0:
-            raise ValueError("loss weights must be non-negative")
-
-
-def param_scale_vector(lam_scale: float) -> np.ndarray:
-    """Per-entry scaling of the flattened 21-vector used inside the parameter loss."""
-    s = np.ones(geometry.N_PARAMS)
-    s[geometry.ROT_SLICE] = lam_scale
-    s[geometry.DIST_SLICE] = lam_scale
-    return s
-
-
-def loss_diff(pred: Tensor, gt_params: np.ndarray, lam_scale: float = 1000.0) -> Tensor:
-    """RMSE over all scaled parameter entries, pooled over the whole batch."""
-    scale = ad.constant(param_scale_vector(lam_scale))
-    d = (pred - ad.constant(gt_params)) * scale
+def loss_diff(pred: Tensor, gt_params: np.ndarray) -> Tensor:
+    """RMSE over all PARAM_SCALE-scaled parameter entries, pooled over the
+    whole batch."""
+    d = (pred - ad.constant(gt_params)) * ad.constant(PARAM_SCALE)
     return (d * d).mean() ** 0.5
 
 
@@ -100,21 +92,20 @@ def compound_loss(
     fiducials: np.ndarray,
     image_size,
     phase: int,
-    weights: LossWeights = LossWeights(),
 ):
     """Phase-dependent weighted sum; returns (total, parts dict).
 
-    Phase 1: lam1 * (diff + geo). Phase 2 adds lam2 * reproj.
+    Phase 1: LAM1 * (diff + geo). Phase 2 adds LAM2 * reproj.
     """
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    ldiff = loss_diff(pred, gt_params, weights.lam_scale)
+    ldiff = loss_diff(pred, gt_params)
     lgeo = loss_geo(pred, gt_params)
-    total = weights.lam1 * ldiff + weights.lam1 * lgeo
+    total = LAM1 * ldiff + LAM1 * lgeo
     parts = {"loss_diff": float(ldiff.data), "loss_geo": float(lgeo.data), "loss_reproj": None}
     if phase == 2:
         lrep = loss_reproj(pred, observations, fiducials, image_size)
-        total = total + weights.lam2 * lrep
+        total = total + LAM2 * lrep
         parts["loss_reproj"] = float(lrep.data)
     return total, parts
 

@@ -20,6 +20,9 @@ import numpy as np
 
 from ..errors import GraphCycle, ShapeMismatch
 
+# Added to the variance in layer_norm; keeps a row of equal values finite.
+LAYER_NORM_EPS = 1e-5
+
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum gradient g back down to `shape` (inverse of numpy broadcasting)."""
@@ -369,13 +372,13 @@ def softmax(a: Tensor, axis=-1) -> Tensor:
     return _node(s, (a,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Fused last-axis layer normalization: gain * (x - mean) / std + bias."""
     n = x.data.shape[-1]
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv_std
 
     def backward(g):

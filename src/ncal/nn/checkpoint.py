@@ -32,13 +32,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import asdict
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, UnsupportedVersion
+from ..errors import CorruptCheckpoint, ShapeMismatch, UnsupportedVersion
 from .model import PtModel, PtModelConfig
 from .optim import AdamState
 
@@ -123,7 +124,8 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, optimizer_state_or_None, extra dict).
 
-    Raises CorruptCheckpoint on magic/hash/structure failures and
+    Raises CorruptCheckpoint on magic/hash/structure failures, and on a
+    config that does not describe a model matching the stored blobs, and
     UnsupportedVersion on a format version this build cannot read.
     """
     with open(path, "rb") as f:
@@ -143,14 +145,18 @@ def load_checkpoint(path):
         config = json.loads(r.take(r.u64()).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpoint(f"bad config block: {e}") from e
+    if not isinstance(config, dict):
+        raise CorruptCheckpoint("config block is not a JSON object")
     n_blobs = r.u32()
     blobs = {}
     for _ in range(n_blobs):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorruptCheckpoint(f"bad blob name: {e}") from e
         ndim = r.u8()
         shape = tuple(r.u64() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(r.take(count * 8), dtype="<f8").reshape(shape)
+        data = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
         blobs[name] = np.array(data, dtype=np.float64)
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after last blob")
@@ -164,15 +170,16 @@ def load_checkpoint(path):
             seed=config["model_seed"],
         )
         model.load_state_arrays(blobs)
-    except KeyError as e:
-        raise CorruptCheckpoint(f"missing blob: {e}") from e
-
-    opt_state = None
-    if config.get("has_optimizer"):
-        opt_state = AdamState(step=int(config.get("adam_step", 0)))
-        for k, v in blobs.items():
-            if k.startswith("adam_m:"):
-                opt_state.m[k[len("adam_m:") :]] = v.copy()
-            elif k.startswith("adam_v:"):
-                opt_state.v[k[len("adam_v:") :]] = v.copy()
+        opt_state = None
+        if config.get("has_optimizer"):
+            opt_state = AdamState(step=int(config.get("adam_step", 0)))
+            for k, v in blobs.items():
+                if k.startswith("adam_m:"):
+                    opt_state.m[k[len("adam_m:") :]] = v.copy()
+                elif k.startswith("adam_v:"):
+                    opt_state.v[k[len("adam_v:") :]] = v.copy()
+    except LookupError as e:
+        raise CorruptCheckpoint(f"missing config entry or blob: {e}") from e
+    except (TypeError, ValueError, ShapeMismatch) as e:
+        raise CorruptCheckpoint(f"config does not describe the stored model: {e}") from e
     return model, opt_state, config.get("extra", {})

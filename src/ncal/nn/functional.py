@@ -30,9 +30,9 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return out.reshape(shape[:-1] + (weight.data.shape[-1],))
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    return ad.layer_norm(x, gain, bias, eps)
+    return ad.layer_norm(x, gain, bias)
 
 
 def rot6d_to_matrix_t(r6: Tensor) -> Tensor:

@@ -120,8 +120,7 @@ class PtModel:
             config.n_cameras, config.d_model, config.cie_noise_sigma, rng
         )
         R = ref[:, geometry.ROT_SLICE].reshape(config.n_cameras, 3, 3)
-        err = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
-        if err.max() > 1e-9 or np.abs(np.linalg.det(R) - 1.0).max() > 1e-9:
+        if not geometry.is_proper_rotation(R):
             raise ValueError("reference rotations must be proper rotations")
         self._reference = ref.copy()
         self._reference_R = R.copy()

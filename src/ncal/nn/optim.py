@@ -10,6 +10,13 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# Plateau schedule: the learning-rate scale is multiplied by PLATEAU_FACTOR
+# once the monitored loss has failed to improve on its best value by the
+# relative margin PLATEAU_REL_THRESHOLD for PLATEAU_PATIENCE updates.
+PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 200
+PLATEAU_REL_THRESHOLD = 1e-4
+
 
 @dataclass
 class AdamState:
@@ -70,25 +77,23 @@ def clip_gradients(grads: dict, max_norm: float):
 
 @dataclass
 class PlateauScheduler:
-    """Multiply the learning-rate scale by `factor` when the monitored loss
-    stops improving by a relative threshold for `patience` evaluations."""
+    """Multiply the learning-rate scale by PLATEAU_FACTOR when the monitored
+    loss stops improving by PLATEAU_REL_THRESHOLD (relative) for
+    PLATEAU_PATIENCE updates. Holds only the schedule's state."""
 
-    factor: float = 0.5
-    patience: int = 200
-    rel_threshold: float = 1e-4
     best: float = float("inf")
     bad_count: int = 0
     lr_scale: float = 1.0
 
     def update(self, loss: float) -> bool:
         """Feed one monitored value; returns True when a reduction fired."""
-        if loss < self.best * (1.0 - self.rel_threshold):
+        if loss < self.best * (1.0 - PLATEAU_REL_THRESHOLD):
             self.best = loss
             self.bad_count = 0
             return False
         self.bad_count += 1
-        if self.bad_count >= self.patience:
-            self.lr_scale *= self.factor
+        if self.bad_count >= PLATEAU_PATIENCE:
+            self.lr_scale *= PLATEAU_FACTOR
             self.bad_count = 0
             return True
         return False

@@ -51,12 +51,22 @@ EXT_ROT_MAX_ANGLE = np.pi / 18.0
 MAX_ATTEMPTS_PER_SAMPLE = 1000
 
 DEFAULT_IMAGE_SIZE = (1024, 1024)
-DEFAULT_MARGIN = 8.0
 DEFAULT_RADIUS = 1.5
-DEFAULT_RING_RADIUS = 0.25
-DEFAULT_INTRINSICS = Intrinsics(
+
+# A visible fiducial projects at least this many pixels inside every image edge.
+VISIBILITY_MARGIN = 8.0
+
+# Built-in rigs: the O rigs place their cameras on a ring of this radius (the
+# U and T layouts use it as their grid pitch), every camera has these factory
+# intrinsics, and the mounts aim at a point DEFAULT_RADIUS in front of the rig.
+RING_RADIUS = 0.25
+RIG_INTRINSICS = Intrinsics(
     fx=1100.0, fy=1100.0, cx=512.0, cy=512.0, k1=0.01, k2=0.01, k3=0.01, p1=0.01, p2=0.01
 )
+
+# Built-in objects: the cube's edge and the sphere's radius, in meters.
+OBJECT_EDGE = 0.1
+SPHERE_RADIUS = 0.1
 
 TWO_PI = 2.0 * np.pi
 HALF_PI = np.pi / 2.0
@@ -85,8 +95,7 @@ class RigSpec:
             raise ValueError(f"inconsistent mount shapes {mR.shape} / {mt.shape}")
         if mR.shape[0] < 1:
             raise ValueError("a rig needs at least one camera")
-        err = np.linalg.norm(np.swapaxes(mR, -1, -2) @ mR - np.eye(3), axis=(-2, -1))
-        if err.max() > 1e-9 or np.abs(np.linalg.det(mR) - 1.0).max() > 1e-9:
+        if not geometry.is_proper_rotation(mR):
             raise ValueError("mount rotations must be proper rotations")
         object.__setattr__(self, "mount_R", mR)
         object.__setattr__(self, "mount_t", mt)
@@ -199,14 +208,6 @@ class PoseSample:
 
 
 @dataclass(frozen=True)
-class TrainingSample:
-    """Ground-truth parameters and the fiducial observations they produced."""
-
-    gt_params: np.ndarray  # (N_C, 21) flattened CameraParams rows
-    observations: np.ndarray  # (N_C, N_fid, 2) pixels
-
-
-@dataclass(frozen=True)
 class Batch:
     """A stack of training samples: gt (B, N_C, 21), obs (B, N_C, N_fid, 2)."""
 
@@ -218,12 +219,6 @@ class Batch:
     def __len__(self) -> int:
         return self.gt_params.shape[0]
 
-    @property
-    def samples(self) -> list[TrainingSample]:
-        return [
-            TrainingSample(self.gt_params[i], self.observations[i]) for i in range(len(self))
-        ]
-
 
 @dataclass(frozen=True)
 class SceneConfig:
@@ -233,7 +228,6 @@ class SceneConfig:
     oem: OEMCalibration
     obj: CalibrationObject
     radius: float = DEFAULT_RADIUS
-    margin: float = DEFAULT_MARGIN
     perturbation: PerturbationSpec = field(default_factory=PerturbationSpec)
     pose_ranges: PoseRanges = field(default_factory=PoseRanges)
 
@@ -424,30 +418,24 @@ def perturb(params: CameraParams, spec: PerturbationSpec, rng) -> CameraParams:
     )
 
 
-def _bounds_ok(pixels, valid, image_size, margin) -> bool:
+def _bounds_ok(pixels, valid, image_size) -> bool:
     if not valid.all():
         return False
     w, h = image_size
     x, y = pixels[..., 0], pixels[..., 1]
-    return bool(
-        (x >= margin).all()
-        and (x <= w - margin).all()
-        and (y >= margin).all()
-        and (y <= h - margin).all()
-    )
+    m = VISIBILITY_MARGIN
+    return bool((x >= m).all() and (x <= w - m).all() and (y >= m).all() and (y <= h - m).all())
 
 
 def visibility_check(
-    sample: TrainingSample,
-    obj: CalibrationObject,
-    image_size=DEFAULT_IMAGE_SIZE,
-    margin: float = DEFAULT_MARGIN,
+    gt_params: np.ndarray, obj: CalibrationObject, image_size=DEFAULT_IMAGE_SIZE
 ) -> bool:
-    """True iff every fiducial projects in front of every camera and inside
-    the image bounds with the given margin. Re-projects from gt_params, so it
-    can re-verify emitted samples independently of their stored observations."""
-    pixels, valid = geometry.project_array(sample.gt_params, obj.fiducials)
-    return _bounds_ok(pixels, valid, image_size, margin)
+    """True iff every fiducial projects in front of every camera of
+    gt_params (N_C, 21) and at least VISIBILITY_MARGIN pixels inside the image
+    bounds. Re-projects from the parameters, so it can re-verify emitted
+    samples independently of their stored observations."""
+    pixels, valid = geometry.project_array(gt_params, obj.fiducials)
+    return _bounds_ok(pixels, valid, image_size)
 
 
 def _synthesize_one(cfg: SceneConfig, seed: int, index: int):
@@ -467,7 +455,7 @@ def _synthesize_one(cfg: SceneConfig, seed: int, index: int):
         alpha = rng.uniform(*ranges.alpha)
         gt = _place_rig(mR, mt, intr, theta, phi, alpha, cfg.radius, AIM_POINT)
         pixels, valid = geometry.project_array(gt, fid)
-        if _bounds_ok(pixels, valid, cfg.rig.image_size, cfg.margin):
+        if _bounds_ok(pixels, valid, cfg.rig.image_size):
             return gt, pixels, attempt
     raise SynthesisStalled(
         f"sample {index}: no visible pose in {MAX_ATTEMPTS_PER_SAMPLE} attempts "
@@ -492,19 +480,19 @@ def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     return Batch(gt_params=gt, observations=obs, seed=seed, attempts=attempts)
 
 
-def make_object(kind: str, edge: float = 0.1, radius: float = 0.1) -> CalibrationObject:
+def make_object(kind: str) -> CalibrationObject:
     """Built-in calibration objects: cube8, cube27, sphere64, or a JSON file path.
 
-    cube8: corners of an axis-aligned cube of the given edge, centered at the
+    cube8: corners of an axis-aligned cube of edge OBJECT_EDGE, centered at the
     origin. cube27: the 3x3x3 grid spanning the same cube. sphere64: 64 points
-    on a Fibonacci lattice of the given radius.
+    on a Fibonacci lattice of radius SPHERE_RADIUS.
     """
     if kind == "cube8":
-        h = edge / 2.0
+        h = OBJECT_EDGE / 2.0
         pts = np.array([[x, y, z] for x in (-h, h) for y in (-h, h) for z in (-h, h)])
         return CalibrationObject("cube8", pts)
     if kind == "cube27":
-        h = edge / 2.0
+        h = OBJECT_EDGE / 2.0
         axis = (-h, 0.0, h)
         pts = np.array([[x, y, z] for x in axis for y in axis for z in axis])
         return CalibrationObject("cube27", pts)
@@ -514,7 +502,7 @@ def make_object(kind: str, edge: float = 0.1, radius: float = 0.1) -> Calibratio
         z = 1.0 - 2.0 * (i + 0.5) / n
         r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
         golden = np.pi * (3.0 - np.sqrt(5.0))
-        pts = radius * np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=1)
+        pts = SPHERE_RADIUS * np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=1)
         return CalibrationObject("sphere64", pts)
     return load_object(kind)
 
@@ -552,28 +540,23 @@ _RIG_LAYOUTS = {
 }
 
 
-def make_rig(
-    kind: str,
-    ring_radius: float = DEFAULT_RING_RADIUS,
-    focus_distance: float = DEFAULT_RADIUS,
-    image_size=DEFAULT_IMAGE_SIZE,
-    intrinsics: Intrinsics = DEFAULT_INTRINSICS,
-):
+def make_rig(kind: str):
     """Built-in rigs (O-10, O-6, U-7, T-4) or a JSON rig file path.
 
     Built-in mounts sit in the rig's x-y plane and are canted to aim at the
-    rig-frame point (0, 0, focus_distance), which coincides with AIM_POINT
-    once the rig is posed on a hemisphere of that radius. Returns
+    rig-frame point (0, 0, DEFAULT_RADIUS), which coincides with AIM_POINT
+    once the rig is posed on a hemisphere of that radius. Every built-in
+    camera has a DEFAULT_IMAGE_SIZE image and RIG_INTRINSICS. Returns
     (RigSpec, OEMCalibration).
     """
     layout = _RIG_LAYOUTS.get(kind)
     if layout is None:
         return load_rig(kind)
-    positions = layout(ring_radius)
-    focus = np.array([0.0, 0.0, focus_distance])
+    positions = layout(RING_RADIUS)
+    focus = np.array([0.0, 0.0, DEFAULT_RADIUS])
     mount_R = np.stack([look_at_rotation(p, focus) for p in positions])
-    rig = RigSpec(kind, mount_R, positions, tuple(image_size))
-    oem = OEMCalibration(np.tile(intrinsics.to_array(), (positions.shape[0], 1)))
+    rig = RigSpec(kind, mount_R, positions, DEFAULT_IMAGE_SIZE)
+    oem = OEMCalibration(np.tile(RIG_INTRINSICS.to_array(), (positions.shape[0], 1)))
     return rig, oem
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import geometry
 from .errors import ConfigError, NonFiniteLoss
-from .losses import LossWeights, compound_loss, param_scale_vector, reprojection_rmse
+from .losses import PARAM_SCALE, compound_loss, reprojection_rmse
 from .nn.model import PtModel
 from .nn.optim import AdamState, PlateauScheduler, adam_step, clip_gradients
 from .scene import SceneConfig, synthesize_batch
@@ -27,6 +27,16 @@ from .scene import SceneConfig, synthesize_batch
 _TRAIN_STREAM = 1
 _EVAL_STREAM = 2
 _DETECT_STREAM = 3
+
+# The training recipe: Adam with one base learning rate per parameter group,
+# floored at LR_MIN once the plateau schedule has scaled it down, and the
+# global gradient norm clipped to CLIP_NORM before every step.
+LEARNING_RATES = {"encoder": 1e-4, "heads": 1e-3}
+LR_MIN = 1e-6
+CLIP_NORM = 1.0
+
+# Captures per forward pass when predicting a whole test set.
+PREDICT_CHUNK = 1024
 
 
 def derive_seed(root_seed: int, stream: int, index: int) -> int:
@@ -37,19 +47,14 @@ def derive_seed(root_seed: int, stream: int, index: int) -> int:
 
 @dataclass
 class TrainConfig:
-    """Training hyper-parameters; epochs must be set explicitly."""
+    """Length, batch size and seed of a run; epochs must be set explicitly.
+    The rest of the recipe is constants: the rates and clipping here, the
+    loss weights in ``losses`` and the plateau schedule in ``nn.optim``."""
 
     epochs: int
     phase1_epochs: int = 10_000
     batch_size: int = 512
     seed: int = 0
-    lr_encoder: float = 1e-4
-    lr_heads: float = 1e-3
-    clip_norm: float = 1.0
-    scheduler_factor: float = 0.5
-    scheduler_patience: int = 200
-    scheduler_rel_threshold: float = 1e-4
-    lr_min: float = 1e-6
 
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
@@ -58,9 +63,6 @@ class TrainConfig:
             raise ConfigError(
                 f"phase1_epochs ({self.phase1_epochs}) exceeds total epochs ({self.epochs})"
             )
-
-    def lr_map(self) -> dict:
-        return {"encoder": self.lr_encoder, "heads": self.lr_heads}
 
 
 @dataclass
@@ -87,13 +89,16 @@ def train(
     model: PtModel,
     scene_cfg: SceneConfig,
     cfg: TrainConfig,
-    weights: LossWeights = LossWeights(),
     optimizer: AdamState | None = None,
     scheduler: PlateauScheduler | None = None,
     start_epoch: int = 0,
     epoch_callback=None,
 ) -> TrainResult:
     """Run epochs [start_epoch, cfg.epochs); the model is updated in place.
+
+    Each epoch clips the gradients of its phase's compound loss to
+    CLIP_NORM and takes one Adam step at the LEARNING_RATES times the
+    plateau scheduler's scale, floored at LR_MIN.
 
     Raises NonFiniteLoss (with the offending epoch and batch seed) if the
     loss or the gradient norm ever leaves the finite range; both checks run
@@ -102,12 +107,7 @@ def train(
     each update, e.g. to write checkpoints.
     """
     optimizer = optimizer if optimizer is not None else AdamState()
-    scheduler = scheduler if scheduler is not None else PlateauScheduler(
-        factor=cfg.scheduler_factor,
-        patience=cfg.scheduler_patience,
-        rel_threshold=cfg.scheduler_rel_threshold,
-    )
-    lr_map = cfg.lr_map()
+    scheduler = scheduler if scheduler is not None else PlateauScheduler()
     fiducials = scene_cfg.obj.fiducials
     image_size = scene_cfg.rig.image_size
     records = []
@@ -119,7 +119,7 @@ def train(
 
         pred = model.forward(batch.observations)
         total, parts = compound_loss(
-            pred, batch.gt_params, batch.observations, fiducials, image_size, phase, weights
+            pred, batch.gt_params, batch.observations, fiducials, image_size, phase
         )
         loss_value = float(total.data)
         if not np.isfinite(loss_value):
@@ -128,7 +128,7 @@ def train(
         model.zero_grad()
         total.backward()
         grads = {k: t.grad for k, t in model.params.items()}
-        grad_norm = clip_gradients(grads, cfg.clip_norm)
+        grad_norm = clip_gradients(grads, CLIP_NORM)
         if not np.isfinite(grad_norm):
             raise NonFiniteLoss(
                 epoch,
@@ -138,10 +138,10 @@ def train(
         adam_step(
             model.params,
             optimizer,
-            lr_map,
+            LEARNING_RATES,
             model.param_group,
             lr_scale=scheduler.lr_scale,
-            lr_min=cfg.lr_min,
+            lr_min=LR_MIN,
         )
         scheduler.update(loss_value)
 
@@ -163,10 +163,10 @@ def train(
     return TrainResult(records, optimizer, scheduler)
 
 
-def _predict_batched(model, observations, chunk=1024):
+def _predict_batched(model, observations):
     out = np.empty(observations.shape[:2] + (geometry.N_PARAMS,))
-    for lo in range(0, observations.shape[0], chunk):
-        out[lo : lo + chunk] = model.forward(observations[lo : lo + chunk]).data
+    for lo in range(0, observations.shape[0], PREDICT_CHUNK):
+        out[lo : lo + PREDICT_CHUNK] = model.forward(observations[lo : lo + PREDICT_CHUNK]).data
     return out
 
 
@@ -216,8 +216,7 @@ _INTRINSIC_SLICE = slice(12, 21)
 def parameter_distances(pred_params: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-camera RMSE over the intrinsic entries between predicted and
     reference parameters, using the same entry scaling as the parameter loss."""
-    scale = param_scale_vector(LossWeights().lam_scale)
-    d = ((np.asarray(pred_params) - np.asarray(reference)) * scale)[..., _INTRINSIC_SLICE]
+    d = ((np.asarray(pred_params) - np.asarray(reference)) * PARAM_SCALE)[..., _INTRINSIC_SLICE]
     return np.sqrt((d**2).mean(axis=-1))
 
 

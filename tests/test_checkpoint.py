@@ -3,6 +3,7 @@
 import builtins
 import errno
 import hashlib
+import json
 import struct
 import tempfile
 from pathlib import Path
@@ -173,6 +174,53 @@ class TestCorruption:
         ckpt.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CorruptCheckpoint, match="reference"):
             load_checkpoint(ckpt)
+
+
+def _resign(path, edit_config=lambda c: c, blob_bytes=(b"", b"")):
+    """Rewrite a checkpoint with an edited config and a byte replacement in
+    its blob section, then re-hash it so only the edit is wrong."""
+    body = path.read_bytes()[:-32]
+    (n,) = struct.unpack_from("<Q", body, 8)
+    config = edit_config(json.loads(body[16 : 16 + n]))
+    blobs = body[16 + n :]
+    old, new = blob_bytes
+    if old:
+        assert blobs.count(old) == 1
+        blobs = blobs.replace(old, new)
+    cfg = json.dumps(config).encode("utf-8")
+    body = body[:8] + struct.pack("<Q", len(cfg)) + cfg + blobs
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+def _model(**entries):
+    return lambda c: {**c, "model": {**c["model"], **entries}}
+
+
+def _blob_header(name: bytes, *dims):
+    return struct.pack(f"<H{len(name)}sB{len(dims)}Q", len(name), name, len(dims), *dims)
+
+
+# Each file has a valid hash but does not describe a loadable model.
+MALFORMED = {
+    "unknown_model_key": dict(edit_config=_model(colour="red")),
+    "shapes_disagree_with_blobs": dict(edit_config=_model(d_model=32)),
+    "invalid_model_config": dict(edit_config=_model(n_heads=3)),
+    "config_is_a_list": dict(edit_config=lambda c: [c]),
+    "blob_name_not_utf8": dict(blob_bytes=(_blob_header(b"embed_b", 16),
+                                           _blob_header(b"embed_\xff", 16))),
+    "image_size_too_short": dict(edit_config=lambda c: {**c, "image_size": [1024]}),
+    "bad_adam_step": dict(edit_config=lambda c: {**c, "has_optimizer": True, "adam_step": "x"}),
+    "blob_size_overflows": dict(blob_bytes=(_blob_header(b"reference", 3, 21),
+                                            _blob_header(b"reference", 2**40, 2**30))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_is_corrupt(ckpt, case):
+    save_checkpoint(ckpt, tiny_model(d_model=16))
+    _resign(ckpt, **MALFORMED[case])
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(ckpt)
 
 
 class _HalfWriter:

@@ -5,12 +5,13 @@ import pytest
 
 from ncal import geometry
 from ncal.losses import (
-    LossWeights,
+    LAM1,
+    LAM2,
+    LAM_SCALE,
     compound_loss,
     loss_diff,
     loss_geo,
     loss_reproj,
-    param_scale_vector,
     reprojection_rmse,
 )
 from ncal.nn import autodiff as ad
@@ -47,8 +48,8 @@ class TestLossDiff:
         gt = np.zeros((1, 21))
         gt[0, :9] = np.eye(3).reshape(9)
         pred = gt.copy()
-        pred[0, 16] += 0.001  # k1 off by 0.001 -> scaled deviation of 1.0
-        val = float(loss_diff(ad.constant(pred), gt, lam_scale=1000.0).data)
+        pred[0, 16] += 1.0 / LAM_SCALE  # k1 off by 1 / LAM_SCALE -> scaled deviation of 1.0
+        val = float(loss_diff(ad.constant(pred), gt).data)
         assert val == pytest.approx(np.sqrt(1.0 / 21.0))
 
     def test_matches_flatten_scale_rmse_oracle(self, batch):
@@ -56,7 +57,9 @@ class TestLossDiff:
         rng = np.random.default_rng(1)
         pred = b.gt_params + rng.normal(size=b.gt_params.shape) * 0.01
         got = float(loss_diff(ad.constant(pred), b.gt_params).data)
-        s = param_scale_vector(1000.0)
+        s = np.ones(21)
+        s[0:9] = LAM_SCALE  # rotation entries
+        s[16:21] = LAM_SCALE  # distortion entries
         expected = np.sqrt((((pred - b.gt_params) * s) ** 2).mean())
         assert got == pytest.approx(expected, rel=1e-12)
 
@@ -164,26 +167,24 @@ class TestCompound:
             assert float(total.data) < 1e-3
 
     def test_phase1_independent_of_lam2(self, batch):
+        # Phase 1 is exactly LAM1 * (diff + geo): any reprojection term,
+        # however small its weight, would change the total.
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=4)
-        vals = []
-        for lam2 in (0.01, 123.0):
-            total, _ = compound_loss(
-                ad.constant(pred),
-                b.gt_params,
-                b.observations,
-                cfg.obj.fiducials,
-                cfg.rig.image_size,
-                phase=1,
-                weights=LossWeights(lam2=lam2),
-            )
-            vals.append(float(total.data))
-        assert vals[0] == vals[1]
+        total, parts = compound_loss(
+            ad.constant(pred),
+            b.gt_params,
+            b.observations,
+            cfg.obj.fiducials,
+            cfg.rig.image_size,
+            phase=1,
+        )
+        assert parts["loss_reproj"] is None
+        assert float(total.data) == LAM1 * parts["loss_diff"] + LAM1 * parts["loss_geo"]
 
     def test_phase2_recomposition(self, batch):
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=5)
-        w = LossWeights()
         total, parts = compound_loss(
             ad.constant(pred),
             b.gt_params,
@@ -191,11 +192,8 @@ class TestCompound:
             cfg.obj.fiducials,
             cfg.rig.image_size,
             phase=2,
-            weights=w,
         )
-        expected = (
-            w.lam1 * parts["loss_diff"] + w.lam1 * parts["loss_geo"] + w.lam2 * parts["loss_reproj"]
-        )
+        expected = LAM1 * parts["loss_diff"] + LAM1 * parts["loss_geo"] + LAM2 * parts["loss_reproj"]
         assert float(total.data) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_phase(self, batch):

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from ncal.nn import autodiff as ad
-from ncal.nn.optim import AdamState, PlateauScheduler, adam_step, clip_gradients
+from ncal.nn.optim import (
+    PLATEAU_FACTOR,
+    PLATEAU_PATIENCE,
+    AdamState,
+    PlateauScheduler,
+    adam_step,
+    clip_gradients,
+)
 
 
 def groups(name):
@@ -100,32 +107,32 @@ class TestClip:
 
 class TestPlateauScheduler:
     def test_decreasing_loss_never_reduces(self):
-        s = PlateauScheduler(patience=5)
-        for i in range(100):
+        s = PlateauScheduler()
+        for i in range(3 * PLATEAU_PATIENCE):
             assert not s.update(100.0 / (i + 1))
         assert s.lr_scale == 1.0
 
     def test_flat_loss_exactly_one_reduction(self):
-        s = PlateauScheduler(patience=5)
-        fired = [s.update(1.0) for _ in range(6)]
+        s = PlateauScheduler()
+        fired = [s.update(1.0) for _ in range(PLATEAU_PATIENCE + 1)]
         assert sum(fired) == 1
-        assert s.lr_scale == 0.5
+        assert s.lr_scale == PLATEAU_FACTOR
 
     def test_noisy_flat_reductions_spaced_by_patience(self):
         rng = np.random.default_rng(1)
-        s = PlateauScheduler(patience=10, rel_threshold=1e-4)
+        s = PlateauScheduler()
         fire_epochs = []
         loss = 1.0
-        for e in range(200):
+        for e in range(20 * PLATEAU_PATIENCE):
             val = loss * (1.0 + 1e-6 * rng.normal())
             if s.update(val):
                 fire_epochs.append(e)
         assert len(fire_epochs) >= 2
         gaps = np.diff(fire_epochs)
-        assert (gaps >= 10).all()
+        assert (gaps >= PLATEAU_PATIENCE).all()
 
     def test_state_round_trip(self):
-        s = PlateauScheduler(patience=3)
+        s = PlateauScheduler()
         s.update(1.0)
         s.update(1.0)
         s2 = PlateauScheduler.from_state_dict(s.state_dict())

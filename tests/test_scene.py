@@ -111,7 +111,7 @@ class TestRoll:
 class TestPoseRig:
     def test_single_camera_at_pole(self):
         rig = RigSpec("single", np.eye(3)[None], np.zeros((1, 3)))
-        oem = OEMCalibration(scene.DEFAULT_INTRINSICS.to_array()[None])
+        oem = OEMCalibration(scene.RIG_INTRINSICS.to_array()[None])
         params = pose_rig(rig, PoseSample(0.0, 0.0, 0.0, 1.5), oem)
         cam = CameraParams.from_vector(params[0])
         center = -cam.extrinsics.R.T @ cam.extrinsics.t
@@ -130,7 +130,7 @@ class TestPoseRig:
         # the object centroid for any pose; tangential distortion vanishes at
         # the principal axis, so the projection is exactly the principal point.
         rig = RigSpec("central", np.eye(3)[None], np.zeros((1, 3)))
-        oem = OEMCalibration(scene.DEFAULT_INTRINSICS.to_array()[None])
+        oem = OEMCalibration(scene.RIG_INTRINSICS.to_array()[None])
         rng = np.random.default_rng(3)
         for _ in range(100):
             pose = PoseSample(
@@ -229,18 +229,18 @@ class TestPerturb:
 
 class TestObjects:
     def test_cube8_corners(self):
-        obj = make_object("cube8", edge=0.1)
+        obj = make_object("cube8")
         assert obj.n_fiducials == 8
         np.testing.assert_allclose(np.abs(obj.fiducials), 0.05)
         np.testing.assert_allclose(obj.centroid, [0, 0, 0], atol=1e-15)
 
     def test_cube27_contains_origin(self):
-        obj = make_object("cube27", edge=0.1)
+        obj = make_object("cube27")
         assert obj.n_fiducials == 27
         assert any(np.all(p == 0.0) for p in obj.fiducials)
 
     def test_sphere64_norms(self):
-        obj = make_object("sphere64", radius=0.1)
+        obj = make_object("sphere64")
         assert obj.n_fiducials == 64
         norms = np.linalg.norm(obj.fiducials, axis=1)
         np.testing.assert_allclose(norms, 0.1, atol=1e-12)
@@ -264,6 +264,14 @@ class TestObjects:
 
 
 class TestRigs:
+    @pytest.mark.parametrize("defect", [np.diag([1.01, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0])])
+    def test_rejects_non_rotation_mount(self, defect):
+        rig, _ = make_rig("T-4")
+        mount_R = rig.mount_R.copy()
+        mount_R[2] = mount_R[2] @ defect  # a scaled axis, or a reflection
+        with pytest.raises(ValueError, match="proper rotations"):
+            RigSpec("bad", mount_R, rig.mount_t)
+
     @pytest.mark.parametrize("kind,n", [("O-10", 10), ("O-6", 6), ("U-7", 7), ("T-4", 4)])
     def test_builtin_counts(self, kind, n):
         rig, oem = make_rig(kind)
@@ -311,15 +319,15 @@ class TestSynthesis:
             perturbation=PerturbationSpec(0.1, 0.1),
         )
         batch = synthesize_batch(cfg, 64, seed=3)
-        for s in batch.samples:
-            assert visibility_check(s, cfg.obj, cfg.rig.image_size, cfg.margin)
+        for gt in batch.gt_params:
+            assert visibility_check(gt, cfg.obj, cfg.rig.image_size)
 
     def test_observations_match_reprojection(self, o6_config):
         batch = synthesize_batch(o6_config, 8, seed=9)
-        for s in batch.samples:
-            pix, valid = geometry.project_array(s.gt_params, o6_config.obj.fiducials)
+        for gt, obs in zip(batch.gt_params, batch.observations):
+            pix, valid = geometry.project_array(gt, o6_config.obj.fiducials)
             assert valid.all()
-            np.testing.assert_array_equal(pix, s.observations)
+            np.testing.assert_array_equal(pix, obs)
 
     def test_fixed_pose_constant_centroid(self):
         rig, oem = make_rig("O-6")
@@ -327,9 +335,9 @@ class TestSynthesis:
             rig=rig, oem=oem, obj=make_object("cube8"), pose_ranges=PoseRanges.fixed(0.0, 0.0)
         )
         batch = synthesize_batch(cfg, 16, seed=2)
-        for s in batch.samples:
-            R = s.gt_params[:, :9].reshape(-1, 3, 3)
-            t = s.gt_params[:, 9:12]
+        for gt in batch.gt_params:
+            R = gt[:, :9].reshape(-1, 3, 3)
+            t = gt[:, 9:12]
             centers = -np.einsum("nji,nj->ni", R, t)
             np.testing.assert_allclose(centers.mean(axis=0), [0, 0, 1.5], atol=1e-9)
 
@@ -343,8 +351,8 @@ class TestSynthesis:
         )
         batch = synthesize_batch(cfg, 4, seed=0)
         ref = reference_params(rig, oem, cfg.radius)
-        for s in batch.samples:
-            np.testing.assert_array_equal(s.gt_params, ref)
+        for gt in batch.gt_params:
+            np.testing.assert_array_equal(gt, ref)
 
     def test_intrinsic_bounds_hold_in_batches(self):
         rig, oem = make_rig("O-6")
