@@ -1,9 +1,12 @@
 """Neural recalibration toolkit for fixed multi-camera infrared rigs.
 
+Every module passes cameras as ``(..., 21)`` arrays in the layout that
+``geometry`` defines.
+
 Submodules
 ----------
-geometry   projection, distortion, rotation representations, Jacobians
-scene      rig/object definitions, pose synthesis, perturbation, batching
+geometry   the 21-parameter camera layout, batched projection and its Jacobian
+scene      rig/object definitions, rig placement, perturbation, pose synthesis
 nn         dense-tensor autodiff, point-based transformer, optimizer, checkpoints
 losses     parameter / geodesic / reprojection losses and the compound loss
 training   training loop, evaluation, decalibration detection

@@ -5,16 +5,12 @@ class NcalError(Exception):
     """Base class for all toolkit errors."""
 
 
-class BehindCamera(NcalError):
-    """A 3D point lies at or behind the camera's projection plane."""
-
-
 class DegenerateRotation(NcalError):
     """A 6D rotation vector cannot be orthogonalized (zero or parallel columns)."""
 
 
 class DegenerateLookAt(NcalError):
-    """Look-at construction failed: eye equals target or up is parallel to view."""
+    """Look-at construction failed: eye and target coincide."""
 
 
 class SynthesisStalled(NcalError):

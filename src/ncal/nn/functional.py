@@ -38,8 +38,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 def rot6d_to_matrix_t(r6: Tensor) -> Tensor:
     """Differentiable Gram-Schmidt: (..., 6) -> (..., 9) row-major rotation.
 
-    Matches geometry.rot6d_to_matrix elementwise; raises DegenerateRotation
-    when any first column is near zero or the columns are near parallel.
+    The two 3-vectors are the unnormalized first and second columns; the
+    third column is their Gram-Schmidt cross product. Raises
+    DegenerateRotation when any first column is near zero or the columns
+    are near parallel.
     """
     a1 = r6[..., 0:3]
     a2 = r6[..., 3:6]

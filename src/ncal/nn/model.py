@@ -53,6 +53,10 @@ DISTORTION_SCALE = 0.2
 # Center of the residual rotation head: the 6D vector of the identity.
 IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
+# Captures per forward pass in predict, which bounds the tape's memory when a
+# whole test set is predicted at once.
+PREDICT_CHUNK = 1024
+
 
 @dataclass(frozen=True)
 class PtModelConfig:
@@ -246,10 +250,17 @@ class PtModel:
         return ad.concat([r9, out[..., 6:]], axis=-1)
 
     def predict(self, X) -> np.ndarray:
-        """Forward pass returning a plain array; drops the batch axis that
-        forward adds for unbatched input."""
+        """Forward passes over PREDICT_CHUNK captures at a time, returning a
+        plain array; drops the batch axis that forward adds for unbatched
+        input."""
         X = np.asarray(X, dtype=np.float64)
-        out = self.forward(X).data
+        batch = X[None] if X.ndim == 3 else X
+        # At least one pass, so an empty batch still meets forward's shape checks.
+        chunks = [
+            self.forward(batch[lo : lo + PREDICT_CHUNK]).data
+            for lo in range(0, max(len(batch), 1), PREDICT_CHUNK)
+        ]
+        out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out[0] if X.ndim == 3 else out
 
     def state_arrays(self) -> dict:

@@ -22,6 +22,10 @@ hemisphere is centered there and the built-in rigs cant their mounts toward
 it. Built-in objects are centered on the origin; a JSON object whose
 fiducials are not is still aimed at its origin.
 
+Cameras are ``(N_C, 21)`` arrays in the ``geometry`` layout. ``place_rig``
+is the one placement: synthesis and ``reference_params`` both call it, and
+the factory intrinsics and their perturbations are ``(N_C, 9)`` arrays.
+
 Sampling is deterministic: sample ``i`` of a batch generated with seed ``s``
 draws from its own PCG64 stream seeded by ``(s, i)``, so a sample does not
 depend on the size of the batch it is drawn in.
@@ -36,7 +40,7 @@ import numpy as np
 
 from . import geometry
 from .errors import BadObjectFile, DegenerateLookAt, SynthesisStalled
-from .geometry import CameraParams, Intrinsics, N_PARAMS
+from .geometry import N_PARAMS
 
 # Additive scale used when perturbing a distortion coefficient that is
 # exactly zero (a multiplicative perturbation of zero would be a no-op).
@@ -58,11 +62,11 @@ VISIBILITY_MARGIN = 8.0
 
 # Built-in rigs: the O rigs place their cameras on a ring of this radius (the
 # U and T layouts use it as their grid pitch), every camera has these factory
-# intrinsics, and the mounts aim at a point DEFAULT_RADIUS in front of the rig.
+# intrinsics (fx, fy, cx, cy, k1, k2, k3, p1, p2), and the mounts aim at a
+# point DEFAULT_RADIUS in front of the rig.
 RING_RADIUS = 0.25
-RIG_INTRINSICS = Intrinsics(
-    fx=1100.0, fy=1100.0, cx=512.0, cy=512.0, k1=0.01, k2=0.01, k3=0.01, p1=0.01, p2=0.01
-)
+RIG_INTRINSICS = np.array([1100.0, 1100.0, 512.0, 512.0, 0.01, 0.01, 0.01, 0.01, 0.01])
+RIG_INTRINSICS.flags.writeable = False
 
 # Built-in objects: the cube's edge and the sphere's radius, in meters.
 OBJECT_EDGE = 0.1
@@ -97,8 +101,14 @@ class RigSpec:
             raise ValueError("a rig needs at least one camera")
         if not geometry.is_proper_rotation(mR):
             raise ValueError("mount rotations must be proper rotations")
+        size = tuple(self.image_size)
+        if len(size) != 2 or not all(
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in size
+        ):
+            raise ValueError(f"image_size must be two positive integers, got {self.image_size!r}")
         object.__setattr__(self, "mount_R", mR)
         object.__setattr__(self, "mount_t", mt)
+        object.__setattr__(self, "image_size", (int(size[0]), int(size[1])))
 
     @property
     def n_cameras(self) -> int:
@@ -121,10 +131,6 @@ class CalibrationObject:
     @property
     def n_fiducials(self) -> int:
         return self.fiducials.shape[0]
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return self.fiducials.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -184,30 +190,6 @@ class PoseRanges:
 
 
 @dataclass(frozen=True)
-class PoseSample:
-    """One placement of the rig centroid on the hemisphere."""
-
-    theta: float
-    phi: float
-    alpha: float
-    rho: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta < TWO_PI + 1e-12):
-            raise ValueError(f"theta {self.theta} outside [0, 2pi)")
-        if not (0.0 <= self.phi <= HALF_PI + 1e-12):
-            raise ValueError(f"phi {self.phi} outside [0, pi/2]")
-        if not (0.0 <= self.alpha < TWO_PI + 1e-12):
-            raise ValueError(f"alpha {self.alpha} outside [0, 2pi)")
-        if self.rho <= 0:
-            raise ValueError("rho must be positive")
-
-    @property
-    def centroid(self) -> np.ndarray:
-        return hemisphere_centroid(self.theta, self.phi, self.rho)
-
-
-@dataclass(frozen=True)
 class Batch:
     """A stack of training samples: gt (B, N_C, 21), obs (B, N_C, N_fid, 2)."""
 
@@ -236,8 +218,8 @@ class SceneConfig:
             raise ValueError(
                 f"rig has {self.rig.n_cameras} cameras, OEM has {self.oem.n_cameras}"
             )
-        if self.radius <= 0:
-            raise ValueError("hemisphere radius must be positive")
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"hemisphere radius must be positive and finite, got {self.radius}")
 
     @property
     def n_cameras(self) -> int:
@@ -269,12 +251,12 @@ def _cross3(a, b):
     )
 
 
-def look_at_rotation(eye, target, up_hint=None) -> np.ndarray:
+def look_at_rotation(eye, target) -> np.ndarray:
     """Camera-to-world rotation whose +z axis points from eye toward target.
 
-    With up_hint=None the world +y axis is used, falling back to +x when the
-    view direction is within ~1e-6 of +/-y. An explicit up_hint that is
-    parallel to the view direction raises DegenerateLookAt.
+    The world +y axis is the up hint, replaced by +x when the view direction
+    is within ~1e-6 of +/-y. Raises DegenerateLookAt when eye and target
+    coincide.
     """
     eye = np.asarray(eye, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -283,19 +265,13 @@ def look_at_rotation(eye, target, up_hint=None) -> np.ndarray:
     if n < 1e-12:
         raise DegenerateLookAt("eye and target coincide")
     f = f / n
-    if up_hint is None:
-        # cross((0,1,0), f) has norm sqrt(fz^2 + fx^2)
-        if np.hypot(f[0], f[2]) < 1e-6:
-            up = np.array([1.0, 0.0, 0.0])
-        else:
-            up = np.array([0.0, 1.0, 0.0])
+    # cross((0,1,0), f) has norm sqrt(fz^2 + fx^2), so |x| >= 1e-6 below.
+    if np.hypot(f[0], f[2]) < 1e-6:
+        up = np.array([1.0, 0.0, 0.0])
     else:
-        up = np.asarray(up_hint, dtype=float)
+        up = np.array([0.0, 1.0, 0.0])
     x = _cross3(up, f)
-    nx = np.sqrt(x @ x)
-    if nx < 1e-9:
-        raise DegenerateLookAt("up_hint parallel to view direction")
-    x = x / nx
+    x = x / np.sqrt(x @ x)
     y = _cross3(f, x)
     out = np.empty((3, 3))
     out[:, 0] = x
@@ -310,10 +286,16 @@ def roll_rotation(alpha: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _place_rig(mount_R, mount_t, intrinsics, theta, phi, alpha, rho, target) -> np.ndarray:
-    """Compose rig placement with mounts into flattened world camera parameters."""
+def place_rig(mount_R, mount_t, intrinsics, theta, phi, alpha, rho) -> np.ndarray:
+    """World camera parameters (N_C, 21) for mounts (N_C, 3, 3) / (N_C, 3)
+    and intrinsics (N_C, 9) with the rig posed on the hemisphere.
+
+    The rig centroid sits at hemisphere_centroid(theta, phi, rho); the focus
+    rotation turns the rig toward AIM_POINT, then it rolls by alpha about
+    the viewing axis.
+    """
     centroid = hemisphere_centroid(theta, phi, rho)
-    W = look_at_rotation(centroid, target) @ roll_rotation(alpha)
+    W = look_at_rotation(centroid, AIM_POINT) @ roll_rotation(alpha)
     R_c2w = W @ mount_R  # (N, 3, 3)
     centers = mount_t @ W.T + centroid  # (N, 3)
     R = np.swapaxes(R_c2w, -1, -2)  # world-to-camera
@@ -326,31 +308,12 @@ def _place_rig(mount_R, mount_t, intrinsics, theta, phi, alpha, rho, target) -> 
     return out
 
 
-def pose_rig(rig: RigSpec, pose: PoseSample, oem: OEMCalibration, target=AIM_POINT):
-    """World camera parameters (N_C, 21) for a rig placed at the given pose.
-
-    Extrinsics compose the mount transforms with the rig placement (focus
-    rotation toward `target`, by default the aim point shared with
-    synthesis, then roll); intrinsics are copied from the OEM.
-    """
-    return _place_rig(
-        rig.mount_R,
-        rig.mount_t,
-        oem.intrinsics,
-        pose.theta,
-        pose.phi,
-        pose.alpha,
-        pose.rho,
-        np.asarray(target, dtype=float),
-    )
-
-
 def reference_params(rig: RigSpec, oem: OEMCalibration, radius: float = DEFAULT_RADIUS):
     """OEM world parameters: the rig posed at theta = phi = alpha = 0."""
-    return pose_rig(rig, PoseSample(0.0, 0.0, 0.0, radius), oem)
+    return place_rig(rig.mount_R, rig.mount_t, oem.intrinsics, 0.0, 0.0, 0.0, radius)
 
 
-def _perturb_intrinsics(intr, kappa, rng):
+def perturb_intrinsics(intr, kappa, rng):
     """Multiplicative perturbation of each intrinsic scalar by U(-kappa, kappa).
 
     Distortion coefficients that are exactly zero are instead shifted by
@@ -384,7 +347,7 @@ def _axis_angle_batch(axes, angles):
     return _EYE3 + s * K + c * (K @ K)
 
 
-def _perturb_mounts(mount_R, mount_t, kappa, rng):
+def perturb_mounts(mount_R, mount_t, kappa, rng):
     """Perturb mount transforms: translation multiplicatively per component,
     rotation by composing a random axis-angle of at most kappa * 10 degrees."""
     n = mount_R.shape[0]
@@ -397,27 +360,6 @@ def _perturb_mounts(mount_R, mount_t, kappa, rng):
     return R, t
 
 
-def perturb(params: CameraParams, spec: PerturbationSpec, rng) -> CameraParams:
-    """Perturb one camera's parameters.
-
-    Intrinsics and the translation are scaled per component by (1 + delta)
-    with delta ~ U(-kappa, kappa); the rotation is composed with a random
-    small-angle rotation bounded by kappa_ext * 10 degrees. Zero-valued
-    distortion coefficients receive an additive delta * 0.01 instead.
-    """
-    intr = _perturb_intrinsics(params.intrinsics.to_array()[None], spec.kappa_int, rng)[0]
-    R, t = _perturb_mounts(
-        params.extrinsics.R[None],
-        params.extrinsics.t[None],
-        spec.kappa_ext,
-        rng,
-    )
-    return CameraParams(
-        extrinsics=geometry.Extrinsics(R=R[0], t=t[0]),
-        intrinsics=Intrinsics.from_array(intr),
-    )
-
-
 def _bounds_ok(pixels, valid, image_size) -> bool:
     if not valid.all():
         return False
@@ -425,17 +367,6 @@ def _bounds_ok(pixels, valid, image_size) -> bool:
     x, y = pixels[..., 0], pixels[..., 1]
     m = VISIBILITY_MARGIN
     return bool((x >= m).all() and (x <= w - m).all() and (y >= m).all() and (y <= h - m).all())
-
-
-def visibility_check(
-    gt_params: np.ndarray, obj: CalibrationObject, image_size=DEFAULT_IMAGE_SIZE
-) -> bool:
-    """True iff every fiducial projects in front of every camera of
-    gt_params (N_C, 21) and at least VISIBILITY_MARGIN pixels inside the image
-    bounds. Re-projects from the parameters, so it can re-verify emitted
-    samples independently of their stored observations."""
-    pixels, valid = geometry.project_array(gt_params, obj.fiducials)
-    return _bounds_ok(pixels, valid, image_size)
 
 
 def _synthesize_one(cfg: SceneConfig, seed: int, index: int):
@@ -446,14 +377,14 @@ def _synthesize_one(cfg: SceneConfig, seed: int, index: int):
     pert = cfg.perturbation
     fid = cfg.obj.fiducials
 
-    intr = _perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, rng)
-    mR, mt = _perturb_mounts(cfg.rig.mount_R, cfg.rig.mount_t, pert.kappa_ext, rng)
+    intr = perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, rng)
+    mR, mt = perturb_mounts(cfg.rig.mount_R, cfg.rig.mount_t, pert.kappa_ext, rng)
 
     for attempt in range(1, MAX_ATTEMPTS_PER_SAMPLE + 1):
         theta = rng.uniform(*ranges.theta)
         phi = rng.uniform(*ranges.phi)
         alpha = rng.uniform(*ranges.alpha)
-        gt = _place_rig(mR, mt, intr, theta, phi, alpha, cfg.radius, AIM_POINT)
+        gt = place_rig(mR, mt, intr, theta, phi, alpha, cfg.radius)
         pixels, valid = geometry.project_array(gt, fid)
         if _bounds_ok(pixels, valid, cfg.rig.image_size):
             return gt, pixels, attempt
@@ -556,7 +487,7 @@ def make_rig(kind: str):
     focus = np.array([0.0, 0.0, DEFAULT_RADIUS])
     mount_R = np.stack([look_at_rotation(p, focus) for p in positions])
     rig = RigSpec(kind, mount_R, positions, DEFAULT_IMAGE_SIZE)
-    oem = OEMCalibration(np.tile(RIG_INTRINSICS.to_array(), (positions.shape[0], 1)))
+    oem = OEMCalibration(np.tile(RIG_INTRINSICS, (positions.shape[0], 1)))
     return rig, oem
 
 

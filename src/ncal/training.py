@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
 from .errors import ConfigError, NonFiniteLoss
 from .losses import PARAM_SCALE, compound_loss, reprojection_rmse
 from .nn.model import PtModel
@@ -34,9 +33,6 @@ _DETECT_STREAM = 3
 LEARNING_RATES = {"encoder": 1e-4, "heads": 1e-3}
 LR_MIN = 1e-6
 CLIP_NORM = 1.0
-
-# Captures per forward pass when predicting a whole test set.
-PREDICT_CHUNK = 1024
 
 
 def derive_seed(root_seed: int, stream: int, index: int) -> int:
@@ -57,8 +53,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if min(self.epochs, self.phase1_epochs, self.seed) < 0 or self.batch_size < 1:
+            raise ConfigError("epochs, phase1_epochs and seed must be >= 0 and batch_size >= 1")
         if self.phase1_epochs > self.epochs:
             raise ConfigError(
                 f"phase1_epochs ({self.phase1_epochs}) exceeds total epochs ({self.epochs})"
@@ -163,13 +159,6 @@ def train(
     return TrainResult(records, optimizer, scheduler)
 
 
-def _predict_batched(model, observations):
-    out = np.empty(observations.shape[:2] + (geometry.N_PARAMS,))
-    for lo in range(0, observations.shape[0], PREDICT_CHUNK):
-        out[lo : lo + PREDICT_CHUNK] = model.forward(observations[lo : lo + PREDICT_CHUNK]).data
-    return out
-
-
 def evaluate(
     model: PtModel,
     scene_cfg: SceneConfig,
@@ -183,12 +172,14 @@ def evaluate(
     stream, predicts all camera parameters, and scores the RMSE between
     fiducial projections under predicted and ground-truth parameters.
     """
+    if n_samples < 1 or trials < 1:
+        raise ConfigError(f"need n_samples >= 1 and trials >= 1, got {n_samples} and {trials}")
     fiducials = scene_cfg.obj.fiducials
     image_size = scene_cfg.rig.image_size
     res, cams = [], []
     for t in range(trials):
         batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _EVAL_STREAM, t))
-        pred = _predict_batched(model, batch.observations)
+        pred = model.predict(batch.observations)
         total, per_cam = reprojection_rmse(
             pred, batch.gt_params, fiducials, image_size, per_camera=True
         )
@@ -198,7 +189,7 @@ def evaluate(
         re_avg=float(np.mean(res)),
         re_std=float(np.std(res, ddof=1)) if trials > 1 else 0.0,
         re_trials=[float(r) for r in res],
-        per_camera=list(np.mean(cams, axis=0)) if cams else [],
+        per_camera=list(np.mean(cams, axis=0)),
         n_samples=n_samples,
         trials=trials,
         seed=seed,
@@ -253,8 +244,10 @@ def calibrate_detection_threshold(
 ) -> float:
     """Threshold = margin x the largest per-camera distance observed on a
     clean (unperturbed) sample set drawn from the detection seed stream."""
+    if n_samples < 1:
+        raise ConfigError(f"need n_samples >= 1, got {n_samples}")
     reference = model.reference_params
     batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _DETECT_STREAM, 0))
-    pred = _predict_batched(model, batch.observations)
+    pred = model.predict(batch.observations)
     dist = parameter_distances(pred, reference)
     return float(dist.max() * margin)

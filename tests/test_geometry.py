@@ -1,11 +1,14 @@
-"""Tests for the camera model: projection, distortion, rotations, Jacobians."""
+"""Tests for the camera model: the array projection kernels against the
+scalar oracles in tests/oracle.py, and the oracles themselves."""
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
-from ncal.errors import BehindCamera, DegenerateRotation
-from ncal.geometry import (
+from ncal.errors import DegenerateRotation
+from ncal.geometry import project_array, project_jacobian_array
+from oracle import (
+    BehindCamera,
     CameraParams,
     Extrinsics,
     Intrinsics,
@@ -13,9 +16,6 @@ from ncal.geometry import (
     geodesic_distance,
     matrix_to_rot6d,
     project,
-    project_array,
-    project_jacobian,
-    project_jacobian_array,
     rot6d_to_matrix,
     world_to_camera,
 )
@@ -251,11 +251,18 @@ def finite_difference_jacobian(params_vec, P, h=1e-6):
     return jac
 
 
+def point_jacobian(P, params_vec):
+    """The kernel's 2x21 Jacobian for one point in front of one camera."""
+    _, valid, jac = project_jacobian_array(params_vec, np.reshape(P, (1, 3)))
+    assert valid[0]
+    return jac[0]
+
+
 class TestProjectJacobian:
     def test_principal_point_columns(self):
         rng = np.random.default_rng(2)
         params = random_params(rng)
-        J = project_jacobian(rng.uniform(-0.1, 0.1, size=3), params)
+        J = point_jacobian(rng.uniform(-0.1, 0.1, size=3), params.to_vector())
         assert J[0, 14] == 1.0 and J[1, 15] == 1.0
         assert J[0, 15] == 0.0 and J[1, 14] == 0.0
 
@@ -263,7 +270,7 @@ class TestProjectJacobian:
         rng = np.random.default_rng(4)
         params = random_params(rng)
         P = rng.uniform(-0.1, 0.1, size=3)
-        J = project_jacobian(P, params)
+        J = point_jacobian(P, params.to_vector())
         Pc = world_to_camera(P, params.extrinsics)
         x_d, y_d = distort(Pc[0] / Pc[2], Pc[1] / Pc[2], params.intrinsics)
         assert J[0, 12] == pytest.approx(x_d, rel=1e-12)
@@ -274,17 +281,20 @@ class TestProjectJacobian:
         params = random_params(rng)
         P = rng.uniform(-0.1, 0.1, size=3)
         vec = params.to_vector()
-        J = project_jacobian(P, params)
+        J = point_jacobian(P, vec)
         J_fd = finite_difference_jacobian(vec, P)
         np.testing.assert_allclose(J, J_fd, rtol=1e-4, atol=1e-6)
 
-    def test_behind_camera_raises(self):
+    def test_behind_camera_rows_are_zero(self):
         params = CameraParams(
             Extrinsics(R=np.eye(3), t=np.zeros(3)),
             Intrinsics(fx=1000, fy=1000, cx=512, cy=512),
         )
-        with pytest.raises(BehindCamera):
-            project_jacobian([0, 0, -1.0], params)
+        pts = np.array([[0.1, 0.0, 1.0], [0.0, 0.0, -1.0], [0.0, 0.0, 0.0]])
+        _, valid, jac = project_jacobian_array(params.to_vector(), pts)
+        assert valid.tolist() == [True, False, False]
+        assert np.any(jac[0] != 0.0)
+        np.testing.assert_array_equal(jac[1:], 0.0)
 
     def test_batched_jacobian_matches_single(self):
         rng = np.random.default_rng(21)
@@ -294,7 +304,7 @@ class TestProjectJacobian:
         assert valid.all()
         for i in range(4):
             for f in range(6):
-                single = project_jacobian(pts[i, f], CameraParams.from_vector(vecs[i]))
+                single = point_jacobian(pts[i, f], vecs[i])
                 np.testing.assert_allclose(jac[i, f], single, rtol=1e-12, atol=1e-12)
 
 

@@ -16,6 +16,7 @@ from ncal.losses import (
 )
 from ncal.nn import autodiff as ad
 from ncal.scene import PerturbationSpec, SceneConfig, make_object, make_rig, synthesize_batch
+from oracle import geodesic_distance, rot6d_to_matrix
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def perturbed_pred(gt, seed=0, scale=1e-3):
     r6 = np.concatenate(
         [pred[..., [0, 3, 6]], pred[..., [1, 4, 7]]], axis=-1
     )  # columns 0 and 1 of the noisy matrix
-    R = geometry.rot6d_to_matrix(r6)
+    R = rot6d_to_matrix(r6)
     pred[..., :9] = np.swapaxes(R, -1, -2).reshape(pred.shape[:-1] + (9,))[..., [0, 3, 6, 1, 4, 7, 2, 5, 8]]
     return pred
 
@@ -91,7 +92,7 @@ class TestLossGeo:
         got = float(loss_geo(ad.constant(pred), b.gt_params).data)
         R1 = pred[..., :9].reshape(pred.shape[:-1] + (3, 3))
         R2 = b.gt_params[..., :9].reshape(pred.shape[:-1] + (3, 3))
-        expected = geometry.geodesic_distance(R1, R2).mean()
+        expected = geodesic_distance(R1, R2).mean()
         assert got == pytest.approx(expected, rel=1e-10)
 
 

@@ -16,6 +16,7 @@ from ncal.scene import (
     reference_params,
     synthesize_batch,
 )
+from oracle import geodesic_distance, rot6d_to_matrix
 
 
 def tiny_model(n_cameras=3, n_fiducials=4, d_model=8, n_layers=1, n_heads=2, d_ff=16, seed=0):
@@ -53,7 +54,7 @@ class TestRot6dTensor:
         rng = np.random.default_rng(0)
         r6 = rng.normal(size=(5, 3, 6))
         out = F.rot6d_to_matrix_t(ad.constant(r6))
-        expected = geometry.rot6d_to_matrix(r6).reshape(5, 3, 9)
+        expected = rot6d_to_matrix(r6).reshape(5, 3, 9)
         np.testing.assert_allclose(out.data, expected, atol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
@@ -68,8 +69,8 @@ class TestRot6dTensor:
             hi, lo = r6.copy(), r6.copy()
             hi[idx] += h
             lo[idx] -= h
-            fhi = (geometry.rot6d_to_matrix(hi).reshape(2, 9) * w).sum()
-            flo = (geometry.rot6d_to_matrix(lo).reshape(2, 9) * w).sum()
+            fhi = (rot6d_to_matrix(hi).reshape(2, 9) * w).sum()
+            flo = (rot6d_to_matrix(lo).reshape(2, 9) * w).sum()
             num[idx] = (fhi - flo) / (2 * h)
         np.testing.assert_allclose(t.grad, num, rtol=1e-5, atol=1e-8)
 
@@ -82,10 +83,10 @@ class TestGeodesicTensor:
     def test_matches_geometry(self):
         rng = np.random.default_rng(4)
         r6 = rng.normal(size=(6, 6))
-        R = geometry.rot6d_to_matrix(r6)
-        gt = geometry.rot6d_to_matrix(rng.normal(size=(6, 6)))
+        R = rot6d_to_matrix(r6)
+        gt = rot6d_to_matrix(rng.normal(size=(6, 6)))
         angles = F.geodesic_angles_t(ad.constant(R.reshape(6, 9)), gt.reshape(6, 9))
-        expected = geometry.geodesic_distance(R, gt)
+        expected = geodesic_distance(R, gt)
         np.testing.assert_allclose(angles.data, expected, atol=1e-12)
 
 
@@ -298,6 +299,16 @@ class TestForward:
         X = np.random.default_rng(13).uniform(0, 1024, size=(3, 4, 2))
         out = m.predict(X)
         assert out.shape == (3, 21)
+
+    def test_predict_in_chunks_matches_one_forward(self, monkeypatch):
+        from ncal.nn import model as model_module
+
+        m = tiny_model()
+        X = np.random.default_rng(16).uniform(0, 1024, size=(7, 3, 4, 2))
+        monkeypatch.setattr(model_module, "PREDICT_CHUNK", 3)
+        out = m.predict(X)
+        assert out.shape == (7, 3, 21)
+        np.testing.assert_allclose(out, m.forward(X).data, rtol=1e-12, atol=1e-12)
 
     def test_deterministic(self):
         m1, m2 = tiny_model(seed=3), tiny_model(seed=3)

@@ -5,13 +5,9 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ncal.geometry import (
-    matrix_to_rot6d,
-    project_array,
-    project_jacobian_array,
-    rot6d_to_matrix,
-)
+from ncal.geometry import project_array, project_jacobian_array
 from ncal.scene import PerturbationSpec, SceneConfig, make_object, make_rig, synthesize_batch
+from oracle import matrix_to_rot6d, rot6d_to_matrix
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 

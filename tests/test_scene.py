@@ -1,31 +1,30 @@
 """Tests for pose synthesis, perturbation, visibility, and rig/object IO."""
 
+import json
+
 import numpy as np
 import pytest
 
 from ncal import geometry, scene
 from ncal.errors import BadObjectFile, DegenerateLookAt, SynthesisStalled
-from ncal.geometry import CameraParams, Extrinsics, Intrinsics
 from ncal.scene import (
-    Batch,
-    CalibrationObject,
     OEMCalibration,
     PerturbationSpec,
     PoseRanges,
-    PoseSample,
     RigSpec,
     SceneConfig,
     hemisphere_centroid,
     look_at_rotation,
     make_object,
     make_rig,
-    perturb,
-    pose_rig,
+    perturb_intrinsics,
+    perturb_mounts,
+    place_rig,
     reference_params,
     roll_rotation,
     synthesize_batch,
-    visibility_check,
 )
+from oracle import CameraParams, geodesic_distance
 
 
 @pytest.fixture
@@ -59,11 +58,11 @@ class TestHemisphere:
 
 class TestLookAt:
     def test_straight_down_view(self):
-        R = look_at_rotation([0, 0, 2.0], [0, 0, 0], up_hint=[0, 1, 0])
+        R = look_at_rotation([0, 0, 2.0], [0, 0, 0])
         np.testing.assert_allclose(R @ [0, 0, 1], [0, 0, -1], atol=1e-15)
 
     def test_x_axis_view(self):
-        R = look_at_rotation([1.0, 0, 0], [0, 0, 0], up_hint=[0, 0, 1])
+        R = look_at_rotation([1.0, 0, 0], [0, 0, 0])
         np.testing.assert_allclose(R @ [0, 0, 1], [-1, 0, 0], atol=1e-15)
 
     def test_alignment_on_random_hemisphere_points(self):
@@ -87,8 +86,6 @@ class TestLookAt:
     def test_degenerate_cases(self):
         with pytest.raises(DegenerateLookAt):
             look_at_rotation([0, 0, 1], [0, 0, 1])
-        with pytest.raises(DegenerateLookAt):
-            look_at_rotation([0, 0, 1], [0, 0, 0], up_hint=[0, 0, 1])
 
 
 class TestRoll:
@@ -108,11 +105,15 @@ class TestRoll:
         assert angle == pytest.approx(np.pi / 3, abs=1e-12)
 
 
+def posed(rig, oem, theta, phi, alpha, rho):
+    return place_rig(rig.mount_R, rig.mount_t, oem.intrinsics, theta, phi, alpha, rho)
+
+
 class TestPoseRig:
     def test_single_camera_at_pole(self):
         rig = RigSpec("single", np.eye(3)[None], np.zeros((1, 3)))
-        oem = OEMCalibration(scene.RIG_INTRINSICS.to_array()[None])
-        params = pose_rig(rig, PoseSample(0.0, 0.0, 0.0, 1.5), oem)
+        oem = OEMCalibration(scene.RIG_INTRINSICS[None])
+        params = posed(rig, oem, 0.0, 0.0, 0.0, 1.5)
         cam = CameraParams.from_vector(params[0])
         center = -cam.extrinsics.R.T @ cam.extrinsics.t
         np.testing.assert_allclose(center, [0, 0, 1.5], atol=1e-12)
@@ -121,8 +122,8 @@ class TestPoseRig:
 
     def test_fixed_pose_deterministic_given_alpha(self):
         rig, oem = make_rig("O-6")
-        a = pose_rig(rig, PoseSample(0.0, 0.0, 1.23, 1.5), oem)
-        b = pose_rig(rig, PoseSample(0.0, 0.0, 1.23, 1.5), oem)
+        a = posed(rig, oem, 0.0, 0.0, 1.23, 1.5)
+        b = posed(rig, oem, 0.0, 0.0, 1.23, 1.5)
         np.testing.assert_array_equal(a, b)
 
     def test_central_camera_sees_object_centroid_at_image_center(self):
@@ -130,13 +131,11 @@ class TestPoseRig:
         # the object centroid for any pose; tangential distortion vanishes at
         # the principal axis, so the projection is exactly the principal point.
         rig = RigSpec("central", np.eye(3)[None], np.zeros((1, 3)))
-        oem = OEMCalibration(scene.RIG_INTRINSICS.to_array()[None])
+        oem = OEMCalibration(scene.RIG_INTRINSICS[None])
         rng = np.random.default_rng(3)
         for _ in range(100):
-            pose = PoseSample(
-                rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), 1.5
-            )
-            params = pose_rig(rig, pose, oem)
+            pose = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+            params = posed(rig, oem, *pose, 1.5)
             pix, valid = geometry.project_array(params[0], np.zeros((1, 3)))
             assert valid.all()
             assert abs(pix[0, 0] - 512.0) < 1.0
@@ -145,7 +144,7 @@ class TestPoseRig:
     def test_reference_pose_defines_oem_world_params(self):
         rig, oem = make_rig("O-6")
         ref = reference_params(rig, oem, 1.5)
-        again = pose_rig(rig, PoseSample(0.0, 0.0, 0.0, 1.5), oem)
+        again = posed(rig, oem, 0.0, 0.0, 0.0, 1.5)
         np.testing.assert_array_equal(ref, again)
         assert ref.shape == (6, 21)
 
@@ -155,10 +154,8 @@ class TestPoseRig:
         nominal = rig.mount_t
         d_nominal = np.linalg.norm(nominal[:, None] - nominal[None, :], axis=-1)
         for _ in range(20):
-            pose = PoseSample(
-                rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi), 1.5
-            )
-            params = pose_rig(rig, pose, oem)
+            pose = rng.uniform(0, 2 * np.pi), rng.uniform(0, np.pi / 2), rng.uniform(0, 2 * np.pi)
+            params = posed(rig, oem, *pose, 1.5)
             R = params[:, :9].reshape(-1, 3, 3)
             t = params[:, 9:12]
             centers = -np.einsum("nji,nj->ni", R, t)
@@ -167,62 +164,63 @@ class TestPoseRig:
 
 
 class TestPerturb:
-    def _cam(self):
-        return CameraParams(
-            Extrinsics(R=np.eye(3), t=np.array([0.1, -0.2, 0.3])),
-            Intrinsics(fx=1000, fy=1100, cx=512, cy=500, k1=0.01, k2=0.01, k3=0.01, p1=0.01, p2=0.01),
-        )
+    INTR = np.array([[1000.0, 1100.0, 512.0, 500.0, 0.01, 0.01, 0.01, 0.01, 0.01]])
+    MOUNT_R = np.eye(3)[None]
+    MOUNT_T = np.array([[0.1, -0.2, 0.3]])
 
     def test_zero_kappa_identity(self):
         rng = np.random.default_rng(0)
-        cam = self._cam()
-        out = perturb(cam, PerturbationSpec(0.0, 0.0), rng)
-        np.testing.assert_array_equal(out.to_vector(), cam.to_vector())
+        np.testing.assert_array_equal(perturb_intrinsics(self.INTR, 0.0, rng), self.INTR)
+        R, t = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, rng)
+        np.testing.assert_array_equal(R, self.MOUNT_R)
+        np.testing.assert_array_equal(t, self.MOUNT_T)
 
     def test_multiplicative_formula(self):
-        # fx = 1000 perturbed by delta = +0.05 must give exactly 1050.
-        assert 1000.0 * (1.0 + 0.05) == 1050.0
+        # The same delta draw from a twin generator: nonzero entries are
+        # scaled by (1 + delta), zero distortion slots become delta * scale.
+        intr = np.array([[1000.0, 1100.0, 512.0, 500.0, 0.01, 0.0, -0.02, 0.0, 0.01]] * 3)
+        out = perturb_intrinsics(intr, 0.1, np.random.default_rng(5))
+        delta = np.random.default_rng(5).uniform(-0.1, 0.1, size=intr.shape)
+        zero = intr == 0.0
+        np.testing.assert_array_equal(out[~zero], (intr * (1.0 + delta))[~zero])
+        np.testing.assert_array_equal(out[zero], (delta * scene.ZERO_DISTORTION_SCALE)[zero])
 
     def test_bounds_over_many_draws(self):
         rng = np.random.default_rng(7)
-        cam = self._cam()
-        vec = cam.to_vector()
         kappa = 0.1
         ratios = []
         for _ in range(2000):
-            out = perturb(cam, PerturbationSpec(kappa, 0.0), rng).to_vector()
-            nz = vec[12:21] != 0
-            ratios.append(out[12:21][nz] / vec[12:21][nz] - 1.0)
+            out = perturb_intrinsics(self.INTR, kappa, rng)
+            ratios.append(out / self.INTR - 1.0)
             # extrinsics untouched when kappa_ext = 0
-            np.testing.assert_array_equal(out[:12], vec[:12])
+            R, t = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, rng)
+            np.testing.assert_array_equal(R, self.MOUNT_R)
+            np.testing.assert_array_equal(t, self.MOUNT_T)
         ratios = np.concatenate(ratios)
         assert np.abs(ratios).max() <= kappa
 
     def test_uniform_bounds_tight(self):
+        # The perturbation spans the whole [-kappa, kappa] range.
         rng = np.random.default_rng(11)
-        delta = rng.uniform(-0.1, 0.1, size=100_000)
-        assert -0.1 <= delta.min() <= -0.095
-        assert 0.095 <= delta.max() <= 0.1
+        kappa = 0.1
+        ratios = np.stack([perturb_intrinsics(self.INTR, kappa, rng) / self.INTR - 1.0
+                           for _ in range(2000)])
+        assert 0.95 * kappa <= np.abs(ratios).max() <= kappa
 
     def test_extrinsic_perturbation_keeps_rotation_valid(self):
         rng = np.random.default_rng(13)
-        cam = self._cam()
         for _ in range(200):
-            out = perturb(cam, PerturbationSpec(0.0, 0.1), rng)
-            R = out.extrinsics.R
+            R, _ = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.1, rng)
+            R = R[0]
             assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
             # rotation deviation bounded by kappa_ext * 10 degrees
-            angle = geometry.geodesic_distance(cam.extrinsics.R, R)
+            angle = geodesic_distance(self.MOUNT_R[0], R)
             assert angle <= 0.1 * np.pi / 18 + 1e-12
 
     def test_zero_distortion_perturbs_additively(self):
-        cam = CameraParams(
-            Extrinsics(R=np.eye(3), t=np.zeros(3)),
-            Intrinsics(fx=1000, fy=1000, cx=512, cy=512),  # all distortion zero
-        )
+        intr = np.array([[1000.0, 1000.0, 512.0, 512.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         rng = np.random.default_rng(17)
-        out = perturb(cam, PerturbationSpec(0.1, 0.0), rng)
-        dist = out.to_vector()[16:21]
+        dist = perturb_intrinsics(intr, 0.1, rng)[0, 4:9]
         assert np.any(dist != 0.0)
         assert np.abs(dist).max() <= 0.1 * scene.ZERO_DISTORTION_SCALE
 
@@ -232,7 +230,7 @@ class TestObjects:
         obj = make_object("cube8")
         assert obj.n_fiducials == 8
         np.testing.assert_allclose(np.abs(obj.fiducials), 0.05)
-        np.testing.assert_allclose(obj.centroid, [0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(obj.fiducials.mean(axis=0), [0, 0, 0], atol=1e-15)
 
     def test_cube27_contains_origin(self):
         obj = make_object("cube27")
@@ -278,6 +276,17 @@ class TestRigs:
         assert rig.n_cameras == n
         assert oem.n_cameras == n
 
+    @pytest.mark.parametrize("size", [[1024], [-5, 3], [0, 0], [1024, 1024, 3]])
+    def test_rig_file_with_bad_image_size_rejected(self, tmp_path, size):
+        rig, oem = make_rig("T-4")
+        path = tmp_path / "rig.json"
+        scene.save_rig(rig, oem, path)
+        doc = json.loads(path.read_text())
+        doc["image_size"] = size
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadObjectFile):
+            scene.load_rig(str(path))
+
     def test_rig_file_round_trip(self, tmp_path):
         rig, oem = make_rig("T-4")
         path = tmp_path / "rig.json"
@@ -319,8 +328,13 @@ class TestSynthesis:
             perturbation=PerturbationSpec(0.1, 0.1),
         )
         batch = synthesize_batch(cfg, 64, seed=3)
-        for gt in batch.gt_params:
-            assert visibility_check(gt, cfg.obj, cfg.rig.image_size)
+        # Re-project from the parameters, independently of the stored observations.
+        pix, valid = geometry.project_array(batch.gt_params, cfg.obj.fiducials)
+        assert valid.all()
+        w, h = cfg.rig.image_size
+        m = scene.VISIBILITY_MARGIN
+        assert (pix >= m).all()
+        assert (pix[..., 0] <= w - m).all() and (pix[..., 1] <= h - m).all()
 
     def test_observations_match_reprojection(self, o6_config):
         batch = synthesize_batch(o6_config, 8, seed=9)
@@ -370,6 +384,12 @@ class TestSynthesis:
         with pytest.raises(SynthesisStalled):
             synthesize_batch(cfg, 4, seed=0)
 
+    @pytest.mark.parametrize("radius", [np.nan, np.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        rig, oem = make_rig("O-6")
+        with pytest.raises(ValueError):
+            SceneConfig(rig=rig, oem=oem, obj=make_object("cube8"), radius=radius)
+
     def test_camera_count_mismatch_rejected(self):
         rig, _ = make_rig("O-6")
         _, oem10 = make_rig("O-10")
@@ -377,15 +397,7 @@ class TestSynthesis:
             SceneConfig(rig=rig, oem=oem10, obj=make_object("cube8"))
 
 
-class TestPoseSampleValidation:
-    def test_centroid_property(self):
-        p = PoseSample(0.3, 0.4, 0.5, 1.5)
-        assert abs(np.linalg.norm(p.centroid) - 1.5) < 1e-9
-
+class TestPoseRanges:
     def test_range_validation(self):
-        with pytest.raises(ValueError):
-            PoseSample(-0.1, 0.0, 0.0, 1.5)
-        with pytest.raises(ValueError):
-            PoseSample(0.0, 2.0, 0.0, 1.5)
         with pytest.raises(ValueError):
             PoseRanges(theta=(0.0, 7.0))

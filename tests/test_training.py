@@ -184,6 +184,11 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             TrainConfig(epochs=10, phase1_epochs=20)
 
+    @pytest.mark.parametrize("bad", [{"phase1_epochs": -2}, {"seed": -1}])
+    def test_negative_phase1_or_seed_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            TrainConfig(**{"epochs": 10, "phase1_epochs": 5, **bad})
+
 
 class TestEvaluate:
     def test_untrained_model_exact_at_reference_regime(self):
@@ -198,6 +203,12 @@ class TestEvaluate:
         a = evaluate(model, scn, n_samples=15, trials=2, seed=13)
         b = evaluate(model, scn, n_samples=15, trials=2, seed=13)
         assert a.re_trials == b.re_trials
+
+    @pytest.mark.parametrize("n_samples,trials", [(0, 3), (10, 0)])
+    def test_empty_test_set_rejected(self, n_samples, trials):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError):
+            evaluate(model, scn, n_samples=n_samples, trials=trials)
 
     def test_trials_use_distinct_draws(self):
         scn, model = small_setup(kappa=0.02)
@@ -247,3 +258,8 @@ class TestDetection:
         thr = calibrate_detection_threshold(model, scn, n_samples=8, seed=1, margin=2.0)
         thr2 = calibrate_detection_threshold(model, scn, n_samples=8, seed=1, margin=4.0)
         assert thr2 == pytest.approx(2.0 * thr)
+
+    def test_threshold_needs_samples(self):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError):
+            calibrate_detection_threshold(model, scn, n_samples=0)
