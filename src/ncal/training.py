@@ -172,8 +172,10 @@ def evaluate(
     stream, predicts all camera parameters, and scores the RMSE between
     fiducial projections under predicted and ground-truth parameters.
     """
-    if n_samples < 1 or trials < 1:
-        raise ConfigError(f"need n_samples >= 1 and trials >= 1, got {n_samples} and {trials}")
+    if n_samples < 1 or trials < 1 or seed < 0:
+        raise ConfigError(
+            f"need n_samples >= 1, trials >= 1 and seed >= 0, got {n_samples}, {trials} and {seed}"
+        )
     fiducials = scene_cfg.obj.fiducials
     image_size = scene_cfg.rig.image_size
     res, cams = [], []
@@ -244,8 +246,8 @@ def calibrate_detection_threshold(
 ) -> float:
     """Threshold = margin x the largest per-camera distance observed on a
     clean (unperturbed) sample set drawn from the detection seed stream."""
-    if n_samples < 1:
-        raise ConfigError(f"need n_samples >= 1, got {n_samples}")
+    if n_samples < 1 or seed < 0:
+        raise ConfigError(f"need n_samples >= 1 and seed >= 0, got {n_samples} and {seed}")
     reference = model.reference_params
     batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _DETECT_STREAM, 0))
     pred = model.predict(batch.observations)

@@ -3,7 +3,8 @@
 A scalar camera (``Intrinsics``, ``Extrinsics``, ``CameraParams``) with its
 own projection, distortion and rotation helpers, written without the batched
 kernels they are used to check: ``geometry.project_array``,
-``geometry.project_jacobian_array`` and ``ncal.nn.functional``. Only
+``geometry.project_jacobian_array`` and ``ncal.nn.functional``, and a
+per-eye look-at rotation for the batched ``scene.look_at_rotation``. Only
 constants, ``is_proper_rotation`` and error classes come from the package.
 """
 
@@ -180,3 +181,18 @@ def geodesic_distance(R1, R2) -> float:
     c = np.clip((tr - 1.0) / 2.0, -1.0, 1.0)
     out = np.arccos(c)
     return float(out) if out.ndim == 0 else out
+
+
+def _cross(a, b):
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]])
+
+
+def look_at(eye, target) -> np.ndarray:
+    """Camera-to-world rotation whose +z axis points from one eye (3,) toward
+    target, with +y as the up hint and +x within ~1e-6 of +/-y."""
+    f = np.asarray(target, dtype=float) - np.asarray(eye, dtype=float)
+    f = f / np.sqrt(f @ f)
+    up = np.array([1.0, 0.0, 0.0] if np.hypot(f[0], f[2]) < 1e-6 else [0.0, 1.0, 0.0])
+    x = _cross(up, f)
+    x = x / np.sqrt(x @ x)
+    return np.stack([x, _cross(f, x), f], axis=1)

@@ -276,7 +276,10 @@ class TestForward:
     def test_zero_init_matches_scene_reference_and_synthesis(self):
         rig, oem = make_rig("T-4")
         cfg = SceneConfig(
-            rig=rig, oem=oem, obj=make_object("cube8"), pose_ranges=PoseRanges.fixed(0, 0, 0)
+            rig=rig,
+            oem=oem,
+            obj=make_object("cube8"),
+            pose_ranges=PoseRanges(theta=(0.0, 0.0), phi=(0.0, 0.0), alpha=(0.0, 0.0)),
         )
         ref = reference_params(rig, oem, cfg.radius)
         mc = PtModelConfig(n_cameras=4, n_fiducials=8, d_model=8, n_layers=1, n_heads=2, d_ff=16)

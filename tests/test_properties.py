@@ -2,12 +2,26 @@
 and of pose synthesis's determinism over random seeds, sizes and kappas."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ncal.errors import DegenerateLookAt
 from ncal.geometry import project_array, project_jacobian_array
-from ncal.scene import PerturbationSpec, SceneConfig, make_object, make_rig, synthesize_batch
-from oracle import matrix_to_rot6d, rot6d_to_matrix
+from ncal.scene import (
+    HALF_PI,
+    TWO_PI,
+    PerturbationSpec,
+    SceneConfig,
+    look_at_rotation,
+    make_object,
+    make_rig,
+    perturb_intrinsics,
+    perturb_mounts,
+    place_rig,
+    synthesize_batch,
+)
+from oracle import look_at, matrix_to_rot6d, rot6d_to_matrix
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -121,3 +135,78 @@ def test_synthesis_repeatable_and_prefix_stable(seed, n, extra, kappa_int, kappa
     assert again.attempts == small.attempts
     assert large.gt_params[:n].tobytes() == small.gt_params.tobytes()
     assert large.observations[:n].tobytes() == small.observations.tobytes()
+
+
+def test_synthesis_prefix_stable_with_rejected_poses():
+    # At radius 0.7 some drawn poses put a fiducial outside the margin, so
+    # the batch needs re-draws; sample i still depends only on (seed, i).
+    cfg = SceneConfig(_O6_RIG, _O6_OEM, make_object("cube8"), radius=0.7,
+                      perturbation=PerturbationSpec(0.2, 0.2))
+    full = synthesize_batch(cfg, 48, 7)
+    assert full.attempts > 48
+    for n in (2, 25, 30):
+        part = synthesize_batch(cfg, n, 7)
+        assert part.gt_params.tobytes() == full.gt_params[:n].tobytes()
+        assert part.observations.tobytes() == full.observations[:n].tobytes()
+
+
+_poses = st.tuples(_floats(0.0, TWO_PI), _floats(0.0, HALF_PI), _floats(0.0, TWO_PI))
+
+
+@PROPERTY
+@given(
+    poses=st.lists(_poses, min_size=1, max_size=6),
+    seed=st.integers(0, 2**32 - 1),
+    kappa=_floats(0.0, 0.2),
+    rho=_floats(0.3, 3.0),
+)
+def test_place_rig_stack_equals_single_calls(poses, seed, kappa, rho):
+    rng = np.random.default_rng(seed)
+    k = len(poses)
+    intr = np.stack([perturb_intrinsics(_O6_OEM.intrinsics, kappa, rng) for _ in range(k)])
+    mounts = [perturb_mounts(_O6_RIG.mount_R, _O6_RIG.mount_t, kappa, rng) for _ in range(k)]
+    mR = np.stack([R for R, _ in mounts])
+    mt = np.stack([t for _, t in mounts])
+    theta, phi, alpha = np.array(poses).T
+    stacked = place_rig(mR, mt, intr, theta, phi, alpha, rho)
+    assert stacked.shape == (k, _O6_RIG.n_cameras, 21)
+    for j, (th, ph, al) in enumerate(poses):
+        single = place_rig(mR[j], mt[j], intr[j], th, ph, al, rho)
+        assert stacked[j].tobytes() == single.tobytes()
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    assume(n > 1e-3)
+    return v / n
+
+
+# Eyes at distance r from the target, either in a generic direction or
+# within ~2e-6 of the +/-y axis, where the up hint switches from +y to +x.
+_generic_dir = st.lists(_floats(-1.0, 1.0), min_size=3, max_size=3).map(_unit)
+_near_y_dir = st.tuples(_floats(-2e-6, 2e-6), st.sampled_from([-1.0, 1.0]),
+                        _floats(-2e-6, 2e-6)).map(_unit)
+_eye_offsets = st.tuples(st.one_of(_generic_dir, _near_y_dir), _floats(0.01, 5.0)).map(
+    lambda d: d[0] * d[1])
+_targets = st.lists(_floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array)
+
+
+@PROPERTY
+@given(offsets=st.lists(_eye_offsets, min_size=1, max_size=8), target=_targets)
+def test_look_at_stack_equals_single_calls(offsets, target):
+    eyes = target + np.array(offsets)
+    stacked = look_at_rotation(eyes, target)
+    for j, eye in enumerate(eyes):
+        assert stacked[j].tobytes() == look_at_rotation(eye, target).tobytes()
+        assert stacked[j].tobytes() == look_at(eye, target).tobytes()
+
+
+@PROPERTY
+@given(offsets=st.lists(_eye_offsets, min_size=1, max_size=8), target=_targets,
+       where=st.integers(0, 7))
+def test_look_at_stack_with_coincident_eye_raises(offsets, target, where):
+    eyes = target + np.array(offsets)
+    eyes[where % len(eyes)] = target
+    with pytest.raises(DegenerateLookAt):
+        look_at_rotation(eyes, target)

@@ -260,6 +260,16 @@ class TestObjects:
         with pytest.raises(BadObjectFile):
             scene.load_object(str(path))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_object_file_with_non_finite_fiducial_rejected(self, tmp_path, value):
+        obj = make_object("cube8")
+        fid = obj.fiducials.copy()
+        fid[3, 1] = value
+        path = tmp_path / "obj.json"
+        path.write_text(json.dumps({"name": "bad", "fiducials": fid.tolist()}))
+        with pytest.raises(BadObjectFile, match="finite"):
+            scene.load_object(str(path))
+
 
 class TestRigs:
     @pytest.mark.parametrize("defect", [np.diag([1.01, 1.0, 1.0]), np.diag([1.0, 1.0, -1.0])])
@@ -285,6 +295,28 @@ class TestRigs:
         doc["image_size"] = size
         path.write_text(json.dumps(doc))
         with pytest.raises(BadObjectFile):
+            scene.load_rig(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rig_file_with_non_finite_mount_translation_rejected(self, tmp_path, value):
+        rig, oem = make_rig("T-4")
+        path = tmp_path / "rig.json"
+        scene.save_rig(rig, oem, path)
+        doc = json.loads(path.read_text())
+        doc["cameras"][1]["t"][2] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadObjectFile, match="finite"):
+            scene.load_rig(str(path))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rig_file_with_non_finite_intrinsic_rejected(self, tmp_path, value):
+        rig, oem = make_rig("T-4")
+        path = tmp_path / "rig.json"
+        scene.save_rig(rig, oem, path)
+        doc = json.loads(path.read_text())
+        doc["intrinsics"][2]["fx"] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadObjectFile, match="finite"):
             scene.load_rig(str(path))
 
     def test_rig_file_round_trip(self, tmp_path):
@@ -346,7 +378,10 @@ class TestSynthesis:
     def test_fixed_pose_constant_centroid(self):
         rig, oem = make_rig("O-6")
         cfg = SceneConfig(
-            rig=rig, oem=oem, obj=make_object("cube8"), pose_ranges=PoseRanges.fixed(0.0, 0.0)
+            rig=rig,
+            oem=oem,
+            obj=make_object("cube8"),
+            pose_ranges=PoseRanges(theta=(0.0, 0.0), phi=(0.0, 0.0)),
         )
         batch = synthesize_batch(cfg, 16, seed=2)
         for gt in batch.gt_params:
@@ -361,7 +396,7 @@ class TestSynthesis:
             rig=rig,
             oem=oem,
             obj=make_object("cube8"),
-            pose_ranges=PoseRanges.fixed(0.0, 0.0, alpha=0.0),
+            pose_ranges=PoseRanges(theta=(0.0, 0.0), phi=(0.0, 0.0), alpha=(0.0, 0.0)),
         )
         batch = synthesize_batch(cfg, 4, seed=0)
         ref = reference_params(rig, oem, cfg.radius)

@@ -7,6 +7,7 @@ from ncal.errors import ConfigError, NonFiniteLoss
 from ncal.nn.checkpoint import load_checkpoint, save_checkpoint
 from ncal.nn.model import PtModel, PtModelConfig
 from ncal.scene import (
+    TWO_PI,
     PerturbationSpec,
     PoseRanges,
     SceneConfig,
@@ -33,7 +34,9 @@ def small_setup(kappa=0.0, alpha_free=True, seed=0):
         oem=oem,
         obj=make_object("cube8"),
         perturbation=PerturbationSpec(kappa, 0.0),
-        pose_ranges=PoseRanges.fixed(0.0, 0.0, alpha=None if alpha_free else 0.0),
+        pose_ranges=PoseRanges(
+            theta=(0.0, 0.0), phi=(0.0, 0.0), alpha=(0.0, TWO_PI if alpha_free else 0.0)
+        ),
     )
     cfg = PtModelConfig(
         n_cameras=4, n_fiducials=8, d_model=16, n_layers=1, n_heads=2, d_ff=32
@@ -210,6 +213,11 @@ class TestEvaluate:
         with pytest.raises(ConfigError):
             evaluate(model, scn, n_samples=n_samples, trials=trials)
 
+    def test_negative_seed_rejected(self):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="seed"):
+            evaluate(model, scn, n_samples=4, trials=1, seed=-1)
+
     def test_trials_use_distinct_draws(self):
         scn, model = small_setup(kappa=0.02)
         rep = evaluate(model, scn, n_samples=15, trials=3, seed=17)
@@ -263,3 +271,8 @@ class TestDetection:
         scn, model = small_setup()
         with pytest.raises(ConfigError):
             calibrate_detection_threshold(model, scn, n_samples=0)
+
+    def test_threshold_negative_seed_rejected(self):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="seed"):
+            calibrate_detection_threshold(model, scn, n_samples=4, seed=-1)
