@@ -1,5 +1,5 @@
 """Camera mathematics on flattened parameter arrays: projection, its
-Jacobian, and the proper-rotation test.
+Jacobian, the proper-rotation test and the image-size rule.
 
 Conventions
 -----------
@@ -42,7 +42,19 @@ TRANS_SLICE = slice(9, 12)
 FOCAL_SLICE = slice(12, 14)
 PP_SLICE = slice(14, 16)
 DIST_SLICE = slice(16, 21)
+INTRINSICS_SLICE = slice(12, 21)  # focal, principal point and distortion
 N_PARAMS = 21
+
+
+def checked_image_size(image_size) -> tuple[int, int]:
+    """(width, height) as two Python ints; raises ValueError unless the value
+    is two positive integers (bools and floats are refused)."""
+    size = tuple(image_size) if np.ndim(image_size) == 1 else ()
+    if len(size) != 2 or not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in size
+    ):
+        raise ValueError(f"image_size must be two positive integers, got {image_size!r}")
+    return int(size[0]), int(size[1])
 
 
 def is_proper_rotation(R) -> bool:

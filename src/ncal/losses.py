@@ -7,9 +7,12 @@ Three terms drive the network toward the ground-truth calibration:
   still register against pixel-scale values,
 - a geodesic rotation loss (mean rotation angle between predicted and
   ground-truth matrices),
-- a reprojection RMSE between fiducial projections under the predicted and
-  ground-truth parameters, differentiable through the analytic projection
-  Jacobian.
+- a reprojection RMSE between fiducial projections under the predicted
+  parameters and the observed pixels: one tape node whose backward pass
+  contracts the upstream gradient with the analytic projection Jacobian.
+  Its squared errors, behind-camera penalty included, come from
+  ``_squared_errors``, which the evaluation metric ``reprojection_rmse``
+  shares.
 
 The compound loss is ``LAM1 * (diff + geo)`` in phase 1 and additionally
 ``+ LAM2 * reproj`` in phase 2. All RMSEs pool over every element of the
@@ -45,10 +48,17 @@ PARAM_SCALE.flags.writeable = False
 BEHIND_CAMERA_PENALTY_DIAGONALS = 10.0
 
 
-def behind_camera_penalty(image_size) -> float:
-    """Squared pixel error charged for a fiducial behind a predicted camera."""
-    w, h = image_size
-    return (BEHIND_CAMERA_PENALTY_DIAGONALS * float(np.hypot(w, h))) ** 2
+def _squared_errors(pixels, valid, observations, image_size):
+    """Squared pixel error per fiducial, (..., N_C, N_fid), and the residuals
+    pixels - observations, (..., N_C, N_fid, 2).
+
+    A fiducial behind its camera (``valid`` False) is charged a fixed
+    (BEHIND_CAMERA_PENALTY_DIAGONALS x image diagonal)^2 instead, so one bad
+    camera cannot poison the rest.
+    """
+    diff = pixels - observations
+    penalty = (BEHIND_CAMERA_PENALTY_DIAGONALS * float(np.hypot(*image_size))) ** 2
+    return np.where(valid, (diff * diff).sum(axis=-1), penalty), diff
 
 
 def loss_diff(pred: Tensor, gt_params: np.ndarray) -> Tensor:
@@ -60,29 +70,31 @@ def loss_diff(pred: Tensor, gt_params: np.ndarray) -> Tensor:
 
 def loss_geo(pred: Tensor, gt_params: np.ndarray) -> Tensor:
     """Mean geodesic angle between predicted and ground-truth rotations."""
-    gt_rot = np.asarray(gt_params, dtype=float)[..., geometry.ROT_SLICE.start : geometry.ROT_SLICE.stop]
-    angles = F.geodesic_angles_t(pred[..., 0:9], gt_rot)
+    gt_rot = np.asarray(gt_params, dtype=float)[..., geometry.ROT_SLICE]
+    angles = F.geodesic_angles_t(pred[..., geometry.ROT_SLICE], gt_rot)
     return angles.mean()
 
 
-def loss_reproj(
-    pred: Tensor,
-    observations: np.ndarray,
-    fiducials: np.ndarray,
-    image_size,
-) -> Tensor:
+def loss_reproj(pred: Tensor, observations: np.ndarray, fiducials, image_size) -> Tensor:
     """Pixel RMSE between projections under predicted parameters and the
-    observed (ground-truth) projections.
+    observed (ground-truth) projections, as one tape node.
 
-    Points behind a predicted camera contribute a fixed squared error of
-    (10 x image diagonal)^2 with zero gradient, so one bad camera cannot
-    poison the gradients of the rest.
+    Points behind a predicted camera contribute the fixed penalty of
+    ``_squared_errors`` with zero gradient.
     """
-    pix, valid = F.project_fiducials_t(pred, fiducials)
-    diff = pix - ad.constant(observations)
-    sq = (diff * diff).sum(axis=-1)
-    sq = ad.masked_fill(sq, valid, behind_camera_penalty(image_size))
-    return sq.mean() ** 0.5
+    pix, valid, jac = geometry.project_jacobian_array(pred.data, fiducials)
+    sq, diff = _squared_errors(pix, valid, observations, image_size)
+    n = sq.size
+    ms = np.asarray(sq.sum() * (1.0 / n))
+
+    def backward(g):
+        # d(sqrt ms)/d(pixels) = 0.5 / sqrt(ms) * 2 * diff / n, contracted with
+        # the (..., F, 2, 21) Jacobian over (F, 2); its rows are zero for
+        # points behind their camera, so those points pass no gradient.
+        gp = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * diff
+        pred._accum(np.einsum("...fc,...fcp->...p", gp + gp, jac))
+
+    return Tensor(ms**0.5, pred.requires_grad, (pred,), backward if pred.requires_grad else None)
 
 
 def compound_loss(
@@ -110,26 +122,12 @@ def compound_loss(
     return total, parts
 
 
-def reprojection_rmse(
-    pred_params: np.ndarray,
-    gt_params: np.ndarray,
-    fiducials: np.ndarray,
-    image_size,
-    per_camera: bool = False,
-):
-    """Plain-array reprojection RMSE between two parameter sets.
-
-    Projections are compared pointwise; a point behind a predicted camera
-    contributes (10 x diagonal)^2. With per_camera=True also returns the
-    RMSE restricted to each camera axis entry.
-    """
-    pred_pix, pred_valid = geometry.project_array(pred_params, fiducials)
-    gt_pix, _ = geometry.project_array(gt_params, fiducials)
-    sq = ((pred_pix - gt_pix) ** 2).sum(axis=-1)
-    sq = np.where(pred_valid, sq, behind_camera_penalty(image_size))
-    total = float(np.sqrt(sq.mean()))
-    if not per_camera:
-        return total
+def reprojection_rmse(pred_params: np.ndarray, observations: np.ndarray, fiducials, image_size):
+    """Plain-array reprojection RMSE of predicted parameters against the
+    observed pixels, penalty included. Returns (total, per_camera): the RMSE
+    over every fiducial and the RMSE of each camera axis entry."""
+    pix, valid = geometry.project_array(pred_params, fiducials)
+    sq, _ = _squared_errors(pix, valid, observations, image_size)
     # camera axis is the second-to-last of (..., N_C, N_fid)
     axes = tuple(i for i in range(sq.ndim) if i != sq.ndim - 2)
-    return total, np.sqrt(sq.mean(axis=axes))
+    return float(np.sqrt(sq.mean())), np.sqrt(sq.mean(axis=axes))

@@ -222,13 +222,14 @@ def neg(a: Tensor) -> Tensor:
     return _node(-a.data, (a,), backward)
 
 
-def _subgradient(derivative, singular) -> np.ndarray:
+def subgradient(derivative, singular) -> np.ndarray:
     """Evaluate a local derivative, taking 0 wherever `singular` is set.
 
     This is the one convention for every op whose derivative is infinite or
     undefined at an edge of its domain (a**p with p < 1 at 0, acos at or
-    past the clamp): the gradient there is the zero subgradient, so a
-    residual that is exactly zero contributes nothing instead of inf/NaN.
+    past the clamp, the square root in ``losses.loss_reproj``): the gradient
+    there is the zero subgradient, so a residual that is exactly zero
+    contributes nothing instead of inf/NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         d = derivative()
@@ -242,7 +243,7 @@ def power(a: Tensor, p: float) -> Tensor:
 
     def backward(g):
         singular = a.data == 0.0 if p < 1.0 else False
-        a._accum(g * _subgradient(lambda: p * a.data ** (p - 1.0), singular))
+        a._accum(g * subgradient(lambda: p * a.data ** (p - 1.0), singular))
 
     return _node(a.data**p, (a,), backward)
 
@@ -265,22 +266,9 @@ def acos(a: Tensor) -> Tensor:
     xc = np.clip(a.data, -1.0, 1.0)
 
     def backward(g):
-        a._accum(g * _subgradient(lambda: -1.0 / np.sqrt(1.0 - xc * xc), np.abs(a.data) >= 1.0))
+        a._accum(g * subgradient(lambda: -1.0 / np.sqrt(1.0 - xc * xc), np.abs(a.data) >= 1.0))
 
     return _node(np.arccos(xc), (a,), backward)
-
-
-def masked_fill(a: Tensor, keep_mask, fill_value: float) -> Tensor:
-    """Keep entries where keep_mask, replace the rest by a constant.
-
-    Gradients flow only through kept entries.
-    """
-    keep = np.asarray(keep_mask, dtype=bool)
-
-    def backward(g):
-        a._accum(g * keep)
-
-    return _node(np.where(keep, a.data, fill_value), (a,), backward)
 
 
 # -- reductions and shape ops ----------------------------------------------

@@ -2,8 +2,7 @@
 
 Includes the bridge between the network and the camera model: an
 orthogonalizing 6D-to-matrix expansion whose gradient comes from the
-primitive chain rule, and a fiducial-projection op whose backward pass uses
-the analytic projection Jacobian.
+primitive chain rule.
 """
 
 from __future__ import annotations
@@ -81,32 +80,3 @@ def geodesic_angles_t(pred_r9: Tensor, gt_r9) -> Tensor:
     gt = gt_r9 if isinstance(gt_r9, Tensor) else ad.constant(gt_r9)
     tr = (pred_r9 * gt).sum(axis=-1)
     return ad.acos((tr - 1.0) * 0.5)
-
-
-def project_fiducials_t(params: Tensor, fiducials: np.ndarray):
-    """Project fiducials through predicted cameras, differentiably.
-
-    params: (..., 21) flattened camera parameters (Tensor).
-    fiducials: (N_fid, 3) constant world points.
-
-    Returns (pixels, valid): pixels is a (..., N_fid, 2) Tensor whose backward
-    pass contracts the upstream gradient with the analytic projection
-    Jacobian; valid is a constant bool array marking points in front of the
-    camera. Gradients through invalid points are zeroed (their forward values
-    are computed with clamped depth and should be masked by the caller).
-    """
-    fid = np.asarray(fiducials, dtype=np.float64)
-    pix, valid, jac = geometry.project_jacobian_array(params.data, fid)
-
-    def backward(g):
-        # (..., F, 2, 21) contracted with upstream (..., F, 2) over (F, 2).
-        params._accum(np.einsum("...fc,...fcp->...p", g * valid[..., None], jac))
-
-    out = ad.Tensor(
-        pix,
-        requires_grad=params.requires_grad,
-        parents=(params,),
-        backward=backward if params.requires_grad else None,
-    )
-    return out, valid
-

@@ -76,6 +76,10 @@ class PtModelConfig:
                 raise ValueError(f"{name} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
+        if not 0.0 <= self.cie_noise_sigma < np.inf:
+            raise ValueError(
+                f"cie_noise_sigma must be finite and >= 0, got {self.cie_noise_sigma!r}"
+            )
         if self.cie_noise_sigma == 0.0 and self.n_cameras > self.d_model:
             raise ValueError(
                 "identity encodings collide: n_cameras > d_model requires cie_noise_sigma > 0"
@@ -112,8 +116,10 @@ class PtModel:
 
     def __init__(self, config: PtModelConfig, reference_params, image_size, radius, seed=0):
         self.config = config
-        self.image_size = (int(image_size[0]), int(image_size[1]))
+        self.image_size = geometry.checked_image_size(image_size)
         self.radius = float(radius)
+        if not 0.0 < self.radius < np.inf:
+            raise ValueError(f"radius must be finite and positive, got {radius!r}")
         self.seed = int(seed)
         ref = np.asarray(reference_params, dtype=float)
         if ref.shape != (config.n_cameras, geometry.N_PARAMS):
@@ -136,7 +142,7 @@ class PtModel:
         self._scale = np.concatenate([
             np.ones((n, 6)),
             np.full((n, 3), TRANSLATION_SCALE_RADII * self.radius),
-            FOCAL_SCALE_FRACTION * ref[:, 12:14],
+            FOCAL_SCALE_FRACTION * ref[:, geometry.FOCAL_SLICE],
             PRINCIPAL_POINT_SCALE_FRACTION * np.tile([float(w), float(h)], (n, 1)),
             np.full((n, 5), DISTORTION_SCALE),
         ], axis=1)

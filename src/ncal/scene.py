@@ -106,14 +106,9 @@ class RigSpec:
             raise ValueError("mount rotations must be proper rotations")
         if not np.isfinite(mt).all():
             raise ValueError("mount translations must be finite")
-        size = tuple(self.image_size)
-        if len(size) != 2 or not all(
-            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in size
-        ):
-            raise ValueError(f"image_size must be two positive integers, got {self.image_size!r}")
         object.__setattr__(self, "mount_R", mR)
         object.__setattr__(self, "mount_t", mt)
-        object.__setattr__(self, "image_size", (int(size[0]), int(size[1])))
+        object.__setattr__(self, "image_size", geometry.checked_image_size(self.image_size))
 
     @property
     def n_cameras(self) -> int:
@@ -294,7 +289,7 @@ def place_rig(mount_R, mount_t, intrinsics, theta, phi, alpha, rho) -> np.ndarra
     out = np.empty(t.shape[:-1] + (N_PARAMS,))
     out[..., geometry.ROT_SLICE] = R.reshape(t.shape[:-1] + (9,))
     out[..., geometry.TRANS_SLICE] = t
-    out[..., 12:21] = intrinsics
+    out[..., geometry.INTRINSICS_SLICE] = intrinsics
     return out
 
 

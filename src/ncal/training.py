@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteLoss
+from .geometry import INTRINSICS_SLICE
 from .losses import PARAM_SCALE, compound_loss, reprojection_rmse
 from .nn.model import PtModel
 from .nn.optim import AdamState, PlateauScheduler, adam_step, clip_gradients
@@ -170,7 +171,8 @@ def evaluate(
 
     Each trial synthesizes n_samples captures from the evaluation seed
     stream, predicts all camera parameters, and scores the RMSE between
-    fiducial projections under predicted and ground-truth parameters.
+    fiducial projections under the predicted parameters and the observed
+    (ground-truth) projections.
     """
     if n_samples < 1 or trials < 1 or seed < 0:
         raise ConfigError(
@@ -182,9 +184,7 @@ def evaluate(
     for t in range(trials):
         batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _EVAL_STREAM, t))
         pred = model.predict(batch.observations)
-        total, per_cam = reprojection_rmse(
-            pred, batch.gt_params, fiducials, image_size, per_camera=True
-        )
+        total, per_cam = reprojection_rmse(pred, batch.observations, fiducials, image_size)
         res.append(total)
         cams.append(per_cam)
     return EvalReport(
@@ -200,16 +200,13 @@ def evaluate(
 
 # -- decalibration detection -------------------------------------------------
 
-# Intrinsic entries of the flattened parameter vector are pose-invariant, so
-# the drift monitor compares them (scaled like the parameter loss) against
-# the factory values.
-_INTRINSIC_SLICE = slice(12, 21)
-
 
 def parameter_distances(pred_params: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Per-camera RMSE over the intrinsic entries between predicted and
-    reference parameters, using the same entry scaling as the parameter loss."""
-    d = ((np.asarray(pred_params) - np.asarray(reference)) * PARAM_SCALE)[..., _INTRINSIC_SLICE]
+    reference parameters, using the same entry scaling as the parameter loss.
+    Intrinsics are pose-invariant, so they can be compared against the
+    factory values."""
+    d = ((np.asarray(pred_params) - np.asarray(reference)) * PARAM_SCALE)[..., INTRINSICS_SLICE]
     return np.sqrt((d**2).mean(axis=-1))
 
 

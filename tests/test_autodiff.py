@@ -182,15 +182,6 @@ class TestPrimitiveGradients:
         np.testing.assert_allclose(tg.grad, ng, rtol=1e-6, atol=1e-8)
         np.testing.assert_allclose(tb.grad, nb, rtol=1e-6, atol=1e-8)
 
-    def test_masked_fill(self):
-        x = self.rng.normal(size=(2, 3))
-        mask = np.array([[True, False, True], [False, True, True]])
-        t = ad.parameter(x)
-        out = ad.masked_fill(t, mask, 7.0)
-        np.testing.assert_array_equal(out.data[~mask], 7.0)
-        out.sum().backward()
-        np.testing.assert_array_equal(t.grad, mask.astype(float))
-
 
 class TestGraphMechanics:
     def test_linear_loss_gradient(self):

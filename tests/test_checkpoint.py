@@ -209,6 +209,9 @@ MALFORMED = {
     "blob_name_not_utf8": dict(blob_bytes=(_blob_header(b"embed_b", 16),
                                            _blob_header(b"embed_\xff", 16))),
     "image_size_too_short": dict(edit_config=lambda c: {**c, "image_size": [1024]}),
+    "image_size_zero": dict(edit_config=lambda c: {**c, "image_size": [0, 1024]}),
+    "radius_nan": dict(edit_config=lambda c: {**c, "radius": float("nan")}),
+    "cie_noise_sigma_negative": dict(edit_config=_model(cie_noise_sigma=-0.01)),
     "bad_adam_step": dict(edit_config=lambda c: {**c, "has_optimizer": True, "adam_step": "x"}),
     "blob_size_overflows": dict(blob_bytes=(_blob_header(b"reference", 3, 21),
                                             _blob_header(b"reference", 2**40, 2**30))),

@@ -40,6 +40,21 @@ def perturbed_pred(gt, seed=0, scale=1e-3):
     return pred
 
 
+def partly_behind(gt):
+    """A prediction for the cube8 batch in which camera 0 of sample 0 sits at
+    the cube's center, turned 0.1 rad off its faces, so four fiducials are in
+    front of it (depth >= 0.045 m, well clear of the clamp) and four behind;
+    camera 1 of sample 0 is turned around and sees every fiducial behind it."""
+    pred = perturbed_pred(gt, seed=7)
+    c, s = np.cos(0.1), np.sin(0.1)
+    pred[0, 0, :9] = [1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c]
+    pred[0, 0, 9:12] = 0.0
+    flip = np.diag([1.0, -1.0, -1.0])
+    pred[0, 1, :9] = (flip @ pred[0, 1, :9].reshape(3, 3)).reshape(9)
+    pred[0, 1, 9:12] = flip @ pred[0, 1, 9:12]
+    return pred
+
+
 class TestLossDiff:
     def test_zero_at_ground_truth(self, batch):
         b, _ = batch
@@ -147,6 +162,56 @@ class TestLossReproj:
         expected_floor = 10.0 * diag * np.sqrt(8 / n_points)
         assert float(val.data) >= expected_floor * 0.99
 
+    def test_gradient_matches_central_differences_with_points_behind(self, batch):
+        b, cfg = batch
+        fid, size = cfg.obj.fiducials, cfg.rig.image_size
+        pred = partly_behind(b.gt_params[:2])
+        obs = b.observations[:2]
+        _, valid = geometry.project_array(pred, fid)
+        assert valid[0, 0].sum() == 4
+        assert not valid[0, 1].any() and valid[0, 2:].all() and valid[1].all()
+
+        t = ad.parameter(pred)
+        val = loss_reproj(t, obs, fid, size)
+        assert np.isfinite(float(val.data))
+        val.backward()
+        assert np.isfinite(t.grad).all()
+        # the camera that sees nothing has no gradient
+        np.testing.assert_array_equal(t.grad[0, 1], 0.0)
+
+        def f(p):
+            return float(loss_reproj(ad.constant(p), obs, fid, size).data)
+
+        # The penalty puts the loss near 5e3, so its rounding sets the floor
+        # of the differences; the cameras that see everything have gradient
+        # entries up to ~1e-2, well above atol.
+        num = np.zeros_like(pred)
+        for idx in np.ndindex(pred.shape):
+            h = 3e-5 * max(1.0, abs(pred[idx]))
+            hi, lo = pred.copy(), pred.copy()
+            hi[idx] += h
+            lo[idx] -= h
+            num[idx] = (f(hi) - f(lo)) / (2 * h)
+        np.testing.assert_allclose(t.grad, num, rtol=1e-4, atol=1e-7)
+
+    def test_points_behind_contribute_no_gradient(self, batch):
+        # Moving the observation of a fiducial behind its camera changes
+        # neither the loss nor any gradient entry.
+        b, cfg = batch
+        fid, size = cfg.obj.fiducials, cfg.rig.image_size
+        pred = partly_behind(b.gt_params)
+        _, valid = geometry.project_array(pred, fid)
+        moved = b.observations.copy()
+        moved[~valid] += 123.0
+        runs = []
+        for obs in (b.observations, moved):
+            t = ad.parameter(pred)
+            val = loss_reproj(t, obs, fid, size)
+            val.backward()
+            runs.append((float(val.data), t.grad))
+        assert runs[0][0] == runs[1][0]
+        np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
 
 class TestCompound:
     def test_zero_at_gt_in_both_phases(self, batch):
@@ -213,19 +278,31 @@ class TestCompound:
 class TestReprojectionRmse:
     def test_oracle_zero(self, batch):
         b, cfg = batch
-        assert reprojection_rmse(
-            b.gt_params, b.gt_params, cfg.obj.fiducials, cfg.rig.image_size
-        ) == 0.0
+        total, per_cam = reprojection_rmse(
+            b.gt_params, b.observations, cfg.obj.fiducials, cfg.rig.image_size
+        )
+        assert total == 0.0
+        np.testing.assert_array_equal(per_cam, 0.0)
 
     def test_per_camera_breakdown(self, batch):
         b, cfg = batch
         pred = b.gt_params.copy()
         pred[:, 2, 14] += 3.0  # shift camera 2's principal point only
         total, per_cam = reprojection_rmse(
-            pred, b.gt_params, cfg.obj.fiducials, cfg.rig.image_size, per_camera=True
+            pred, b.observations, cfg.obj.fiducials, cfg.rig.image_size
         )
         assert per_cam.shape == (6,)
         assert per_cam[2] == pytest.approx(3.0, rel=1e-12)
         others = np.delete(per_cam, 2)
         np.testing.assert_array_equal(others, 0.0)
         assert total == pytest.approx(np.sqrt((3.0**2) / 6.0), rel=1e-12)
+
+    def test_agrees_with_loss_reproj(self, batch):
+        b, cfg = batch
+        pred = partly_behind(b.gt_params)
+        for p in (pred, perturbed_pred(b.gt_params, seed=6)):
+            tape = float(
+                loss_reproj(ad.constant(p), b.observations, cfg.obj.fiducials, cfg.rig.image_size).data
+            )
+            total, _ = reprojection_rmse(p, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
+            assert tape == pytest.approx(total, rel=1e-15)

@@ -90,35 +90,6 @@ class TestGeodesicTensor:
         np.testing.assert_allclose(angles.data, expected, atol=1e-12)
 
 
-class TestProjectFiducialsTensor:
-    def test_forward_matches_geometry(self):
-        rig, oem = make_rig("O-6")
-        obj = make_object("cube8")
-        params = reference_params(rig, oem)
-        out, valid = F.project_fiducials_t(ad.constant(params), obj.fiducials)
-        pix, v2 = geometry.project_array(params, obj.fiducials)
-        np.testing.assert_array_equal(out.data, pix)
-        np.testing.assert_array_equal(valid, v2)
-
-    def test_backward_matches_finite_differences(self):
-        rig, oem = make_rig("O-6")
-        obj = make_object("cube8")
-        params = reference_params(rig, oem)[:2]  # two cameras
-        w = np.random.default_rng(5).normal(size=(2, 8, 2))
-        t = ad.parameter(params)
-        out, _ = F.project_fiducials_t(t, obj.fiducials)
-        (out * ad.constant(w)).sum().backward()
-        h = 1e-6
-        for idx in [(0, 3), (0, 12), (1, 9), (1, 16), (0, 0), (1, 20)]:
-            hi, lo = params.copy(), params.copy()
-            hi[idx] += h
-            lo[idx] -= h
-            fhi = (geometry.project_array(hi, obj.fiducials)[0] * w).sum()
-            flo = (geometry.project_array(lo, obj.fiducials)[0] * w).sum()
-            num = (fhi - flo) / (2 * h)
-            assert t.grad[idx] == pytest.approx(num, rel=1e-4, abs=1e-6)
-
-
 class TestCIE:
     def test_zero_sigma_one_hot(self):
         rng = np.random.default_rng(0)
@@ -140,6 +111,11 @@ class TestCIE:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert np.linalg.norm(codes[i] - codes[j]) > 1e-4
+
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan"), float("inf")])
+    def test_bad_noise_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="cie_noise_sigma"):
+            PtModelConfig(n_cameras=6, n_fiducials=8, d_model=4, n_heads=2, cie_noise_sigma=sigma)
 
     def test_wraparound_without_noise_rejected(self):
         with pytest.raises(ValueError):
@@ -296,6 +272,18 @@ class TestForward:
         ref[0, :9] *= 1.01
         with pytest.raises(ValueError):
             PtModel(m.config, ref, m.image_size, m.radius)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_radius_rejected(self, radius):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="radius"):
+            PtModel(m.config, m.reference_params, m.image_size, radius)
+
+    @pytest.mark.parametrize("size", [(0, 1024), (1024.7, 1024), True, (1024,), (True, 1024)])
+    def test_bad_image_size_rejected(self, size):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="image_size"):
+            PtModel(m.config, m.reference_params, size, m.radius)
 
     def test_unbatched_predict(self):
         m = tiny_model()

@@ -374,6 +374,11 @@ class TestSynthesis:
             pix, valid = geometry.project_array(gt, o6_config.obj.fiducials)
             assert valid.all()
             np.testing.assert_array_equal(pix, obs)
+        # evaluate scores predictions against observations on this premise:
+        # one projection over the whole stack reproduces them bitwise.
+        pix, valid = geometry.project_array(batch.gt_params, o6_config.obj.fiducials)
+        assert valid.all()
+        np.testing.assert_array_equal(pix, batch.observations)
 
     def test_fixed_pose_constant_centroid(self):
         rig, oem = make_rig("O-6")

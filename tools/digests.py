@@ -10,7 +10,8 @@ refactor is checked by running this at both commits and comparing the text.
 Covered: synthesis bytes and attempt counts (including a configuration that
 rejects poses and one that stalls), the records, final weights, Adam moments
 and checkpoint bytes of a small fixed-seed training run, evaluation figures,
-and the reference calibration of every built-in rig.
+the reprojection loss and its gradient on a prediction that puts fiducials
+behind cameras, and the reference calibration of every built-in rig.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from ncal import scene, training  # noqa: E402
+from ncal import losses, scene, training  # noqa: E402
 from ncal.errors import SynthesisStalled  # noqa: E402
-from ncal.nn import checkpoint  # noqa: E402
+from ncal.nn import autodiff, checkpoint  # noqa: E402
 from ncal.nn.model import PtModel, PtModelConfig  # noqa: E402
 from ncal.scene import PerturbationSpec, PoseRanges, SceneConfig  # noqa: E402
 
@@ -92,6 +93,26 @@ def training_lines():
                                                     np.asarray(rep.per_camera))
 
 
+def penalty_lines():
+    # Camera 0 of sample 0 sits at the cube's center, so half the fiducials
+    # are behind it; camera 1 is turned 180 degrees about its x axis and sees
+    # none of them.
+    cfg = config("O-6", "cube8", 0.05)
+    b = scene.synthesize_batch(cfg, 8, 5)
+    pred = b.gt_params.copy()
+    pred[..., 12:16] *= 1.01
+    c, s = np.cos(0.1), np.sin(0.1)
+    pred[0, 0, :9] = [1.0, 0.0, 0.0, 0.0, c, -s, 0.0, s, c]
+    pred[0, 0, 9:12] = 0.0
+    pred[0, 1, 3:9] *= -1.0
+    pred[0, 1, 10:12] *= -1.0
+    t = autodiff.parameter(pred)
+    loss = losses.loss_reproj(t, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
+    loss.backward()
+    value = float(loss.data)
+    yield f"loss_reproj behind cameras value={value!r}", digest(value, t.grad)
+
+
 def reference_lines():
     for kind in ("O-10", "O-6", "U-7", "T-4"):
         rig, oem = scene.make_rig(kind)
@@ -99,7 +120,7 @@ def reference_lines():
 
 
 def main() -> None:
-    for lines in (synthesis_lines, training_lines, reference_lines):
+    for lines in (synthesis_lines, training_lines, penalty_lines, reference_lines):
         for label, h in lines():
             print(h, label)
 
