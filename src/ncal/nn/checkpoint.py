@@ -10,16 +10,27 @@ Layout (little-endian):
             raw float64 data
     sha256  32-byte digest of every preceding byte
 
-The config block stores the model architecture, image size, radius and
-seed, and an "extra" dict for training state (epoch, optimizer step,
-scheduler state). Blobs hold the model's trainable parameters, its
-(n_cameras, 21) ``reference`` calibration, and optionally the Adam moments.
+The config block is ``json.dumps(config, sort_keys=True)`` of a dict with
+the keys "model" (the PtModelConfig fields), "image_size", "radius",
+"model_seed", "has_optimizer", "adam_step" and "extra", a dict for training
+state (epoch, scheduler state). Blob names are unique. The blobs are the
+model's trainable parameters in parameter order, its (n_cameras, 21)
+``reference`` calibration, then optionally the Adam moments: one
+``adam_m:<parameter>`` blob per first moment, then the matching
+``adam_v:<parameter>`` blobs in the same order.
 
 A model is stored as its constructor's inputs plus its trainable
 parameters: config, image size, radius, seed and ``reference``. Everything
 the constructor derives from them (the reference rotation matrices, the
 affine output maps, the identity codes) is recomputed on load, never
 stored. Round trips are bitwise exact.
+
+The save streams: each header and each array's bytes go straight to a
+temporary file and through one incremental sha256, with no copy of the file
+in memory, and the finished file is moved over the target. The load reads
+the file once, verifies the hash before any array is built, then parses it
+through a memoryview and copies each blob once, into the array the model or
+the optimizer state keeps. A load draws no weights.
 
 Version history: version 1 stored the absolute reference rotation as the
 rotation head's center. Version 2 stored the derived constants as frozen
@@ -45,39 +56,23 @@ from .optim import AdamState
 
 MAGIC = b"NCAL"
 FORMAT_VERSION = 3
-
-
-def _pack_blob(name: str, arr: np.ndarray) -> bytes:
-    nb = name.encode("utf-8")
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    head = struct.pack("<H", len(nb)) + nb + struct.pack("<B", a.ndim)
-    head += b"".join(struct.pack("<Q", d) for d in a.shape)
-    return head + a.tobytes()
+_DIGEST_SIZE = 32
 
 
 class _Reader:
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: memoryview):
         self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.buf):
             raise CorruptCheckpoint("checkpoint truncated")
         out = self.buf[self.pos : self.pos + n]
         self.pos += n
         return out
 
-    def u16(self):
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self):
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def u8(self):
-        return struct.unpack("<B", self.take(1))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
 def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = None,
@@ -104,16 +99,23 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
             blobs[f"adam_v:{k}"] = v
 
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    body = MAGIC + struct.pack("<I", FORMAT_VERSION)
-    body += struct.pack("<Q", len(cfg_bytes)) + cfg_bytes
-    body += struct.pack("<I", len(blobs))
-    for name in blobs:
-        body += _pack_blob(name, blobs[name])
-    digest = hashlib.sha256(body).digest()
+    digest = hashlib.sha256()
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(body + digest)
+
+            def put(data):
+                digest.update(data)
+                f.write(data)
+
+            put(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(cfg_bytes)) + cfg_bytes
+                + struct.pack("<I", len(blobs)))
+            for name, arr in blobs.items():
+                nb = name.encode("utf-8")
+                a = np.ascontiguousarray(arr, dtype="<f8")
+                put(struct.pack(f"<H{len(nb)}sB{a.ndim}Q", len(nb), nb, a.ndim, *a.shape))
+                put(memoryview(a.reshape(-1)).cast("B"))
+            f.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -121,63 +123,77 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
         raise
 
 
+def _optimizer_state(blobs: dict, params: dict, step: int) -> AdamState:
+    """The Adam moments among `blobs`, checked against the model's parameters."""
+    m = {k[len("adam_m:") :]: a for k, a in blobs.items() if k.startswith("adam_m:")}
+    v = {k[len("adam_v:") :]: a for k, a in blobs.items() if k.startswith("adam_v:")}
+    if m.keys() != v.keys():
+        raise CorruptCheckpoint("adam_m and adam_v blobs name different parameters")
+    for k in m:
+        if k not in params:
+            raise CorruptCheckpoint(f"Adam moments for unknown parameter {k!r}")
+        shape = params[k].data.shape
+        if m[k].shape != shape or v[k].shape != shape:
+            raise CorruptCheckpoint(
+                f"Adam moments of {k}: expected {shape}, got {m[k].shape} and {v[k].shape}"
+            )
+    return AdamState(m, v, step)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, optimizer_state_or_None, extra dict).
 
-    Raises CorruptCheckpoint on magic/hash/structure failures, and on a
-    config that does not describe a model matching the stored blobs, and
+    Raises CorruptCheckpoint on magic/hash/structure failures, on a config
+    that does not describe a model matching the stored blobs, and on Adam
+    moments that do not pair up with the model's parameters;
     UnsupportedVersion on a format version this build cannot read.
     """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < len(MAGIC) + 4 + 32:
+        raw = memoryview(f.read())
+    if len(raw) < len(MAGIC) + 4 + _DIGEST_SIZE:
         raise CorruptCheckpoint("file too short to be a checkpoint")
-    body, digest = raw[:-32], raw[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    body = raw[:-_DIGEST_SIZE]
+    if hashlib.sha256(body).digest() != raw[-_DIGEST_SIZE:]:
         raise CorruptCheckpoint("content hash mismatch")
     r = _Reader(body)
     if r.take(4) != MAGIC:
         raise CorruptCheckpoint("bad magic")
-    version = r.u32()
+    (version,) = r.unpack("<I")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"checkpoint format {version}, expected {FORMAT_VERSION}")
     try:
-        config = json.loads(r.take(r.u64()).decode("utf-8"))
+        config = json.loads(str(r.take(r.unpack("<Q")[0]), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CorruptCheckpoint(f"bad config block: {e}") from e
     if not isinstance(config, dict):
         raise CorruptCheckpoint("config block is not a JSON object")
-    n_blobs = r.u32()
+    (n_blobs,) = r.unpack("<I")
     blobs = {}
     for _ in range(n_blobs):
         try:
-            name = r.take(r.u16()).decode("utf-8")
+            name = str(r.take(r.unpack("<H")[0]), "utf-8")
         except UnicodeDecodeError as e:
             raise CorruptCheckpoint(f"bad blob name: {e}") from e
-        ndim = r.u8()
-        shape = tuple(r.u64() for _ in range(ndim))
-        data = np.frombuffer(r.take(math.prod(shape) * 8), dtype="<f8").reshape(shape)
-        blobs[name] = np.array(data, dtype=np.float64)
+        if name in blobs:
+            raise CorruptCheckpoint(f"duplicate blob {name!r}")
+        (ndim,) = r.unpack("<B")
+        shape = r.unpack(f"<{ndim}Q")
+        data = r.take(math.prod(shape) * 8)
+        blobs[name] = np.frombuffer(data, dtype="<f8").reshape(shape).astype(np.float64)
     if r.pos != len(body):
         raise CorruptCheckpoint("trailing bytes after last blob")
 
     try:
-        model = PtModel(
+        model = PtModel.from_state_arrays(
             PtModelConfig(**config["model"]),
-            blobs["reference"],
+            blobs,
             tuple(config["image_size"]),
             config["radius"],
             seed=config["model_seed"],
         )
-        model.load_state_arrays(blobs)
         opt_state = None
         if config.get("has_optimizer"):
-            opt_state = AdamState(step=int(config.get("adam_step", 0)))
-            for k, v in blobs.items():
-                if k.startswith("adam_m:"):
-                    opt_state.m[k[len("adam_m:") :]] = v.copy()
-                elif k.startswith("adam_v:"):
-                    opt_state.v[k[len("adam_v:") :]] = v.copy()
+            opt_state = _optimizer_state(blobs, model.params, int(config.get("adam_step", 0)))
     except LookupError as e:
         raise CorruptCheckpoint(f"missing config entry or blob: {e}") from e
     except (TypeError, ValueError, ShapeMismatch) as e:

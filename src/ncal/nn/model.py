@@ -100,9 +100,44 @@ def camera_identity_encoding(n_cameras, d_model, sigma, rng) -> np.ndarray:
     return codes
 
 
-def _glorot(rng, fan_in, fan_out):
+def _glorot(rng, shape):
+    fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _zeros(rng, shape):
+    return np.zeros(shape)
+
+
+def _ones(rng, shape):
+    return np.ones(shape)
+
+
+def _param_spec(config: PtModelConfig) -> dict:
+    """name -> (shape, initializer) of every trainable parameter.
+
+    The order is the parameter order: it fixes the sequence of Glorot draws
+    from the seed's generator and the blob order of a checkpoint.
+    """
+    d, ff, nf = config.d_model, config.d_ff, config.n_fiducials
+    spec = {"embed_w": ((2 * nf, d), _glorot), "embed_b": ((d,), _zeros)}
+    for i in range(config.n_layers):
+        spec[f"layer{i}_ln1_g"] = ((d,), _ones)
+        spec[f"layer{i}_ln1_b"] = ((d,), _zeros)
+        for nm in ("q", "k", "v", "o"):
+            spec[f"layer{i}_w{nm}"] = ((d, d), _glorot)
+            spec[f"layer{i}_b{nm}"] = ((d,), _zeros)
+        spec[f"layer{i}_ln2_g"] = ((d,), _ones)
+        spec[f"layer{i}_ln2_b"] = ((d,), _zeros)
+        spec[f"layer{i}_ff1_w"] = ((d, ff), _glorot)
+        spec[f"layer{i}_ff1_b"] = ((ff,), _zeros)
+        spec[f"layer{i}_ff2_w"] = ((ff, d), _glorot)
+        spec[f"layer{i}_ff2_b"] = ((d,), _zeros)
+    for nm, width in (("r6", 6), ("t", 3), ("fc", 2), ("pp", 2), ("kc", 5)):
+        spec[f"head_{nm}_w"] = ((d, width), _zeros)
+        spec[f"head_{nm}_b"] = ((width,), _zeros)
+    return spec
 
 
 class PtModel:
@@ -115,6 +150,34 @@ class PtModel:
     """
 
     def __init__(self, config: PtModelConfig, reference_params, image_size, radius, seed=0):
+        rng = self._derive(config, reference_params, image_size, radius, seed)
+        self.params = {
+            k: ad.parameter(init(rng, shape)) for k, (shape, init) in _param_spec(config).items()
+        }
+
+    @classmethod
+    def from_state_arrays(cls, config: PtModelConfig, arrays: dict, image_size, radius, seed=0):
+        """Rebuild a model from its state_arrays() without drawing weights.
+
+        The constructor's derived constants come from arrays["reference"] and
+        the seed as in __init__; the trainable parameters are the float64
+        arrays themselves, not copies. Other keys of `arrays` are ignored.
+        """
+        self = cls.__new__(cls)
+        self._derive(config, arrays["reference"], image_size, radius, seed)
+        params = {}
+        for k, (shape, _init) in _param_spec(config).items():
+            a = np.asarray(arrays[k], dtype=np.float64)
+            if a.shape != shape:
+                raise ShapeMismatch(f"parameter {k}: expected {shape}, got {a.shape}")
+            params[k] = Tensor(a, requires_grad=True)
+        self.params = params
+        return self
+
+    def _derive(self, config, reference_params, image_size, radius, seed):
+        """Check the constructor's inputs and set everything derived from
+        them; returns the seed's generator, positioned after the identity
+        codes, for the Glorot draws."""
         self.config = config
         self.image_size = geometry.checked_image_size(image_size)
         self.radius = float(radius)
@@ -146,27 +209,7 @@ class PtModel:
             PRINCIPAL_POINT_SCALE_FRACTION * np.tile([float(w), float(h)], (n, 1)),
             np.full((n, 5), DISTORTION_SCALE),
         ], axis=1)
-
-        d, ff, nf = config.d_model, config.d_ff, config.n_fiducials
-        p = {}
-        p["embed_w"] = _glorot(rng, 2 * nf, d)
-        p["embed_b"] = np.zeros(d)
-        for i in range(config.n_layers):
-            p[f"layer{i}_ln1_g"] = np.ones(d)
-            p[f"layer{i}_ln1_b"] = np.zeros(d)
-            for nm in ("q", "k", "v", "o"):
-                p[f"layer{i}_w{nm}"] = _glorot(rng, d, d)
-                p[f"layer{i}_b{nm}"] = np.zeros(d)
-            p[f"layer{i}_ln2_g"] = np.ones(d)
-            p[f"layer{i}_ln2_b"] = np.zeros(d)
-            p[f"layer{i}_ff1_w"] = _glorot(rng, d, ff)
-            p[f"layer{i}_ff1_b"] = np.zeros(ff)
-            p[f"layer{i}_ff2_w"] = _glorot(rng, ff, d)
-            p[f"layer{i}_ff2_b"] = np.zeros(d)
-        for nm, width in (("r6", 6), ("t", 3), ("fc", 2), ("pp", 2), ("kc", 5)):
-            p[f"head_{nm}_w"] = np.zeros((d, width))
-            p[f"head_{nm}_b"] = np.zeros(width)
-        self.params = {k: ad.parameter(v) for k, v in p.items()}
+        return rng
 
     @property
     def reference_params(self) -> np.ndarray:
@@ -279,12 +322,3 @@ class PtModel:
         out = {k: v.data for k, v in self.params.items()}
         out["reference"] = self._reference
         return out
-
-    def load_state_arrays(self, arrays: dict):
-        """Set the trainable parameters from `arrays`; other keys are ignored."""
-        for k, t in self.params.items():
-            a = arrays[k]
-            if a.shape != t.data.shape:
-                raise ShapeMismatch(f"parameter {k}: expected {t.data.shape}, got {a.shape}")
-            t.data = np.array(a, dtype=np.float64)
-            t.grad = None

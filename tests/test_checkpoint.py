@@ -6,6 +6,7 @@ import hashlib
 import json
 import struct
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,66 @@ class TestRoundTrip:
         assert m.forward(X).data.tobytes() == m2.forward(X).data.tobytes()
 
 
+def _pack_reference(model, optimizer=None, extra=None) -> bytes:
+    """The checkpoint file of the module docstring's layout, written field by
+    field in one buffer, independently of save_checkpoint."""
+    config = {
+        "model": asdict(model.config),
+        "image_size": list(model.image_size),
+        "radius": model.radius,
+        "model_seed": model.seed,
+        "has_optimizer": optimizer is not None,
+        "adam_step": optimizer.step if optimizer is not None else 0,
+        "extra": extra or {},
+    }
+    blobs = [(k, t.data) for k, t in model.params.items()]
+    blobs.append(("reference", model.reference_params))
+    if optimizer is not None:
+        blobs += [(f"adam_m:{k}", a) for k, a in optimizer.m.items()]
+        blobs += [(f"adam_v:{k}", a) for k, a in optimizer.v.items()]
+    cfg = json.dumps(config, sort_keys=True).encode("utf-8")
+    body = bytearray(b"NCAL")
+    body += struct.pack("<I", 3)
+    body += struct.pack("<Q", len(cfg)) + cfg
+    body += struct.pack("<I", len(blobs))
+    for name, a in blobs:
+        nb = name.encode("utf-8")
+        body += struct.pack("<H", len(nb)) + nb + struct.pack("<B", a.ndim)
+        for d in a.shape:
+            body += struct.pack("<Q", d)
+        body += np.asarray(a, dtype="<f8").tobytes()
+    return bytes(body) + hashlib.sha256(body).digest()
+
+
+class TestFormat:
+    @pytest.mark.parametrize("with_optimizer", [False, True])
+    def test_bytes_match_independent_writer(self, ckpt, with_optimizer):
+        m = randomize(tiny_model(seed=4), seed=5)
+        state = None
+        if with_optimizer:
+            rng = np.random.default_rng(6)
+            state = AdamState(step=9)
+            for k, t in m.params.items():
+                state.m[k] = rng.normal(size=t.data.shape)
+                state.v[k] = rng.uniform(0, 1, size=t.data.shape)
+        save_checkpoint(ckpt, m, optimizer_state=state, extra={"epoch": 3})
+        assert ckpt.read_bytes() == _pack_reference(m, state, extra={"epoch": 3})
+
+    def test_loaded_arrays_are_owned_and_aligned(self, ckpt):
+        m = randomize(tiny_model())
+        state = AdamState(step=1)
+        for k, t in m.params.items():
+            state.m[k] = np.ones(t.data.shape)
+            state.v[k] = np.ones(t.data.shape)
+        save_checkpoint(ckpt, m, optimizer_state=state)
+        m2, state2, _ = load_checkpoint(ckpt)
+        arrays = [*m2.state_arrays().values(), *state2.m.values(), *state2.v.values()]
+        for a in arrays:
+            assert a.dtype == np.float64
+            assert a.flags.owndata and a.flags.aligned and a.flags.writeable
+        assert len({id(a) for a in arrays}) == len(arrays)
+
+
 class TestCorruption:
     def test_truncated_file(self, ckpt):
         m = tiny_model()
@@ -176,9 +237,10 @@ class TestCorruption:
             load_checkpoint(ckpt)
 
 
-def _resign(path, edit_config=lambda c: c, blob_bytes=(b"", b"")):
-    """Rewrite a checkpoint with an edited config and a byte replacement in
-    its blob section, then re-hash it so only the edit is wrong."""
+def _resign(path, edit_config=lambda c: c, blob_bytes=(b"", b""), extra_blob=b""):
+    """Rewrite a checkpoint with an edited config, a byte replacement in its
+    blob section and an appended blob, then re-hash it so only the edit is
+    wrong."""
     body = path.read_bytes()[:-32]
     (n,) = struct.unpack_from("<Q", body, 8)
     config = edit_config(json.loads(body[16 : 16 + n]))
@@ -187,6 +249,9 @@ def _resign(path, edit_config=lambda c: c, blob_bytes=(b"", b"")):
     if old:
         assert blobs.count(old) == 1
         blobs = blobs.replace(old, new)
+    if extra_blob:
+        (count,) = struct.unpack_from("<I", blobs)
+        blobs = struct.pack("<I", count + 1) + blobs[4:] + extra_blob
     cfg = json.dumps(config).encode("utf-8")
     body = body[:8] + struct.pack("<Q", len(cfg)) + cfg + blobs
     path.write_bytes(body + hashlib.sha256(body).digest())
@@ -215,22 +280,35 @@ MALFORMED = {
     "bad_adam_step": dict(edit_config=lambda c: {**c, "has_optimizer": True, "adam_step": "x"}),
     "blob_size_overflows": dict(blob_bytes=(_blob_header(b"reference", 3, 21),
                                             _blob_header(b"reference", 2**40, 2**30))),
+    "duplicate_blob_name": dict(extra_blob=_blob_header(b"embed_b", 16) + bytes(16 * 8)),
+    # Saved with these Adam moments; each would make a resumed train() fail
+    # inside adam_step.
+    "adam_moment_shape_mismatch": dict(
+        optimizer=AdamState(m={"embed_b": np.zeros(5)}, v={"embed_b": np.zeros(5)})),
+    "adam_moment_for_unknown_parameter": dict(
+        optimizer=AdamState(m={"no_such_param": np.zeros(3)}, v={"no_such_param": np.zeros(3)})),
+    "adam_m_without_adam_v": dict(optimizer=AdamState(m={"embed_b": np.zeros(16)})),
+    "adam_v_without_adam_m": dict(optimizer=AdamState(v={"embed_b": np.zeros(16)})),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_checkpoint_is_corrupt(ckpt, case):
-    save_checkpoint(ckpt, tiny_model(d_model=16))
-    _resign(ckpt, **MALFORMED[case])
+    edits = dict(MALFORMED[case])
+    save_checkpoint(ckpt, tiny_model(d_model=16), optimizer_state=edits.pop("optimizer", None))
+    _resign(ckpt, **edits)
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(ckpt)
 
 
 class _HalfWriter:
-    """File stand-in that writes half of the data, then fails like a full disk."""
+    """File stand-in whose k-th write writes half of the data, then fails like
+    a full disk; the writes before it reach the file whole."""
 
-    def __init__(self, f):
+    def __init__(self, f, k=1):
         self._f = f
+        self._k = k
+        self.whole = None  # bytes on disk from the writes before the k-th
 
     def __enter__(self):
         return self
@@ -239,9 +317,14 @@ class _HalfWriter:
         self._f.close()
 
     def write(self, data):
-        self._f.write(data[: len(data) // 2])
+        self._k -= 1
+        if self._k == 0:
+            self.whole = self._f.tell()
+            data = data[: len(data) // 2]
+        self._f.write(data)
         self._f.flush()
-        raise OSError(errno.ENOSPC, "no space left on device")
+        if self._k == 0:
+            raise OSError(errno.ENOSPC, "no space left on device")
 
 
 class TestCrashSafety:
@@ -253,6 +336,25 @@ class TestCrashSafety:
         )
         with pytest.raises(OSError):
             save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
+        assert ckpt.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+
+    @pytest.mark.parametrize("k", [2, 7, 12])
+    def test_failed_kth_write_keeps_previous_file(self, ckpt, tmp_path, monkeypatch, k):
+        save_checkpoint(ckpt, tiny_model(seed=0))
+        before = ckpt.read_bytes()
+        writers = []
+
+        def failing_open(*a, **kw):
+            writers.append(_HalfWriter(builtins.open(*a, **kw), k))
+            return writers[-1]
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError):
+            save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
+        # The header and the first (k - 2) // 2 blobs, each of at least 64
+        # bytes, were on disk when the write failed.
+        assert writers[0].whole > 64 * ((k - 2) // 2)
         assert ckpt.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
 

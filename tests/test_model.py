@@ -306,6 +306,31 @@ class TestForward:
         X = np.random.default_rng(14).uniform(0, 1024, size=(2, 3, 4, 2))
         assert m1.forward(X).data.tobytes() == m2.forward(X).data.tobytes()
 
+    def test_from_state_arrays_rebuilds_without_copies(self):
+        m = tiny_model(seed=5)
+        rng = np.random.default_rng(17)
+        for t in m.params.values():
+            t.data = rng.normal(size=t.data.shape) * 0.3
+        arrays = {k: a.copy() for k, a in m.state_arrays().items()}
+        m2 = PtModel.from_state_arrays(m.config, arrays, m.image_size, m.radius, seed=m.seed)
+        assert list(m2.params) == list(m.params)
+        for k, t in m2.params.items():
+            assert t.data is arrays[k] and t.requires_grad
+        for attr in ("cie", "_reference", "_reference_R", "_center", "_scale"):
+            assert getattr(m2, attr).tobytes() == getattr(m, attr).tobytes()
+        X = rng.uniform(0, 1024, size=(2, 3, 4, 2))
+        assert m2.forward(X).data.tobytes() == m.forward(X).data.tobytes()
+
+    def test_from_state_arrays_checks_shapes(self):
+        m = tiny_model()
+        arrays = dict(m.state_arrays(), embed_b=np.zeros(5))
+        with pytest.raises(ShapeMismatch, match="embed_b"):
+            PtModel.from_state_arrays(m.config, arrays, m.image_size, m.radius)
+        arrays = m.state_arrays()
+        del arrays["head_t_b"]
+        with pytest.raises(KeyError):
+            PtModel.from_state_arrays(m.config, arrays, m.image_size, m.radius)
+
     def test_end_to_end_gradient_spot_check(self):
         rng = np.random.default_rng(15)
         m = tiny_model()

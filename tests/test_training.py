@@ -1,10 +1,13 @@
 """Training loop: determinism, resume, phases, evaluation, drift detection."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from ncal.errors import ConfigError, NonFiniteLoss
 from ncal.nn.checkpoint import load_checkpoint, save_checkpoint
+from ncal.nn.autodiff import Tensor
 from ncal.nn.model import PtModel, PtModelConfig
 from ncal.scene import (
     TWO_PI,
@@ -123,6 +126,22 @@ class TestTrainLoop:
             assert (
                 model_res.params[k].data.tobytes() == model_full.params[k].data.tobytes()
             )
+
+    def test_step_graph_freed_before_callback(self):
+        # Only the parameters may outlive a step: the forward pass's graph
+        # is released once its gradients are taken, so it is not held while
+        # the callback runs or while the next forward pass builds its own.
+        scn, model = small_setup()
+        alive = []
+
+        def count_tensors(*_):
+            gc.collect()
+            alive.append(sum(isinstance(o, Tensor) for o in gc.get_objects()))
+
+        count_tensors()
+        train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4, seed=1),
+              epoch_callback=count_tensors)
+        assert alive == [alive[0]] * 3
 
     def test_non_finite_loss_reports_epoch_and_seed(self):
         scn, model = small_setup()

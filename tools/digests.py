@@ -9,7 +9,8 @@ refactor is checked by running this at both commits and comparing the text.
 
 Covered: synthesis bytes and attempt counts (including a configuration that
 rejects poses and one that stalls), the records, final weights, Adam moments
-and checkpoint bytes of a small fixed-seed training run, evaluation figures,
+and checkpoint bytes (with the Adam moments, and model-only as a deployed
+model is saved) of a small fixed-seed training run, evaluation figures,
 the reprojection loss and its gradient on a prediction that puts fiducials
 behind cameras, and the reference calibration of every built-in rig.
 """
@@ -88,6 +89,9 @@ def training_lines():
         path = Path(d) / "model.ckpt"
         checkpoint.save_checkpoint(path, model, result.optimizer)
         yield "checkpoint bytes", digest(np.frombuffer(path.read_bytes(), dtype=np.uint8))
+        checkpoint.save_checkpoint(path, model)
+        yield "checkpoint bytes model-only", digest(
+            np.frombuffer(path.read_bytes(), dtype=np.uint8))
     rep = training.evaluate(model, cfg, n_samples=64, trials=3, seed=2)
     yield f"evaluate re_avg={rep.re_avg!r}", digest(rep.re_avg, rep.re_std,
                                                     np.asarray(rep.per_camera))
