@@ -348,26 +348,51 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out_data, (a, b), backward)
 
 
+def softmax_array(a: np.ndarray, axis=-1) -> np.ndarray:
+    """Numerically-stable softmax of a plain array; rows along `axis` sum to 1."""
+    e = np.exp(a - a.max(axis=axis, keepdims=True))
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
+
+
+def softmax_grad(g: np.ndarray, s: np.ndarray, axis=-1) -> np.ndarray:
+    """Gradient through softmax output `s` for the upstream gradient g."""
+    return s * (g - (g * s).sum(axis=axis, keepdims=True))
+
+
 def softmax(a: Tensor, axis=-1) -> Tensor:
     """Numerically-stable softmax; rows along `axis` sum to 1."""
-    m = a.data.max(axis=axis, keepdims=True)
-    e = np.exp(a.data - m)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = softmax_array(a.data, axis)
 
     def backward(g):
-        a._accum(s * (g - (g * s).sum(axis=axis, keepdims=True)))
+        a._accum(softmax_grad(g, s, axis))
 
     return _node(s, (a,), backward)
 
 
+def normalize(x: np.ndarray):
+    """Last-axis (x - mean) / sqrt(var + LAYER_NORM_EPS), and the
+    1 / sqrt(var + LAYER_NORM_EPS) factor, (..., 1), that it applied."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xc *= inv_std
+    return xc, inv_std
+
+
+def normalize_grad(gx: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.ndarray:
+    """Gradient through normalize for the upstream gradient gx of its output
+    xhat; overwrites gx."""
+    mean_g = gx.mean(axis=-1, keepdims=True)
+    mean_gxhat = (gx * xhat).mean(axis=-1, keepdims=True)
+    gx -= mean_g
+    gx -= xhat * mean_gxhat
+    gx *= inv_std
+    return gx
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Fused last-axis layer normalization: gain * (x - mean) / std + bias."""
-    n = x.data.shape[-1]
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = xc * inv_std
+    xhat, inv_std = normalize(x.data)
 
     def backward(g):
         if gain.requires_grad:
@@ -375,14 +400,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if bias.requires_grad:
             bias._accum(_unbroadcast(g, bias.data.shape))
         if x.requires_grad:
-            gx = g * gain.data
-            x._accum(
-                inv_std
-                * (
-                    gx
-                    - gx.mean(axis=-1, keepdims=True)
-                    - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-                )
-            )
+            x._accum(normalize_grad(g * gain.data, xhat, inv_std))
 
     return _node(gain.data * xhat + bias.data, (x, gain, bias), backward)

@@ -144,8 +144,10 @@ def load_checkpoint(path):
     """Read a checkpoint; returns (model, optimizer_state_or_None, extra dict).
 
     Raises CorruptCheckpoint on magic/hash/structure failures, on a config
-    that does not describe a model matching the stored blobs, and on Adam
-    moments that do not pair up with the model's parameters;
+    that does not describe a model matching the stored blobs, on a blob that
+    is neither a parameter, the reference nor an Adam moment, and on Adam
+    moments that do not pair up with the model's parameters or that a file
+    saved without an optimizer holds;
     UnsupportedVersion on a format version this build cannot read.
     """
     with open(path, "rb") as f:
@@ -191,9 +193,15 @@ def load_checkpoint(path):
             config["radius"],
             seed=config["model_seed"],
         )
+        moments = {k for k in blobs if k.startswith(("adam_m:", "adam_v:"))}
+        unexpected = blobs.keys() - model.params.keys() - {"reference"} - moments
+        if unexpected:
+            raise CorruptCheckpoint(f"blobs the model does not have: {sorted(unexpected)}")
         opt_state = None
         if config.get("has_optimizer"):
             opt_state = _optimizer_state(blobs, model.params, int(config.get("adam_step", 0)))
+        elif moments:
+            raise CorruptCheckpoint("Adam moments in a checkpoint saved without an optimizer")
     except LookupError as e:
         raise CorruptCheckpoint(f"missing config entry or blob: {e}") from e
     except (TypeError, ValueError, ShapeMismatch) as e:

@@ -8,7 +8,9 @@ cameras and regresses the full 21-parameter calibration of every camera:
 2. a fixed per-camera identity code (one-hot plus a small frozen noise) is
    added so attention can tell the cameras apart,
 3. a pre-norm transformer encoder mixes information across the camera axis
-   (no masking: every camera attends to every camera),
+   (no masking: every camera attends to every camera); each block is one
+   tape node, F.encoder_block, whose backward is written out and whose
+   forward keeps only what that backward needs,
 4. five linear heads emit rotation (6D), translation, focal lengths,
    principal point, and distortion; their 18 outputs per camera live in a
    normalized space and go through one affine map, center + scale * raw,
@@ -114,26 +116,34 @@ def _ones(rng, shape):
     return np.ones(shape)
 
 
+def _block_spec(config: PtModelConfig) -> dict:
+    """name -> (shape, initializer) of one encoder block's parameters, in
+    parameter order, which is also the order F.encoder_block takes them."""
+    d, ff = config.d_model, config.d_ff
+    spec = {"ln1_g": ((d,), _ones), "ln1_b": ((d,), _zeros)}
+    for nm in ("q", "k", "v", "o"):
+        spec[f"w{nm}"] = ((d, d), _glorot)
+        spec[f"b{nm}"] = ((d,), _zeros)
+    spec["ln2_g"] = ((d,), _ones)
+    spec["ln2_b"] = ((d,), _zeros)
+    spec["ff1_w"] = ((d, ff), _glorot)
+    spec["ff1_b"] = ((ff,), _zeros)
+    spec["ff2_w"] = ((ff, d), _glorot)
+    spec["ff2_b"] = ((d,), _zeros)
+    return spec
+
+
 def _param_spec(config: PtModelConfig) -> dict:
     """name -> (shape, initializer) of every trainable parameter.
 
     The order is the parameter order: it fixes the sequence of Glorot draws
     from the seed's generator and the blob order of a checkpoint.
     """
-    d, ff, nf = config.d_model, config.d_ff, config.n_fiducials
+    d, nf = config.d_model, config.n_fiducials
     spec = {"embed_w": ((2 * nf, d), _glorot), "embed_b": ((d,), _zeros)}
+    block = _block_spec(config)
     for i in range(config.n_layers):
-        spec[f"layer{i}_ln1_g"] = ((d,), _ones)
-        spec[f"layer{i}_ln1_b"] = ((d,), _zeros)
-        for nm in ("q", "k", "v", "o"):
-            spec[f"layer{i}_w{nm}"] = ((d, d), _glorot)
-            spec[f"layer{i}_b{nm}"] = ((d,), _zeros)
-        spec[f"layer{i}_ln2_g"] = ((d,), _ones)
-        spec[f"layer{i}_ln2_b"] = ((d,), _zeros)
-        spec[f"layer{i}_ff1_w"] = ((d, ff), _glorot)
-        spec[f"layer{i}_ff1_b"] = ((ff,), _zeros)
-        spec[f"layer{i}_ff2_w"] = ((ff, d), _glorot)
-        spec[f"layer{i}_ff2_b"] = ((d,), _zeros)
+        spec.update((f"layer{i}_{nm}", entry) for nm, entry in block.items())
     for nm, width in (("r6", 6), ("t", 3), ("fc", 2), ("pp", 2), ("kc", 5)):
         spec[f"head_{nm}_w"] = ((d, width), _zeros)
         spec[f"head_{nm}_b"] = ((width,), _zeros)
@@ -243,28 +253,8 @@ class PtModel:
         return F.linear(flat, self.params["embed_w"], self.params["embed_b"])
 
     def _block(self, x: Tensor, i: int) -> Tensor:
-        cfg = self.config
-        p = self.params
-        B, N, D = x.data.shape
-        H = cfg.n_heads
-        dh = D // H
-
-        a = F.layer_norm(x, p[f"layer{i}_ln1_g"], p[f"layer{i}_ln1_b"])
-        q = F.linear(a, p[f"layer{i}_wq"], p[f"layer{i}_bq"])
-        k = F.linear(a, p[f"layer{i}_wk"], p[f"layer{i}_bk"])
-        v = F.linear(a, p[f"layer{i}_wv"], p[f"layer{i}_bv"])
-        q = q.reshape((B, N, H, dh)).transpose((0, 2, 1, 3))
-        k = k.reshape((B, N, H, dh)).transpose((0, 2, 1, 3))
-        v = v.reshape((B, N, H, dh)).transpose((0, 2, 1, 3))
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-        attn = ad.softmax(scores, axis=-1)
-        o = (attn @ v).transpose((0, 2, 1, 3)).reshape((B, N, D))
-        x = x + F.linear(o, p[f"layer{i}_wo"], p[f"layer{i}_bo"])
-
-        f = F.layer_norm(x, p[f"layer{i}_ln2_g"], p[f"layer{i}_ln2_b"])
-        f = F.linear(ad.relu(F.linear(f, p[f"layer{i}_ff1_w"], p[f"layer{i}_ff1_b"])),
-                     p[f"layer{i}_ff2_w"], p[f"layer{i}_ff2_b"])
-        return x + f
+        block = [self.params[f"layer{i}_{nm}"] for nm in _block_spec(self.config)]
+        return F.encoder_block(x, block, self.config.n_heads)
 
     def encode(self, x: Tensor) -> Tensor:
         """Run the transformer encoder stack over the camera axis."""

@@ -289,6 +289,12 @@ MALFORMED = {
         optimizer=AdamState(m={"no_such_param": np.zeros(3)}, v={"no_such_param": np.zeros(3)})),
     "adam_m_without_adam_v": dict(optimizer=AdamState(m={"embed_b": np.zeros(16)})),
     "adam_v_without_adam_m": dict(optimizer=AdamState(v={"embed_b": np.zeros(16)})),
+    # Blobs this module never writes for the stored model.
+    "blob_of_a_missing_layer": dict(
+        extra_blob=_blob_header(b"layer9_wq", 16, 16) + bytes(16 * 16 * 8)),
+    "adam_moments_without_has_optimizer": dict(
+        optimizer=AdamState(m={"embed_b": np.zeros(16)}, v={"embed_b": np.zeros(16)}),
+        edit_config=lambda c: {**c, "has_optimizer": False}),
 }
 
 

@@ -196,6 +196,120 @@ def loop_reference_block(x, p, i, n_heads):
     return x + hdn @ p[f"layer{i}_ff2_w"].data + p[f"layer{i}_ff2_b"].data
 
 
+def tape_block(x, p, i, n_heads):
+    """One encoder block composed from tape primitives: the oracle that
+    F.encoder_block's values and gradients must equal bit for bit."""
+    B, N, D = x.data.shape
+    dh = D // n_heads
+
+    def heads(t):
+        return t.reshape((B, N, n_heads, dh)).transpose((0, 2, 1, 3))
+
+    a = ad.layer_norm(x, p[f"layer{i}_ln1_g"], p[f"layer{i}_ln1_b"])
+    q = heads(F.linear(a, p[f"layer{i}_wq"], p[f"layer{i}_bq"]))
+    k = heads(F.linear(a, p[f"layer{i}_wk"], p[f"layer{i}_bk"]))
+    v = heads(F.linear(a, p[f"layer{i}_wv"], p[f"layer{i}_bv"]))
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    attn = ad.softmax(scores, axis=-1)
+    o = (attn @ v).transpose((0, 2, 1, 3)).reshape((B, N, D))
+    x = x + F.linear(o, p[f"layer{i}_wo"], p[f"layer{i}_bo"])
+
+    f = ad.layer_norm(x, p[f"layer{i}_ln2_g"], p[f"layer{i}_ln2_b"])
+    f = F.linear(ad.relu(F.linear(f, p[f"layer{i}_ff1_w"], p[f"layer{i}_ff1_b"])),
+                 p[f"layer{i}_ff2_w"], p[f"layer{i}_ff2_b"])
+    return x + f
+
+
+BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+                "ln2_g", "ln2_b", "ff1_w", "ff1_b", "ff2_w", "ff2_b")
+
+
+def random_block_params(rng, d_model, d_ff):
+    """The 16 tensors of one block with random weights, gains and biases,
+    keyed as layer 0 of a model."""
+    shapes = {"ff1_w": (d_model, d_ff), "ff1_b": (d_ff,), "ff2_w": (d_ff, d_model)}
+    out = {}
+    for nm in BLOCK_PARAMS:
+        shape = shapes.get(nm, (d_model, d_model) if nm.startswith("w") else (d_model,))
+        scale = 1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.2
+        data = rng.normal(size=shape) * scale + (1.0 if nm.endswith("_g") else 0.0)
+        out[f"layer0_{nm}"] = ad.parameter(data)
+    return out
+
+
+def node_block(n_heads):
+    return lambda x, p: F.encoder_block(x, [p[f"layer0_{nm}"] for nm in BLOCK_PARAMS], n_heads)
+
+
+def block_outputs(block, params, x, upstream):
+    """Output, input gradient and the 16 parameter gradients of one block."""
+    x = ad.parameter(x)
+    params = {k: ad.parameter(t.data) for k, t in params.items()}
+    out = block(x, params)
+    out.backward(upstream)
+    return [out.data, x.grad] + [params[f"layer0_{nm}"].grad for nm in BLOCK_PARAMS]
+
+
+class TestEncoderBlock:
+    @pytest.mark.parametrize("n_cameras, d_model, n_heads, d_ff",
+                             [(6, 64, 4, 128), (10, 512, 8, 1024)])
+    def test_bitwise_equal_to_tape(self, n_cameras, d_model, n_heads, d_ff):
+        rng = np.random.default_rng(d_model)
+        params = random_block_params(rng, d_model, d_ff)
+        x = rng.normal(size=(4, n_cameras, d_model))
+        upstream = rng.normal(size=x.shape)
+        got = block_outputs(node_block(n_heads), params, x, upstream)
+        want = block_outputs(lambda x, p: tape_block(x, p, 0, n_heads), params, x, upstream)
+        assert len(got) == 18
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(22)
+        d_model, n_heads, d_ff = 8, 2, 12
+        params = random_block_params(rng, d_model, d_ff)
+        arrays = [params[f"layer0_{nm}"].data for nm in BLOCK_PARAMS]
+        x = rng.normal(size=(2, 3, d_model))
+        w = rng.normal(size=x.shape)
+
+        def loss(x, arrays):
+            out = F.encoder_block(ad.constant(x), [ad.constant(a) for a in arrays], n_heads)
+            return float((out.data * w).sum())
+
+        got = block_outputs(node_block(n_heads), params, x, w)[1:]
+        h = 1e-6
+        for j, base in enumerate([x] + arrays):
+            num = np.zeros_like(base)
+            for idx in np.ndindex(base.shape):
+                hi = [a.copy() for a in [x] + arrays]
+                lo = [a.copy() for a in [x] + arrays]
+                hi[j][idx] += h
+                lo[j][idx] -= h
+                num[idx] = (loss(hi[0], hi[1:]) - loss(lo[0], lo[1:])) / (2 * h)
+            np.testing.assert_allclose(got[j], num, rtol=1e-6, atol=1e-7)
+
+    def test_constant_inputs_make_a_constant_node(self):
+        rng = np.random.default_rng(23)
+        params = [ad.constant(t.data) for t in random_block_params(rng, 8, 12).values()]
+        out = F.encoder_block(ad.constant(rng.normal(size=(2, 3, 8))), params, 2)
+        assert not out.requires_grad and out._backward is None
+
+    def test_single_capture_predict_matches_batched(self):
+        # The recal_online check: a batch-1 predict equals its row of a
+        # batched predict to 1e-9 * (1 + |x|), at the paper's width.
+        m = tiny_model(n_cameras=10, n_fiducials=27, d_model=512, n_layers=4, n_heads=8,
+                       d_ff=1024, seed=2)
+        rng = np.random.default_rng(24)
+        for name, t in m.params.items():
+            if name.startswith("head_"):
+                t.data = 1e-3 * rng.standard_normal(t.data.shape)
+        X = rng.uniform(100, 900, size=(5, 10, 27, 2))
+        batched = m.predict(X)
+        for x, row in zip(X, batched):
+            single = m.predict(x)
+            assert np.all(np.abs(single - row) <= 1e-9 * (1 + np.abs(row)))
+
+
 class TestEncoder:
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(9)

@@ -12,7 +12,8 @@ rejects poses and one that stalls), the records, final weights, Adam moments
 and checkpoint bytes (with the Adam moments, and model-only as a deployed
 model is saved) of a small fixed-seed training run, evaluation figures,
 the reprojection loss and its gradient on a prediction that puts fiducials
-behind cameras, and the reference calibration of every built-in rig.
+behind cameras, the forward and gradients of a paper-width encoder, and the
+reference calibration of every built-in rig.
 """
 
 from __future__ import annotations
@@ -117,6 +118,27 @@ def penalty_lines():
     yield f"loss_reproj behind cameras value={value!r}", digest(value, t.grad)
 
 
+def encoder_lines():
+    # The paper's encoder width with random weights, gains and biases: the
+    # forward of encode and the gradients of every block parameter and of
+    # the input under a fixed upstream gradient.
+    cfg = config("O-10", "cube27", 0.0)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=512, n_heads=8, d_ff=1024)
+    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
+    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=3)
+    rng = np.random.default_rng(4)
+    layers = sorted(k for k in model.params if k.startswith("layer"))
+    for k in layers:
+        t = model.params[k]
+        t.data = rng.normal(size=t.data.shape) * (0.04 if t.data.ndim == 2 else 0.2)
+        if k.endswith(("ln1_g", "ln2_g")):
+            t.data += 1.0
+    x = autodiff.parameter(rng.normal(size=(4, cfg.n_cameras, 512)))
+    out = model.encode(x)
+    out.backward(rng.normal(size=out.data.shape))
+    yield "encoder paper width", digest(out.data, x.grad, *(model.params[k].grad for k in layers))
+
+
 def reference_lines():
     for kind in ("O-10", "O-6", "U-7", "T-4"):
         rig, oem = scene.make_rig(kind)
@@ -124,7 +146,8 @@ def reference_lines():
 
 
 def main() -> None:
-    for lines in (synthesis_lines, training_lines, penalty_lines, reference_lines):
+    for lines in (synthesis_lines, training_lines, penalty_lines, encoder_lines,
+                  reference_lines):
         for label, h in lines():
             print(h, label)
 
