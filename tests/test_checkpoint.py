@@ -1,11 +1,14 @@
 """Checkpoint format: round trips, corruption, version handling."""
 
 import builtins
+import contextlib
 import errno
 import hashlib
 import json
+import os
 import struct
 import tempfile
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -172,23 +175,96 @@ class TestFormat:
         assert len({id(a) for a in arrays}) == len(arrays)
 
 
-class TestCorruption:
-    def test_truncated_file(self, ckpt):
-        m = tiny_model()
-        save_checkpoint(ckpt, m)
-        data = ckpt.read_bytes()
-        ckpt.write_bytes(data[: len(data) // 2])
-        with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(ckpt)
+@contextlib.contextmanager
+def nothing_left_open():
+    """Checks that the block leaves no thread running and no file descriptor
+    open (the descriptors only where /proc/self/fd lists them)."""
 
-    def test_flipped_byte(self, ckpt):
-        m = tiny_model()
-        save_checkpoint(ckpt, m)
-        data = bytearray(ckpt.read_bytes())
-        data[len(data) // 2] ^= 0xFF
+    def fds():
+        return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+    threads, before = threading.active_count(), fds()
+    yield
+    assert threading.active_count() == threads
+    assert fds() == before
+
+
+def _field_offsets(data: bytes) -> dict:
+    """Offset of each header field of a checkpoint, found by walking the
+    module docstring's layout; the blob fields are the first blob's."""
+    (n,) = struct.unpack_from("<Q", data, 8)
+    count = 16 + n
+    (name_len,) = struct.unpack_from("<H", data, count + 4)
+    ndim = count + 4 + 2 + name_len
+    dims = data[ndim]
+    return {"magic": 0, "version": 4, "version high byte": 7, "config length": 8,
+            "config length high byte": 15, "blob count": count, "blob count high byte": count + 3,
+            "name length": count + 4, "name length high byte": count + 5, "ndim": ndim,
+            "dim": ndim + 1, "dim high byte": ndim + 8, "blob data": ndim + 1 + 8 * dims,
+            "digest": len(data) - 32, "digest last byte": len(data) - 1}
+
+
+def each_load_path(monkeypatch):
+    """Yields once for each way load_checkpoint checks a file's hash: on the
+    calling thread, as for a small file, then on a second thread while the
+    calling thread reads, as for a large one."""
+    for min_bytes in (checkpoint._THREAD_MIN_BYTES, 0):
+        monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", min_bytes)
+        yield
+
+
+def _small_checkpoint(path) -> bytes:
+    save_checkpoint(path, randomize(tiny_model(1, 1, 1, 1, 1, 1)))
+    return path.read_bytes()
+
+
+class TestCorruption:
+    # A damaged file may parse as anything, including an unsupported
+    # version; the hash mismatch is what must be reported.
+    @pytest.mark.parametrize("field", ["magic", "version", "version high byte", "config length",
+                                       "config length high byte", "blob count",
+                                       "blob count high byte", "name length",
+                                       "name length high byte", "ndim", "dim", "dim high byte",
+                                       "blob data", "digest", "digest last byte"])
+    def test_flipped_field_reports_hash(self, ckpt, field, monkeypatch):
+        data = bytearray(_small_checkpoint(ckpt))
+        data[_field_offsets(data)[field]] ^= 0xFF
         ckpt.write_bytes(bytes(data))
-        with pytest.raises(CorruptCheckpoint):
-            load_checkpoint(ckpt)
+        for _ in each_load_path(monkeypatch):
+            with nothing_left_open(), pytest.raises(CorruptCheckpoint, match="hash"):
+                load_checkpoint(ckpt)
+
+    def test_truncated_file(self, ckpt, monkeypatch):
+        # Cut at every length: only a file too short to hold a header and a
+        # digest may be reported as something other than a hash mismatch.
+        data = _small_checkpoint(ckpt)
+        for _ in each_load_path(monkeypatch):
+            with nothing_left_open():
+                for n in range(len(data)):
+                    ckpt.write_bytes(data[:n])
+                    with pytest.raises(CorruptCheckpoint,
+                                       match="too short" if n < 40 else "hash"):
+                        load_checkpoint(ckpt)
+
+    def test_flipped_byte(self, ckpt, monkeypatch):
+        data = _small_checkpoint(ckpt)
+        for _ in each_load_path(monkeypatch):
+            with nothing_left_open():
+                for i in range(len(data)):
+                    flipped = bytearray(data)
+                    flipped[i] ^= 0xFF
+                    ckpt.write_bytes(bytes(flipped))
+                    with pytest.raises(CorruptCheckpoint, match="hash"):
+                        load_checkpoint(ckpt)
+
+    def test_load_leaves_nothing_open(self, ckpt, monkeypatch):
+        m = randomize(tiny_model())
+        save_checkpoint(ckpt, m)
+        for _ in each_load_path(monkeypatch):
+            with nothing_left_open():
+                loaded, _, _ = load_checkpoint(ckpt)
+            for k, a in m.state_arrays().items():
+                assert loaded.state_arrays()[k].tobytes() == a.tobytes()
 
     def test_bad_magic(self, ckpt):
         body = b"XXXX" + struct.pack("<I", FORMAT_VERSION)
@@ -280,6 +356,11 @@ MALFORMED = {
     "bad_adam_step": dict(edit_config=lambda c: {**c, "has_optimizer": True, "adam_step": "x"}),
     "blob_size_overflows": dict(blob_bytes=(_blob_header(b"reference", 3, 21),
                                             _blob_header(b"reference", 2**40, 2**30))),
+    # 96 GiB, refused before it is allocated.
+    "blob_larger_than_file": dict(blob_bytes=(_blob_header(b"reference", 3, 21),
+                                              _blob_header(b"reference", 3, 2**32))),
+    # No bytes, but a shape numpy cannot allocate.
+    "empty_blob_with_huge_dim": dict(extra_blob=_blob_header(b"embed_c", 0, 2**63)),
     "duplicate_blob_name": dict(extra_blob=_blob_header(b"embed_b", 16) + bytes(16 * 8)),
     # Saved with these Adam moments; each would make a resumed train() fail
     # inside adam_step.
@@ -299,12 +380,13 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_malformed_checkpoint_is_corrupt(ckpt, case):
+def test_malformed_checkpoint_is_corrupt(ckpt, case, monkeypatch):
     edits = dict(MALFORMED[case])
     save_checkpoint(ckpt, tiny_model(d_model=16), optimizer_state=edits.pop("optimizer", None))
     _resign(ckpt, **edits)
-    with pytest.raises(CorruptCheckpoint):
-        load_checkpoint(ckpt)
+    for _ in each_load_path(monkeypatch):
+        with nothing_left_open(), pytest.raises(CorruptCheckpoint):
+            load_checkpoint(ckpt)
 
 
 class _HalfWriter:

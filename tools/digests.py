@@ -8,12 +8,12 @@ Two checkouts whose outputs are bitwise equal print identical lines, so a
 refactor is checked by running this at both commits and comparing the text.
 
 Covered: synthesis bytes and attempt counts (including a configuration that
-rejects poses and one that stalls), the records, final weights, Adam moments
-and checkpoint bytes (with the Adam moments, and model-only as a deployed
-model is saved) of a small fixed-seed training run, evaluation figures,
-the reprojection loss and its gradient on a prediction that puts fiducials
-behind cameras, the forward and gradients of a paper-width encoder, and the
-reference calibration of every built-in rig.
+rejects poses and one that stalls), the records, final weights, Adam moments,
+checkpoint bytes and what loading them returns (with the Adam moments, and
+model-only as a deployed model is saved) of a small fixed-seed training run,
+evaluation figures, the reprojection loss and its gradient on a prediction
+that puts fiducials behind cameras, the forward and gradients of a
+paper-width encoder, and the reference calibration of every built-in rig.
 """
 
 from __future__ import annotations
@@ -44,6 +44,15 @@ def digest(*parts) -> str:
 
 def arrays_digest(arrays: dict) -> str:
     return digest(*(x for k in sorted(arrays) for x in (k, np.ascontiguousarray(arrays[k]))))
+
+
+def loaded_digest(path) -> str:
+    """What load_checkpoint returns: the model's state arrays, the Adam
+    moments and step, and the extra dict."""
+    model, opt, extra = checkpoint.load_checkpoint(path)
+    parts = ["no optimizer"] if opt is None else [arrays_digest(opt.m), arrays_digest(opt.v),
+                                                  opt.step]
+    return digest(arrays_digest(model.state_arrays()), *parts, json.dumps(extra, sort_keys=True))
 
 
 def config(rig: str, obj: str, kappa: float, **kw) -> SceneConfig:
@@ -90,9 +99,11 @@ def training_lines():
         path = Path(d) / "model.ckpt"
         checkpoint.save_checkpoint(path, model, result.optimizer)
         yield "checkpoint bytes", digest(np.frombuffer(path.read_bytes(), dtype=np.uint8))
+        yield "checkpoint load", loaded_digest(path)
         checkpoint.save_checkpoint(path, model)
         yield "checkpoint bytes model-only", digest(
             np.frombuffer(path.read_bytes(), dtype=np.uint8))
+        yield "checkpoint load model-only", loaded_digest(path)
     rep = training.evaluate(model, cfg, n_samples=64, trials=3, seed=2)
     yield f"evaluate re_avg={rep.re_avg!r}", digest(rep.re_avg, rep.re_std,
                                                     np.asarray(rep.per_camera))
