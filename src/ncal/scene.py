@@ -30,8 +30,10 @@ pose kernels take leading batch axes: pose angles ``(...)`` give rotations
 
 Sampling is deterministic: sample ``i`` of a batch generated with seed ``s``
 draws from its own PCG64 stream seeded by ``(s, i)``, so a sample does not
-depend on the size of the batch it is drawn in. Each attempt round then
-places, projects and checks all samples still without a visible pose at once.
+depend on the size of the batch it is drawn in. The draws are per sample, the
+arithmetic is stacked: the perturbation kernels take the batch's generators
+and compute once over ``(n, N_C, ...)``, and each attempt round places,
+projects and checks all samples still without a visible pose at once.
 """
 
 from __future__ import annotations
@@ -298,13 +300,15 @@ def reference_params(rig: RigSpec, oem: OEMCalibration, radius: float = DEFAULT_
     return place_rig(rig.mount_R, rig.mount_t, oem.intrinsics, 0.0, 0.0, 0.0, radius)
 
 
-def perturb_intrinsics(intr, kappa, rng):
-    """Multiplicative perturbation of each intrinsic scalar by U(-kappa, kappa).
+def perturb_intrinsics(intr, kappa, rngs):
+    """Multiplicative perturbation of each intrinsic scalar by U(-kappa, kappa),
+    one (N_C, 9) draw per generator: intrinsics (N_C, 9) give (len(rngs), N_C, 9).
 
     Distortion coefficients that are exactly zero are instead shifted by
     delta * ZERO_DISTORTION_SCALE so the perturbation is not a no-op.
     """
-    delta = rng.uniform(-kappa, kappa, size=intr.shape)
+    shape = (len(rngs),) + intr.shape
+    delta = np.reshape([rng.uniform(-kappa, kappa, size=intr.shape) for rng in rngs], shape)
     out = intr * (1.0 + delta)
     if np.any(intr[..., 4:9] == 0.0):
         zero_dist = np.zeros(intr.shape, dtype=bool)
@@ -317,29 +321,33 @@ _EYE3 = np.eye(3)
 
 
 def _axis_angle_batch(axes, angles):
-    """Rodrigues formula for unit axes (N, 3) and angles (N,)."""
-    n = axes.shape[0]
-    K = np.zeros((n, 3, 3))
-    x, y, z = axes[:, 0], axes[:, 1], axes[:, 2]
-    K[:, 0, 1] = -z
-    K[:, 0, 2] = y
-    K[:, 1, 0] = z
-    K[:, 1, 2] = -x
-    K[:, 2, 0] = -y
-    K[:, 2, 1] = x
-    s = np.sin(angles)[:, None, None]
-    c = (1.0 - np.cos(angles))[:, None, None]
+    """Rodrigues formula for unit axes (..., 3) and angles (...)."""
+    K = np.zeros(axes.shape + (3,))
+    x, y, z = axes[..., 0], axes[..., 1], axes[..., 2]
+    K[..., 0, 1] = -z
+    K[..., 0, 2] = y
+    K[..., 1, 0] = z
+    K[..., 1, 2] = -x
+    K[..., 2, 0] = -y
+    K[..., 2, 1] = x
+    s = np.sin(angles)[..., None, None]
+    c = (1.0 - np.cos(angles))[..., None, None]
     return _EYE3 + s * K + c * (K @ K)
 
 
-def perturb_mounts(mount_R, mount_t, kappa, rng):
-    """Perturb mount transforms: translation multiplicatively per component,
-    rotation by composing a random axis-angle of at most kappa * 10 degrees."""
+def perturb_mounts(mount_R, mount_t, kappa, rngs):
+    """Perturb mount transforms once per generator: translation multiplicatively
+    per component, rotation by composing a random axis-angle of at most
+    kappa * 10 degrees. Mounts (N_C, 3, 3) / (N_C, 3) give (len(rngs), N_C, ...)."""
     n = mount_R.shape[0]
-    delta_t = rng.uniform(-kappa, kappa, size=(n, 3))
-    axes = rng.normal(size=(n, 3))
-    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
-    u = rng.uniform(-1.0, 1.0, size=n)
+    delta_t = np.empty((len(rngs), n, 3))
+    axes = np.empty((len(rngs), n, 3))
+    u = np.empty((len(rngs), n))
+    for i, rng in enumerate(rngs):
+        delta_t[i] = rng.uniform(-kappa, kappa, size=(n, 3))
+        axes[i] = rng.normal(size=(n, 3))
+        u[i] = rng.uniform(-1.0, 1.0, size=n)
+    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
     t = mount_t * (1.0 + delta_t)
     R = mount_R @ _axis_angle_batch(axes, u * kappa * EXT_ROT_MAX_ANGLE)
     return R, t
@@ -348,20 +356,19 @@ def perturb_mounts(mount_R, mount_t, kappa, rng):
 def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     """Generate exactly n visible samples: gt (n, N_C, 21), obs (n, N_C, N_fid, 2).
 
-    Sample i draws its perturbations, then one pose per attempt round, from
-    the stream seeded by (seed, i), so the first k samples of a batch of
-    n > k equal a batch of k. Each round places, projects and checks all
-    pending samples in one call. Raises SynthesisStalled, naming the lowest
-    sample with no visible pose in MAX_ATTEMPTS_PER_SAMPLE draws.
+    Sample i draws from the stream seeded by (seed, i), in this order: its
+    intrinsic perturbation, its mount perturbation, then theta, phi, alpha
+    per attempt round, so the first k samples of a batch of n > k equal a
+    batch of k. The perturbation arithmetic runs once on the stacked draws,
+    and each round places, projects and checks all pending samples in one
+    call. Raises SynthesisStalled, naming the lowest sample with no visible
+    pose in MAX_ATTEMPTS_PER_SAMPLE draws.
     """
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
     pert, ranges = cfg.perturbation, cfg.pose_ranges
-    intr = np.empty((n, cfg.n_cameras, 9))
-    mR = np.empty((n, cfg.n_cameras, 3, 3))
-    mt = np.empty((n, cfg.n_cameras, 3))
-    for i, rng in enumerate(rngs):
-        intr[i] = perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, rng)
-        mR[i], mt[i] = perturb_mounts(cfg.rig.mount_R, cfg.rig.mount_t, pert.kappa_ext, rng)
+    intr = perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, rngs)
+    mR, mt = perturb_mounts(cfg.rig.mount_R, cfg.rig.mount_t, pert.kappa_ext, rngs)
+    pose_lo, pose_hi = np.transpose([ranges.theta, ranges.phi, ranges.alpha])
 
     gt = np.empty((n, cfg.n_cameras, N_PARAMS))
     obs = np.empty((n, cfg.n_cameras, cfg.n_fiducials, 2))
@@ -371,10 +378,10 @@ def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     for _ in range(MAX_ATTEMPTS_PER_SAMPLE):
         if pending.size == 0:
             break
-        theta, phi, alpha = np.array(
-            [[rngs[i].uniform(*r) for r in (ranges.theta, ranges.phi, ranges.alpha)]
-             for i in pending]
-        ).T
+        # Bitwise equal to Generator.uniform(lo, hi) per angle, which
+        # computes lo + (hi - lo) * next_double.
+        u = np.array([rngs[i].random(3) for i in pending])
+        theta, phi, alpha = (pose_lo + (pose_hi - pose_lo) * u).T
         attempts += pending.size
         params = place_rig(mR[pending], mt[pending], intr[pending], theta, phi, alpha, cfg.radius)
         pixels, valid = geometry.project_array(params, cfg.obj.fiducials)

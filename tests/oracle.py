@@ -4,8 +4,10 @@ A scalar camera (``Intrinsics``, ``Extrinsics``, ``CameraParams``) with its
 own projection, distortion and rotation helpers, written without the batched
 kernels they are used to check: ``geometry.project_array``,
 ``geometry.project_jacobian_array`` and ``ncal.nn.functional``, and a
-per-eye look-at rotation for the batched ``scene.look_at_rotation``. Only
-constants, ``is_proper_rotation`` and error classes come from the package.
+per-eye look-at rotation for the batched ``scene.look_at_rotation``, and a
+one-sample, one-camera-at-a-time rig perturbation for the stacked
+``scene.perturb_intrinsics`` and ``scene.perturb_mounts``. Only constants,
+``is_proper_rotation`` and error classes come from the package.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from ncal.geometry import (
     Z_MIN,
     is_proper_rotation,
 )
+from ncal.scene import EXT_ROT_MAX_ANGLE, ZERO_DISTORTION_SCALE
 
 
 class BehindCamera(NcalError):
@@ -196,3 +199,24 @@ def look_at(eye, target) -> np.ndarray:
     x = _cross(up, f)
     x = x / np.sqrt(x @ x)
     return np.stack([x, _cross(f, x), f], axis=1)
+
+
+def perturb_rig(intr, mount_R, mount_t, kappa_int, kappa_ext, rng):
+    """One sample's perturbed intrinsics (N_C, 9), mount rotations and mount
+    translations, drawn from rng in synthesis order: the intrinsic deltas,
+    the translation deltas, the rotation axes, then the rotation angles."""
+    n = intr.shape[0]
+    delta = rng.uniform(-kappa_int, kappa_int, size=intr.shape)
+    zero = np.zeros(intr.shape, dtype=bool)
+    zero[:, 4:] = intr[:, 4:] == 0.0  # k1, k2, k3, p1, p2
+    out = np.where(zero, delta * ZERO_DISTORTION_SCALE, intr * (1.0 + delta))
+    delta_t = rng.uniform(-kappa_ext, kappa_ext, size=(n, 3))
+    axes = rng.normal(size=(n, 3))
+    angles = rng.uniform(-1.0, 1.0, size=n) * kappa_ext * EXT_ROT_MAX_ANGLE
+    R = np.empty((n, 3, 3))
+    for j in range(n):
+        x, y, z = axes[j] / np.sqrt(np.sum(axes[j] * axes[j]))
+        K = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+        s, c = np.sin(angles[j]), 1.0 - np.cos(angles[j])
+        R[j] = mount_R[j] @ (np.eye(3) + s * K + c * (K @ K))
+    return out, R, mount_t * (1.0 + delta_t)

@@ -163,10 +163,8 @@ _poses = st.tuples(_floats(0.0, TWO_PI), _floats(0.0, HALF_PI), _floats(0.0, TWO
 def test_place_rig_stack_equals_single_calls(poses, seed, kappa, rho):
     rng = np.random.default_rng(seed)
     k = len(poses)
-    intr = np.stack([perturb_intrinsics(_O6_OEM.intrinsics, kappa, rng) for _ in range(k)])
-    mounts = [perturb_mounts(_O6_RIG.mount_R, _O6_RIG.mount_t, kappa, rng) for _ in range(k)]
-    mR = np.stack([R for R, _ in mounts])
-    mt = np.stack([t for _, t in mounts])
+    intr = perturb_intrinsics(_O6_OEM.intrinsics, kappa, [rng] * k)
+    mR, mt = perturb_mounts(_O6_RIG.mount_R, _O6_RIG.mount_t, kappa, [rng] * k)
     theta, phi, alpha = np.array(poses).T
     stacked = place_rig(mR, mt, intr, theta, phi, alpha, rho)
     assert stacked.shape == (k, _O6_RIG.n_cameras, 21)

@@ -24,7 +24,7 @@ from ncal.scene import (
     roll_rotation,
     synthesize_batch,
 )
-from oracle import CameraParams, geodesic_distance
+from oracle import CameraParams, geodesic_distance, perturb_rig
 
 
 @pytest.fixture
@@ -170,8 +170,8 @@ class TestPerturb:
 
     def test_zero_kappa_identity(self):
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(perturb_intrinsics(self.INTR, 0.0, rng), self.INTR)
-        R, t = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, rng)
+        np.testing.assert_array_equal(perturb_intrinsics(self.INTR, 0.0, [rng])[0], self.INTR)
+        R, t = (a[0] for a in perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, [rng]))
         np.testing.assert_array_equal(R, self.MOUNT_R)
         np.testing.assert_array_equal(t, self.MOUNT_T)
 
@@ -179,7 +179,7 @@ class TestPerturb:
         # The same delta draw from a twin generator: nonzero entries are
         # scaled by (1 + delta), zero distortion slots become delta * scale.
         intr = np.array([[1000.0, 1100.0, 512.0, 500.0, 0.01, 0.0, -0.02, 0.0, 0.01]] * 3)
-        out = perturb_intrinsics(intr, 0.1, np.random.default_rng(5))
+        out = perturb_intrinsics(intr, 0.1, [np.random.default_rng(5)])[0]
         delta = np.random.default_rng(5).uniform(-0.1, 0.1, size=intr.shape)
         zero = intr == 0.0
         np.testing.assert_array_equal(out[~zero], (intr * (1.0 + delta))[~zero])
@@ -190,10 +190,10 @@ class TestPerturb:
         kappa = 0.1
         ratios = []
         for _ in range(2000):
-            out = perturb_intrinsics(self.INTR, kappa, rng)
+            out = perturb_intrinsics(self.INTR, kappa, [rng])[0]
             ratios.append(out / self.INTR - 1.0)
             # extrinsics untouched when kappa_ext = 0
-            R, t = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, rng)
+            R, t = (a[0] for a in perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, [rng]))
             np.testing.assert_array_equal(R, self.MOUNT_R)
             np.testing.assert_array_equal(t, self.MOUNT_T)
         ratios = np.concatenate(ratios)
@@ -203,15 +203,14 @@ class TestPerturb:
         # The perturbation spans the whole [-kappa, kappa] range.
         rng = np.random.default_rng(11)
         kappa = 0.1
-        ratios = np.stack([perturb_intrinsics(self.INTR, kappa, rng) / self.INTR - 1.0
+        ratios = np.stack([perturb_intrinsics(self.INTR, kappa, [rng])[0] / self.INTR - 1.0
                            for _ in range(2000)])
         assert 0.95 * kappa <= np.abs(ratios).max() <= kappa
 
     def test_extrinsic_perturbation_keeps_rotation_valid(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            R, _ = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.1, rng)
-            R = R[0]
+            R = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.1, [rng])[0][0, 0]
             assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
             # rotation deviation bounded by kappa_ext * 10 degrees
             angle = geodesic_distance(self.MOUNT_R[0], R)
@@ -220,10 +219,36 @@ class TestPerturb:
     def test_zero_distortion_perturbs_additively(self):
         intr = np.array([[1000.0, 1000.0, 512.0, 512.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         rng = np.random.default_rng(17)
-        dist = perturb_intrinsics(intr, 0.1, rng)[0, 4:9]
+        dist = perturb_intrinsics(intr, 0.1, [rng])[0, 0, 4:9]
         assert np.any(dist != 0.0)
         assert np.abs(dist).max() <= 0.1 * scene.ZERO_DISTORTION_SCALE
 
+    @pytest.mark.parametrize("kappa", [0.0, 0.15])
+    @pytest.mark.parametrize("distortion", [0.01, 0.0])
+    def test_stacked_equals_one_generator_per_call(self, kappa, distortion):
+        # n generators in one call give bitwise the n single-generator calls
+        # and the one-camera-at-a-time oracle, also where zero distortion
+        # takes the ZERO_DISTORTION_SCALE branch.
+        rig, oem = make_rig("O-6")
+        intr = oem.intrinsics.copy()
+        intr[:, 4:9] = distortion
+
+        def rngs():
+            return [np.random.default_rng([3, i]) for i in range(5)]
+
+        stacked_rngs = rngs()
+        intr_n = perturb_intrinsics(intr, kappa, stacked_rngs)
+        R_n, t_n = perturb_mounts(rig.mount_R, rig.mount_t, kappa, stacked_rngs)
+        assert intr_n.shape == (5, 6, 9) and R_n.shape == (5, 6, 3, 3) and t_n.shape == (5, 6, 3)
+        for i, (rng, twin) in enumerate(zip(rngs(), rngs())):
+            assert intr_n[i].tobytes() == perturb_intrinsics(intr, kappa, [rng])[0].tobytes()
+            R, t = perturb_mounts(rig.mount_R, rig.mount_t, kappa, [rng])
+            assert R_n[i].tobytes() == R[0].tobytes()
+            assert t_n[i].tobytes() == t[0].tobytes()
+            ref = perturb_rig(intr, rig.mount_R, rig.mount_t, kappa, kappa, twin)
+            assert [a.tobytes() for a in ref] == [x[i].tobytes() for x in (intr_n, R_n, t_n)]
+        if kappa and not distortion:
+            assert np.all(intr_n[..., 4:9] != 0.0)
 
 class TestObjects:
     def test_cube8_corners(self):
@@ -417,6 +442,52 @@ class TestSynthesis:
         batch = synthesize_batch(cfg, 128, seed=21)
         ratios = batch.gt_params[:, :, 12:21] / oem.intrinsics[None, :, :] - 1.0
         assert np.abs(ratios).max() <= kappa
+
+    @pytest.mark.parametrize("ranges", [
+        PoseRanges(), PoseRanges(theta=(0.5, 5.0), phi=(0.2, 1.3), alpha=(1.0, 4.0))])
+    def test_each_sample_rebuilt_from_its_own_stream(self, ranges):
+        # Sample i draws from default_rng(SeedSequence([seed, i])): its
+        # intrinsic perturbation, its mount perturbation, then theta, phi and
+        # alpha per attempt until the pose is visible. At radius 0.7 some
+        # poses are rejected, so the attempt rounds are exercised.
+        rig, oem = make_rig("O-6")
+        cfg = SceneConfig(rig, oem, make_object("cube8"), radius=0.7,
+                          perturbation=PerturbationSpec(0.2, 0.2), pose_ranges=ranges)
+        n, seed = 48, 7
+        batch = synthesize_batch(cfg, n, seed)
+        margin = scene.VISIBILITY_MARGIN
+        hi = np.subtract(rig.image_size, margin)
+        attempts = 0
+        for i in range(n):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+            intr, mR, mt = perturb_rig(oem.intrinsics, rig.mount_R, rig.mount_t, 0.2, 0.2, rng)
+            for _ in range(scene.MAX_ATTEMPTS_PER_SAMPLE):
+                attempts += 1
+                pose = [rng.uniform(*r) for r in (ranges.theta, ranges.phi, ranges.alpha)]
+                params = place_rig(mR, mt, intr, *pose, cfg.radius)
+                pixels, valid = geometry.project_array(params, cfg.obj.fiducials)
+                if valid.all() and (pixels >= margin).all() and (pixels <= hi).all():
+                    break
+            assert batch.gt_params[i].tobytes() == params.tobytes()
+            assert batch.observations[i].tobytes() == pixels.tobytes()
+        assert attempts > n
+        assert batch.attempts == attempts
+
+    @pytest.mark.parametrize("ranges", [
+        PoseRanges(),
+        PoseRanges(theta=(0.3, 2.0), phi=(0.1, 1.2), alpha=(1.0, 6.0)),
+        PoseRanges(theta=(0.0, 0.0), phi=(0.0, 0.0), alpha=(0.0, 0.0)),
+        PoseRanges(theta=(1.5, 1.5), phi=(0.7, 0.7), alpha=(2.0, 2.0)),
+    ])
+    def test_pose_draw_mapping_equals_uniform(self, ranges):
+        # Synthesis maps one random(3) draw to lo + (hi - lo) * u, which must
+        # equal three Generator.uniform(lo, hi) calls bitwise.
+        bounds = (ranges.theta, ranges.phi, ranges.alpha)
+        lo, hi = np.transpose(bounds)
+        for seed in range(500):
+            mapped = lo + (hi - lo) * np.random.default_rng(seed).random(3)
+            rng = np.random.default_rng(seed)
+            assert mapped.tobytes() == np.array([rng.uniform(*b) for b in bounds]).tobytes()
 
     def test_stall_on_infeasible_radius(self):
         rig, oem = make_rig("O-6")

@@ -8,7 +8,8 @@ Two checkouts whose outputs are bitwise equal print identical lines, so a
 refactor is checked by running this at both commits and comparing the text.
 
 Covered: synthesis bytes and attempt counts (including a configuration that
-rejects poses and one that stalls), the records, final weights, Adam moments,
+rejects poses, one that stalls, and factory intrinsics with zero distortion,
+which are perturbed additively), the records, final weights, Adam moments,
 checkpoint bytes and what loading them returns (with the Adam moments, and
 model-only as a deployed model is saved) of a small fixed-seed training run,
 evaluation figures, the reprojection loss and its gradient on a prediction
@@ -22,6 +23,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -62,10 +64,15 @@ def config(rig: str, obj: str, kappa: float, **kw) -> SceneConfig:
 
 
 def synthesis_lines():
+    # No built-in rig has a zero distortion coefficient, so this OEM is the
+    # only case that perturbs by delta * ZERO_DISTORTION_SCALE.
+    o6 = config("O-6", "cube8", 0.05)
+    pinhole = scene.OEMCalibration(np.where(np.arange(9) < 4, o6.oem.intrinsics, 0.0))
     cases = [
         ("O-10/cube27 kappa 0", config("O-10", "cube27", 0.0), 512, 3),
         ("O-10/cube27 kappa 0.05", config("O-10", "cube27", 0.05), 512, 3),
         ("O-6/cube8 radius 0.7 kappa 0.2", config("O-6", "cube8", 0.2, radius=0.7), 48, 7),
+        ("O-6/cube8 zero distortion kappa 0.05", replace(o6, oem=pinhole), 64, 5),
     ]
     for name, cfg, n, seed in cases:
         b = scene.synthesize_batch(cfg, n, seed)
