@@ -16,7 +16,7 @@ Conventions
 - The 6D rotation representation is the two leading columns of R, stacked
   column-first: ``r6 = (R[:,0], R[:,1])``. Gram-Schmidt maps any
   non-degenerate 6D vector back to an orthonormal, right-handed matrix
-  (``nn.functional.rot6d_to_matrix_t``).
+  (``nn.functional.rot6d_to_matrix_t``, inside the network's heads node).
 
 The projection kernels take cameras as ``(..., 21)`` arrays with any leading
 batch axes. All functions are pure, and everything is float64.

@@ -8,15 +8,17 @@ Three terms drive the network toward the ground-truth calibration:
 - a geodesic rotation loss (mean rotation angle between predicted and
   ground-truth matrices),
 - a reprojection RMSE between fiducial projections under the predicted
-  parameters and the observed pixels: one tape node whose backward pass
-  contracts the upstream gradient with the analytic projection Jacobian.
-  Its squared errors, behind-camera penalty included, come from
-  ``_squared_errors``, which the evaluation metric ``reprojection_rmse``
-  shares.
+  parameters and the observed pixels, whose backward contracts the upstream
+  gradient with the analytic projection Jacobian. Its squared errors,
+  behind-camera penalty included, come from ``_squared_errors``, which the
+  evaluation metric ``reprojection_rmse`` shares.
 
-The compound loss is ``LAM1 * (diff + geo)`` in phase 1 and additionally
-``+ LAM2 * reproj`` in phase 2. All RMSEs pool over every element of the
-batch (a single square root of the grand mean).
+Each term is one node on the prediction with a written-out backward, and the
+compound loss, ``LAM1 * (diff + geo)`` in phase 1 and additionally
+``+ LAM2 * reproj`` in phase 2, is one node over the terms. All RMSEs pool
+over every element of the batch (a single square root of the grand mean).
+Every square root and the arccos take the zero subgradient where their
+derivative is infinite (``nn.autodiff.subgradient``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from . import geometry
 from .nn import autodiff as ad
-from .nn import functional as F
 from .nn.autodiff import Tensor
 
 # Weights of the compound loss: LAM1 on the parameter and geodesic terms,
@@ -64,20 +65,44 @@ def _squared_errors(pixels, valid, observations, image_size):
 def loss_diff(pred: Tensor, gt_params: np.ndarray) -> Tensor:
     """RMSE over all PARAM_SCALE-scaled parameter entries, pooled over the
     whole batch."""
-    d = (pred - ad.constant(gt_params)) * ad.constant(PARAM_SCALE)
-    return (d * d).mean() ** 0.5
+    d = (pred.data - gt_params) * PARAM_SCALE
+    n = d.size
+    ms = np.asarray((d * d).sum() * (1.0 / n))
+
+    def backward(g):
+        gd = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * d
+        pred._accum((gd + gd) * PARAM_SCALE)
+
+    return ad.node(ms**0.5, (pred,), backward)
 
 
 def loss_geo(pred: Tensor, gt_params: np.ndarray) -> Tensor:
-    """Mean geodesic angle between predicted and ground-truth rotations."""
+    """Mean geodesic angle between predicted and ground-truth rotations,
+    arccos((trace(R^T R_gt) - 1) / 2) with the argument clamped to [-1, 1].
+
+    Wherever the argument is at or past the clamp the gradient is zero, the
+    true derivative of the clamped function, so coincident rotations
+    contribute no gradient.
+    """
     gt_rot = np.asarray(gt_params, dtype=float)[..., geometry.ROT_SLICE]
-    angles = F.geodesic_angles_t(pred[..., geometry.ROT_SLICE], gt_rot)
-    return angles.mean()
+    c = ((pred.data[..., geometry.ROT_SLICE] * gt_rot).sum(axis=-1) - 1.0) * 0.5
+    cc = np.clip(c, -1.0, 1.0)
+    angles = np.arccos(cc)
+    n = angles.size
+
+    def backward(g):
+        dc = ad.subgradient(lambda: -1.0 / np.sqrt(1.0 - cc * cc), np.abs(c) >= 1.0)
+        gc = g * (1.0 / n) * dc * 0.5
+        gp = np.zeros(pred.data.shape)
+        gp[..., geometry.ROT_SLICE] += gc[..., None] * gt_rot
+        pred._accum(gp)
+
+    return ad.node(np.asarray(angles.sum() * (1.0 / n)), (pred,), backward)
 
 
 def loss_reproj(pred: Tensor, observations: np.ndarray, fiducials, image_size) -> Tensor:
     """Pixel RMSE between projections under predicted parameters and the
-    observed (ground-truth) projections, as one tape node.
+    observed (ground-truth) projections.
 
     Points behind a predicted camera contribute the fixed penalty of
     ``_squared_errors`` with zero gradient.
@@ -94,7 +119,7 @@ def loss_reproj(pred: Tensor, observations: np.ndarray, fiducials, image_size) -
         gp = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * diff
         pred._accum(np.einsum("...fc,...fcp->...p", gp + gp, jac))
 
-    return Tensor(ms**0.5, pred.requires_grad, (pred,), backward if pred.requires_grad else None)
+    return ad.node(ms**0.5, (pred,), backward)
 
 
 def compound_loss(
@@ -105,21 +130,28 @@ def compound_loss(
     image_size,
     phase: int,
 ):
-    """Phase-dependent weighted sum; returns (total, parts dict).
+    """Phase-dependent weighted sum as one node; returns (total, parts dict).
 
     Phase 1: LAM1 * (diff + geo). Phase 2 adds LAM2 * reproj.
     """
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    ldiff = loss_diff(pred, gt_params)
-    lgeo = loss_geo(pred, gt_params)
-    total = LAM1 * ldiff + LAM1 * lgeo
-    parts = {"loss_diff": float(ldiff.data), "loss_geo": float(lgeo.data), "loss_reproj": None}
+    terms = (loss_diff(pred, gt_params), loss_geo(pred, gt_params))
+    weights = (LAM1, LAM1)
+    total = LAM1 * terms[0].data + LAM1 * terms[1].data
+    parts = {"loss_diff": float(terms[0].data), "loss_geo": float(terms[1].data),
+             "loss_reproj": None}
     if phase == 2:
         lrep = loss_reproj(pred, observations, fiducials, image_size)
-        total = total + LAM2 * lrep
+        terms, weights = terms + (lrep,), weights + (LAM2,)
+        total = total + LAM2 * lrep.data
         parts["loss_reproj"] = float(lrep.data)
-    return total, parts
+
+    def backward(g):
+        for t, w in zip(terms, weights):
+            t._accum(g * w)
+
+    return ad.node(total, terms, backward), parts
 
 
 def reprojection_rmse(pred_params: np.ndarray, observations: np.ndarray, fiducials, image_size):

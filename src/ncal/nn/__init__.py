@@ -1,6 +1,7 @@
-"""Dense-tensor reverse-mode autodiff and the point-based calibration network."""
+"""The point-based calibration network: parameters and nodes with
+written-out gradients, the model, its optimizer and checkpoints."""
 
-from .autodiff import Tensor, concat, constant, parameter
+from .autodiff import Tensor, constant, parameter
 from .model import PtModel, PtModelConfig
 
-__all__ = ["Tensor", "concat", "constant", "parameter", "PtModel", "PtModelConfig"]
+__all__ = ["Tensor", "constant", "parameter", "PtModel", "PtModelConfig"]

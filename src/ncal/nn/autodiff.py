@@ -1,17 +1,25 @@
-"""Reverse-mode automatic differentiation on dense float64 numpy arrays.
+"""Reverse-mode gradients over nodes with written-out backward passes.
 
-A Tensor wraps an ndarray plus the record of the primitive operation that
-produced it (parents + a gradient closure). The implicit graph is the tape:
-``Tensor.backward()`` walks it once in reverse topological order and
-accumulates gradients into every tensor created with ``requires_grad=True``.
+A Tensor holds a float64 ndarray, its gradient slot, and the record of the
+node that produced it: the parent tensors and a gradient closure. The
+network's nodes (``nn.functional``: the embedding, each encoder block, the
+output heads; ``losses``: each loss term and their weighted total) each
+compute their forward on plain arrays and write their backward out.
+``Tensor.backward()`` walks the recorded nodes once in reverse topological
+order and accumulates gradients into every tensor created with
+``requires_grad=True``; where several nodes feed one tensor, their gradients
+add in the walk's order.
 
 Gradient closures receive the upstream gradient as an argument and reference
 only their parent tensors, never their output, so finished graphs are free
 of reference cycles and are reclaimed immediately by reference counting.
 
-Binary elementwise operations broadcast like numpy; gradients are summed
-back over the broadcast axes. All data is float64 and every operation is
-deterministic, so a fixed graph yields bitwise-identical gradients.
+Besides the holder, ``node`` and the walker, this module keeps the array
+kernels the encoder block shares (softmax and layer normalization with their
+gradients, the zero-subgradient rule) and two one-node ops, ``softmax`` and
+``layer_norm``, that the package no longer calls: the benchmark's tracer
+wraps them by name. All data is float64 and every kernel is deterministic,
+so a fixed graph yields bitwise-identical gradients.
 """
 
 from __future__ import annotations
@@ -98,60 +106,6 @@ class Tensor:
                 # interior node: its gradient has been fully consumed
                 node.grad = None
 
-    # -- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __radd__(self, other):
-        return add(_lift(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _lift(other))
-
-    def __rsub__(self, other):
-        return sub(_lift(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, p):
-        return power(self, p)
-
-    def __matmul__(self, other):
-        return matmul(self, _lift(other))
-
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return transpose(self, axes)
-
 
 def constant(data) -> Tensor:
     return Tensor(data, requires_grad=False)
@@ -161,191 +115,26 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
 
 
-def _lift(x):
-    return x if isinstance(x, Tensor) else constant(x)
-
-
-def _node(data, parents, backward):
-    """Wrap an op result; drops the backward closure for constant subgraphs."""
+def node(data, parents, backward) -> Tensor:
+    """A node over `parents` whose backward(g) accumulates their gradients;
+    a constant, with no parents or closure, when none of them needs one."""
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data, requires_grad=False)
 
 
-# -- elementwise primitives ----------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
-
-    return _node(a.data + b.data, (a, b), backward)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
-
-    return _node(a.data - b.data, (a, b), backward)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
-
-    return _node(a.data * b.data, (a, b), backward)
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    return _node(a.data / b.data, (a, b), backward)
-
-
-def neg(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accum(-g)
-
-    return _node(-a.data, (a,), backward)
-
-
 def subgradient(derivative, singular) -> np.ndarray:
     """Evaluate a local derivative, taking 0 wherever `singular` is set.
 
-    This is the one convention for every op whose derivative is infinite or
-    undefined at an edge of its domain (a**p with p < 1 at 0, acos at or
-    past the clamp, the square root in ``losses.loss_reproj``): the gradient
-    there is the zero subgradient, so a residual that is exactly zero
-    contributes nothing instead of inf/NaN.
+    This is the one convention for every derivative that is infinite or
+    undefined at an edge of its domain (a square root at 0, acos at or past
+    the clamp in ``losses.loss_geo``): the gradient there is the zero
+    subgradient, so a residual that is exactly zero contributes nothing
+    instead of inf/NaN.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         d = derivative()
     return np.where(singular, 0.0, d)
-
-
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise a**p for a constant exponent; for p < 1 the gradient at
-    a == 0 is the zero subgradient. Square roots are written a**0.5."""
-    p = float(p)
-
-    def backward(g):
-        singular = a.data == 0.0 if p < 1.0 else False
-        a._accum(g * subgradient(lambda: p * a.data ** (p - 1.0), singular))
-
-    return _node(a.data**p, (a,), backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accum(g * (a.data > 0.0))
-
-    return _node(np.maximum(a.data, 0.0), (a,), backward)
-
-
-def acos(a: Tensor) -> Tensor:
-    """arccos with the argument clamped to [-1, 1].
-
-    The forward value is exact at the clamp boundaries (0 and pi). Wherever
-    the argument is at or past the clamp the gradient is zero, the true
-    derivative of the clamped function, so coincident rotations contribute
-    no gradient.
-    """
-    xc = np.clip(a.data, -1.0, 1.0)
-
-    def backward(g):
-        a._accum(g * subgradient(lambda: -1.0 / np.sqrt(1.0 - xc * xc), np.abs(a.data) >= 1.0))
-
-    return _node(np.arccos(xc), (a,), backward)
-
-
-# -- reductions and shape ops ----------------------------------------------
-
-
-def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    def backward(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.data.shape).copy())
-
-    return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tsum(a, axis, keepdims) * (1.0 / n)
-
-
-def reshape(a: Tensor, shape) -> Tensor:
-    def backward(g):
-        a._accum(g.reshape(a.data.shape))
-
-    return _node(a.data.reshape(shape), (a,), backward)
-
-
-def transpose(a: Tensor, axes) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-
-    def backward(g):
-        a._accum(g.transpose(inverse))
-
-    return _node(a.data.transpose(axes), (a,), backward)
-
-
-def getitem(a: Tensor, idx) -> Tensor:
-    """Basic (slice/int) indexing; gradients scatter back into place."""
-
-    def backward(g):
-        buf = np.zeros_like(a.data)
-        buf[idx] += g
-        a._accum(buf)
-
-    return _node(a.data[idx], (a,), backward)
-
-
-def concat(tensors, axis=-1) -> Tensor:
-    tensors = [_lift(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
-
-    return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeMismatch("matmul operands must have at least 2 dimensions")
-    try:
-        out_data = a.data @ b.data
-    except ValueError as e:
-        raise ShapeMismatch(str(e)) from e
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-
-    return _node(out_data, (a, b), backward)
 
 
 def softmax_array(a: np.ndarray, axis=-1) -> np.ndarray:
@@ -361,13 +150,13 @@ def softmax_grad(g: np.ndarray, s: np.ndarray, axis=-1) -> np.ndarray:
 
 
 def softmax(a: Tensor, axis=-1) -> Tensor:
-    """Numerically-stable softmax; rows along `axis` sum to 1."""
+    """Numerically-stable softmax as one node; rows along `axis` sum to 1."""
     s = softmax_array(a.data, axis)
 
     def backward(g):
         a._accum(softmax_grad(g, s, axis))
 
-    return _node(s, (a,), backward)
+    return node(s, (a,), backward)
 
 
 def normalize(x: np.ndarray):
@@ -391,7 +180,8 @@ def normalize_grad(gx: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Fused last-axis layer normalization: gain * (x - mean) / std + bias."""
+    """Fused last-axis layer normalization as one node:
+    gain * (x - mean) / std + bias."""
     xhat, inv_std = normalize(x.data)
 
     def backward(g):
@@ -402,4 +192,4 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             x._accum(normalize_grad(g * gain.data, xhat, inv_std))
 
-    return _node(gain.data * xhat + bias.data, (x, gain, bias), backward)
+    return node(gain.data * xhat + bias.data, (x, gain, bias), backward)

@@ -1,14 +1,14 @@
-"""Differentiable building blocks composed from autodiff primitives.
+"""The network's nodes: each computes its forward on plain arrays and has a
+written-out backward.
 
-Includes the bridge between the network and the camera model: an
-orthogonalizing 6D-to-matrix expansion whose gradient comes from the
-primitive chain rule.
-
-The transformer encoder block is the exception: ``encoder_block`` is one
-tape node whose forward keeps only the arrays its backward needs, and whose
-backward, ``encoder_block_backward``, is written out. Its arithmetic is that
-of the same block composed from tape primitives, step for step, so its
-values and gradients are bitwise equal to that composition.
+``linear`` is the embedding, ``encoder_block`` one transformer encoder
+block, and ``heads`` the five output heads with the bridge to the camera
+model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
+(``rot6d_to_matrix_t``) and the product with the reference rotations. Each
+node keeps only the arrays its backward needs. The arithmetic is that of
+the same step composed from generic tape primitives (kept in the tests as
+the oracle), op for op and in the tape's order of accumulation, so values
+and gradients are bitwise equal to that composition.
 """
 
 from __future__ import annotations
@@ -22,17 +22,24 @@ from .autodiff import Tensor
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map along the last axis: x @ weight + bias.
+    """Affine map along the last axis, x @ weight + bias, as one node.
 
     Leading axes are flattened around one large matrix product, which is far
     faster than numpy's batched matmul of many small blocks.
     """
-    shape = x.data.shape
-    if x.data.ndim == 2:
-        return x @ weight + bias
-    flat = x.reshape((-1, shape[-1]))
-    out = flat @ weight + bias
-    return out.reshape(shape[:-1] + (weight.data.shape[-1],))
+    parents = (x, weight, bias)
+
+    def backward(g):
+        _accum(parents, _affine_grad(g, x.data, weight.data, x.requires_grad))
+
+    return ad.node(_affine(x.data, weight.data, bias.data), parents, backward)
+
+
+def _accum(parents, grads):
+    """Hand each parent that wants a gradient its own."""
+    for t, g in zip(parents, grads):
+        if t.requires_grad:
+            t._accum(g)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -41,17 +48,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b along the last axis, on x flattened to one matrix as in linear."""
+    """x @ w + b along the last axis, on x flattened to one matrix."""
     out = x.reshape(-1, x.shape[-1]) @ w
     out += b
     return out.reshape(x.shape[:-1] + (w.shape[-1],))
 
 
-def _affine_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients of _affine(x, w, b) for the upstream gradient g: (gx, gw, gb)."""
+def _affine_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, want_x=True):
+    """Gradients of _affine(x, w, b) for the upstream gradient g: (gx, gw, gb);
+    gx is None unless want_x."""
     gflat = g.reshape(-1, g.shape[-1])
     xflat = x.reshape(-1, x.shape[-1])
-    gx = (gflat @ np.swapaxes(w, -1, -2)).reshape(x.shape)
+    gx = (gflat @ np.swapaxes(w, -1, -2)).reshape(x.shape) if want_x else None
     return gx, np.swapaxes(xflat, -1, -2) @ gflat, gflat.sum(axis=0)
 
 
@@ -69,7 +77,7 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
 
 def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
     """One pre-norm transformer encoder block over axis 1 of x, (B, N, D),
-    as one tape node.
+    as one node.
 
     params: the block's 16 tensors in parameter order, (ln1 gain, ln1 bias,
     wq, bq, wk, bk, wv, bv, wo, bo, ln2 gain, ln2 bias, ff1 weight, ff1 bias,
@@ -106,17 +114,13 @@ def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
     out += x1
 
     parents = (x, *params)
-    if not any(t.requires_grad for t in parents):
-        return Tensor(out)
     saved = (xhat1, inv_std1, a, q, k, v, attn, o, xhat2, inv_std2, f, h)
 
     def backward(g):
         gx, grads = encoder_block_backward(g, saved, weights)
-        for t, gt in zip(parents, (gx, *grads)):
-            if t.requires_grad:
-                t._accum(gt)
+        _accum(parents, (gx, *grads))
 
-    return Tensor(out, True, parents, backward)
+    return ad.node(out, parents, backward)
 
 
 def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
@@ -168,49 +172,98 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
                 gg2, gb2, gw1, gc1, gw2, gc2]
 
 
-def rot6d_to_matrix_t(r6: Tensor) -> Tensor:
-    """Differentiable Gram-Schmidt: (..., 6) -> (..., 9) row-major rotation.
+def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
+    """The output heads on the encoder output h, (B, N, D), as one node.
+
+    params: the heads' (weight, bias) pairs in output-column order, 18
+    columns per camera in all (r6, t, fc, pp, kc). With raw their outputs
+    side by side and the constant maps center and scale, (N, 18), and
+    reference rotations reference_R, (N, 3, 3),
+
+        out = center + scale * raw
+        R = reference_R @ GramSchmidt(out[..., 0:6])
+        pred = (R row-major, out[..., 6:])                      (B, N, 21)
+
+    The backward adds the heads' input gradients last head first, the order
+    of the tape composition, which keeps the sum bitwise equal to it.
+    """
+    ws = [p.data for p in params]
+    raw = np.concatenate([_affine(h.data, w, b) for w, b in zip(ws[0::2], ws[1::2])], axis=-1)
+    out = center + scale * raw
+    r9, saved = rot6d_to_matrix_t(out[..., 0:6])
+    batch = out.shape[:-1]
+    r9 = (reference_R @ r9.reshape(batch + (3, 3))).reshape(batch + (9,))
+    bounds = np.cumsum([0] + [w.shape[-1] for w in ws[0::2]])
+    parents = (h, *params)
+
+    def backward(g):
+        gr9 = np.swapaxes(reference_R, -1, -2) @ g[..., 0:9].reshape(batch + (3, 3))
+        ga1, ga2 = rot6d_grad(gr9.reshape(batch + (9,)), saved)
+        graw = np.concatenate([ga1, ga2, g[..., 9:]], axis=-1) * scale
+        grads = [None] * len(ws)
+        gh = None
+        for i in reversed(range(len(bounds) - 1)):
+            gx, grads[2 * i], grads[2 * i + 1] = _affine_grad(
+                graw[..., bounds[i] : bounds[i + 1]], h.data, ws[2 * i], h.requires_grad)
+            gh = gx if gh is None else gh + gx
+        _accum(parents, (gh, *grads))
+
+    return ad.node(np.concatenate([r9, out[..., 6:]], axis=-1), parents, backward)
+
+
+def rot6d_to_matrix_t(r6: np.ndarray):
+    """Gram-Schmidt: 6D rotations (..., 6) to row-major matrices (..., 9),
+    and the intermediates rot6d_grad needs.
 
     The two 3-vectors are the unnormalized first and second columns; the
-    third column is their Gram-Schmidt cross product. Raises
-    DegenerateRotation when any first column is near zero or the columns
-    are near parallel.
+    third column is their cross product. Raises DegenerateRotation when any
+    first column is near zero or the columns are near parallel.
     """
-    a1 = r6[..., 0:3]
-    a2 = r6[..., 3:6]
+    a1, a2 = r6[..., 0:3], r6[..., 3:6]
     n1sq = (a1 * a1).sum(axis=-1, keepdims=True)
-    if np.any(n1sq.data <= geometry.GS_EPS**2):
+    if np.any(n1sq <= geometry.GS_EPS**2):
         raise DegenerateRotation("first 6D column has near-zero norm")
-    b1 = a1 / n1sq**0.5
+    n1 = n1sq**0.5
+    b1 = a1 / n1
     d = (b1 * a2).sum(axis=-1, keepdims=True)
     u2 = a2 - d * b1
     n2sq = (u2 * u2).sum(axis=-1, keepdims=True)
-    if np.any(n2sq.data <= geometry.GS_EPS**2):
+    if np.any(n2sq <= geometry.GS_EPS**2):
         raise DegenerateRotation("6D columns are near parallel")
-    b2 = u2 / n2sq**0.5
-    b3 = cross3_t(b1, b2)
+    n2 = n2sq**0.5
+    b2 = u2 / n2
     # Rows of the (3, 3) block are b1, b2, b3 == R^T; transpose to row-major R.
-    cols = ad.concat([b1, b2, b3], axis=-1)
-    batch = cols.data.shape[:-1]
-    rt = cols.reshape(batch + (3, 3))
-    ndim = len(batch) + 2
-    r = rt.transpose(tuple(range(ndim - 2)) + (ndim - 1, ndim - 2))
-    return r.reshape(batch + (9,))
+    rt = np.concatenate([b1, b2, _cross3(b1, b2)], axis=-1)
+    batch = rt.shape[:-1]
+    r9 = np.swapaxes(rt.reshape(batch + (3, 3)), -1, -2).reshape(batch + (9,))
+    return r9, (a1, a2, n1sq, n1, b1, d, u2, n2sq, n2, b2)
 
 
-def cross3_t(a: Tensor, b: Tensor) -> Tensor:
+def rot6d_grad(g: np.ndarray, saved: tuple):
+    """Gradients of rot6d_to_matrix_t's two input columns, (..., 3) each,
+    for the upstream gradient g of its (..., 9) output."""
+    a1, a2, n1sq, n1, b1, d, u2, n2sq, n2, b2 = saved
+    grt = np.swapaxes(g.reshape(g.shape[:-1] + (3, 3)), -1, -2).reshape(g.shape)
+    gb3 = grt[..., 6:9]
+    # b3 = b1 x b2
+    gb1 = grt[..., 0:3] + _cross3(b2, gb3)
+    gb2 = grt[..., 3:6] + _cross3(gb3, b1)
+    # b2 = u2 / n2 with n2 = (u2 . u2) ** 0.5
+    gn2 = (-gb2 * u2 / (n2 * n2)).sum(axis=-1, keepdims=True)
+    t = gn2 * ad.subgradient(lambda: 0.5 * n2sq**-0.5, n2sq == 0.0) * u2
+    gu2 = gb2 / n2 + t + t
+    # u2 = a2 - d * b1 with d = b1 . a2
+    gd = (-gu2 * b1).sum(axis=-1, keepdims=True)
+    gb1 = gb1 + -gu2 * d + gd * a2
+    ga2 = gu2 + gd * b1
+    # b1 = a1 / n1 with n1 = (a1 . a1) ** 0.5
+    gn1 = (-gb1 * a1 / (n1 * n1)).sum(axis=-1, keepdims=True)
+    t = gn1 * ad.subgradient(lambda: 0.5 * n1sq**-0.5, n1sq == 0.0) * a1
+    return gb1 / n1 + t + t, ga2
+
+
+def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product along the last axis (size 3)."""
     a0, a1, a2 = a[..., 0:1], a[..., 1:2], a[..., 2:3]
     b0, b1, b2 = b[..., 0:1], b[..., 1:2], b[..., 2:3]
-    return ad.concat([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
-
-
-def geodesic_angles_t(pred_r9: Tensor, gt_r9) -> Tensor:
-    """Per-camera rotation angle between predicted and target rotations.
-
-    Both arguments are (..., 9) row-major matrices; the target is constant.
-    Uses trace(R1^T R2) = sum of elementwise products.
-    """
-    gt = gt_r9 if isinstance(gt_r9, Tensor) else ad.constant(gt_r9)
-    tr = (pred_r9 * gt).sum(axis=-1)
-    return ad.acos((tr - 1.0) * 0.5)
+    return np.concatenate([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)

@@ -8,9 +8,7 @@ cameras and regresses the full 21-parameter calibration of every camera:
 2. a fixed per-camera identity code (one-hot plus a small frozen noise) is
    added so attention can tell the cameras apart,
 3. a pre-norm transformer encoder mixes information across the camera axis
-   (no masking: every camera attends to every camera); each block is one
-   tape node, F.encoder_block, whose backward is written out and whose
-   forward keeps only what that backward needs,
+   (no masking: every camera attends to every camera),
 4. five linear heads emit rotation (6D), translation, focal lengths,
    principal point, and distortion; their 18 outputs per camera live in a
    normalized space and go through one affine map, center + scale * raw,
@@ -25,6 +23,11 @@ cameras and regresses the full 21-parameter calibration of every camera:
    same rotation, the rig's motion away from its reference pose, so the
    head, which all cameras share, learns one rig motion rather than one
    per mount.
+
+A forward pass records one node per stage, each with a written-out backward
+in ``nn.functional``: the embedding (step 1; the constant identity codes of
+step 2 need no node), one per encoder block (step 3) and one for steps 4
+and 5, ``F.heads``.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
@@ -55,8 +58,11 @@ DISTORTION_SCALE = 0.2
 # Center of the residual rotation head: the 6D vector of the identity.
 IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
-# Captures per forward pass in predict, which bounds the tape's memory when a
-# whole test set is predicted at once.
+# Output heads and their widths, in the column order of the affine output map.
+HEADS = {"r6": 6, "t": 3, "fc": 2, "pp": 2, "kc": 5}
+
+# Captures per forward pass in predict, which bounds the memory the nodes
+# keep for their backward when a whole test set is predicted at once.
 PREDICT_CHUNK = 1024
 
 
@@ -144,7 +150,7 @@ def _param_spec(config: PtModelConfig) -> dict:
     block = _block_spec(config)
     for i in range(config.n_layers):
         spec.update((f"layer{i}_{nm}", entry) for nm, entry in block.items())
-    for nm, width in (("r6", 6), ("t", 3), ("fc", 2), ("pp", 2), ("kc", 5)):
+    for nm, width in HEADS.items():
         spec[f"head_{nm}_w"] = ((d, width), _zeros)
         spec[f"head_{nm}_b"] = ((width,), _zeros)
     return spec
@@ -275,18 +281,12 @@ class PtModel:
         if X.ndim == 3:
             X = X[None]
         h = self.embed(self.normalize_input(X))
-        h = h + ad.constant(self.cie)
+        # The identity codes are a constant offset, whose gradient is the
+        # identity: added to the embedding's value, they need no node.
+        h.data += self.cie
         h = self.encode(h)
-
-        raw = ad.concat([
-            F.linear(h, self.params[f"head_{nm}_w"], self.params[f"head_{nm}_b"])
-            for nm in ("r6", "t", "fc", "pp", "kc")
-        ], axis=-1)
-        out = ad.constant(self._center) + ad.constant(self._scale) * raw
-        batch = out.data.shape[:-1]
-        r_delta = F.rot6d_to_matrix_t(out[..., 0:6]).reshape(batch + (3, 3))
-        r9 = (ad.constant(self._reference_R) @ r_delta).reshape(batch + (9,))
-        return ad.concat([r9, out[..., 6:]], axis=-1)
+        heads = [self.params[f"head_{nm}_{p}"] for nm in HEADS for p in ("w", "b")]
+        return F.heads(h, heads, self._center, self._scale, self._reference_R)
 
     def predict(self, X) -> np.ndarray:
         """Forward passes over PREDICT_CHUNK captures at a time, returning a

@@ -300,6 +300,13 @@ def reference_params(rig: RigSpec, oem: OEMCalibration, radius: float = DEFAULT_
     return place_rig(rig.mount_R, rig.mount_t, oem.intrinsics, 0.0, 0.0, 0.0, radius)
 
 
+def _uniform(lo, hi, u):
+    """Map Generator.random draws u to [lo, hi): bitwise what
+    Generator.uniform(lo, hi) draws, which computes lo + (hi - lo) * next_double,
+    at a fraction of its per-call cost."""
+    return lo + (hi - lo) * u
+
+
 def perturb_intrinsics(intr, kappa, rngs):
     """Multiplicative perturbation of each intrinsic scalar by U(-kappa, kappa),
     one (N_C, 9) draw per generator: intrinsics (N_C, 9) give (len(rngs), N_C, 9).
@@ -308,7 +315,7 @@ def perturb_intrinsics(intr, kappa, rngs):
     delta * ZERO_DISTORTION_SCALE so the perturbation is not a no-op.
     """
     shape = (len(rngs),) + intr.shape
-    delta = np.reshape([rng.uniform(-kappa, kappa, size=intr.shape) for rng in rngs], shape)
+    delta = _uniform(-kappa, kappa, np.reshape([rng.random(intr.shape) for rng in rngs], shape))
     out = intr * (1.0 + delta)
     if np.any(intr[..., 4:9] == 0.0):
         zero_dist = np.zeros(intr.shape, dtype=bool)
@@ -344,12 +351,12 @@ def perturb_mounts(mount_R, mount_t, kappa, rngs):
     axes = np.empty((len(rngs), n, 3))
     u = np.empty((len(rngs), n))
     for i, rng in enumerate(rngs):
-        delta_t[i] = rng.uniform(-kappa, kappa, size=(n, 3))
+        delta_t[i] = rng.random((n, 3))
         axes[i] = rng.normal(size=(n, 3))
-        u[i] = rng.uniform(-1.0, 1.0, size=n)
+        u[i] = rng.random(n)
     axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    t = mount_t * (1.0 + delta_t)
-    R = mount_R @ _axis_angle_batch(axes, u * kappa * EXT_ROT_MAX_ANGLE)
+    t = mount_t * (1.0 + _uniform(-kappa, kappa, delta_t))
+    R = mount_R @ _axis_angle_batch(axes, _uniform(-1.0, 1.0, u) * kappa * EXT_ROT_MAX_ANGLE)
     return R, t
 
 
@@ -378,10 +385,8 @@ def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     for _ in range(MAX_ATTEMPTS_PER_SAMPLE):
         if pending.size == 0:
             break
-        # Bitwise equal to Generator.uniform(lo, hi) per angle, which
-        # computes lo + (hi - lo) * next_double.
         u = np.array([rngs[i].random(3) for i in pending])
-        theta, phi, alpha = (pose_lo + (pose_hi - pose_lo) * u).T
+        theta, phi, alpha = _uniform(pose_lo, pose_hi, u).T
         attempts += pending.size
         params = place_rig(mR[pending], mt[pending], intr[pending], theta, phi, alpha, cfg.radius)
         pixels, valid = geometry.project_array(params, cfg.obj.fiducials)

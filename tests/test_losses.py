@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ncal import geometry
+from ncal import geometry, losses
 from ncal.losses import (
     LAM1,
     LAM2,
@@ -14,6 +14,7 @@ from ncal.losses import (
     loss_reproj,
     reprojection_rmse,
 )
+import tape
 from ncal.nn import autodiff as ad
 from ncal.scene import PerturbationSpec, SceneConfig, make_object, make_rig, synthesize_batch
 from oracle import geodesic_distance, rot6d_to_matrix
@@ -273,6 +274,75 @@ class TestCompound:
                 cfg.rig.image_size,
                 phase=3,
             )
+
+
+def nudged(gt):
+    """gt with its rotation entries scaled by 1 - 4 eps, which puts
+    (trace(R^T R_gt) - 1) / 2 a few ULP below 1: where arccos is steepest."""
+    pred = gt.copy()
+    pred[..., :9] *= 1.0 - 4.0 * np.finfo(float).eps
+    return pred
+
+
+def gradients(loss_fn, pred, *args):
+    """Value and gradient of a loss at pred."""
+    t = tape.parameter(pred)
+    val = loss_fn(t, *args)
+    val.backward()
+    return val.data, t.grad
+
+
+class TestNodesAgainstTape:
+    """loss_diff, loss_geo and compound_loss are nodes whose values and
+    gradients equal the tape composition (tests/tape.py) bit for bit."""
+
+    def cases(self, gt):
+        near = nudged(gt)
+        assert np.all(((near[..., :9] * gt[..., :9]).sum(-1) - 1.0) * 0.5 < 1.0)
+        return {
+            "perturbed": perturbed_pred(gt, seed=8),
+            "ground truth": gt,
+            "nudged": near,
+            "past clamp": gt * np.where(np.arange(21) < 9, 1.0 + 1e-12, 1.0),
+        }
+
+    @pytest.mark.parametrize("name", ["loss_diff", "loss_geo"])
+    def test_terms(self, batch, name):
+        b, _ = batch
+        for case, pred in self.cases(b.gt_params).items():
+            got = gradients(getattr(losses, name), pred, b.gt_params)
+            want = gradients(getattr(tape, name), pred, b.gt_params)
+            for g, w in zip(got, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), case
+            assert np.isfinite(got[1]).all(), case
+
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_compound(self, batch, phase):
+        b, cfg = batch
+        args = (b.gt_params, b.observations, cfg.obj.fiducials, cfg.rig.image_size, phase)
+        for case, pred in self.cases(b.gt_params).items():
+            runs = []
+            for loss_fn in (losses.compound_loss, tape.compound_loss):
+                t = tape.parameter(pred)
+                total, parts = loss_fn(t, *args)
+                total.backward()
+                runs.append((total.data.tobytes(), parts, t.grad.tobytes()))
+            assert runs[0] == runs[1], case
+
+    def test_diff_gradient_zero_at_exact_zero_residual(self, batch):
+        b, _ = batch
+        val, grad = gradients(losses.loss_diff, b.gt_params, b.gt_params)
+        assert val == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
+
+    def test_gradient_zero_at_and_past_clamp(self):
+        gt = np.zeros((2, 21))
+        gt[:, :9] = np.eye(3).reshape(9)
+        pred = gt.copy()
+        pred[1, :9] *= 1.0 + 1e-12  # (trace - 1) / 2 just past 1
+        val, grad = gradients(losses.loss_geo, pred, gt)
+        assert val == 0.0
+        np.testing.assert_array_equal(grad, 0.0)
 
 
 class TestReprojectionRmse:

@@ -7,7 +7,7 @@ from ncal import geometry
 from ncal.errors import DegenerateRotation, ShapeMismatch
 from ncal.nn import autodiff as ad
 from ncal.nn import functional as F
-from ncal.nn.model import PtModel, PtModelConfig, camera_identity_encoding
+from ncal.nn.model import HEADS, PtModel, PtModelConfig, camera_identity_encoding
 from ncal.scene import (
     PoseRanges,
     SceneConfig,
@@ -16,6 +16,7 @@ from ncal.scene import (
     reference_params,
     synthesize_batch,
 )
+import tape
 from oracle import geodesic_distance, rot6d_to_matrix
 
 
@@ -53,16 +54,15 @@ class TestRot6dTensor:
     def test_matches_geometry(self):
         rng = np.random.default_rng(0)
         r6 = rng.normal(size=(5, 3, 6))
-        out = F.rot6d_to_matrix_t(ad.constant(r6))
+        out, _ = F.rot6d_to_matrix_t(r6)
         expected = rot6d_to_matrix(r6).reshape(5, 3, 9)
-        np.testing.assert_allclose(out.data, expected, atol=1e-14)
+        np.testing.assert_allclose(out, expected, atol=1e-14)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         r6 = rng.normal(size=(2, 6))
-        t = ad.parameter(r6)
         w = rng.normal(size=(2, 9))
-        (F.rot6d_to_matrix_t(t) * ad.constant(w)).sum().backward()
+        got = np.concatenate(F.rot6d_grad(w, F.rot6d_to_matrix_t(r6)[1]), axis=-1)
         h = 1e-6
         num = np.zeros_like(r6)
         for idx in np.ndindex(r6.shape):
@@ -72,11 +72,11 @@ class TestRot6dTensor:
             fhi = (rot6d_to_matrix(hi).reshape(2, 9) * w).sum()
             flo = (rot6d_to_matrix(lo).reshape(2, 9) * w).sum()
             num[idx] = (fhi - flo) / (2 * h)
-        np.testing.assert_allclose(t.grad, num, rtol=1e-5, atol=1e-8)
+        np.testing.assert_allclose(got, num, rtol=1e-5, atol=1e-8)
 
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateRotation):
-            F.rot6d_to_matrix_t(ad.constant(np.zeros((1, 6))))
+            F.rot6d_to_matrix_t(np.zeros((1, 6)))
 
 
 class TestGeodesicTensor:
@@ -85,7 +85,7 @@ class TestGeodesicTensor:
         r6 = rng.normal(size=(6, 6))
         R = rot6d_to_matrix(r6)
         gt = rot6d_to_matrix(rng.normal(size=(6, 6)))
-        angles = F.geodesic_angles_t(ad.constant(R.reshape(6, 9)), gt.reshape(6, 9))
+        angles = tape.geodesic_angles_t(tape.constant(R.reshape(6, 9)), gt.reshape(6, 9))
         expected = geodesic_distance(R, gt)
         np.testing.assert_allclose(angles.data, expected, atol=1e-12)
 
@@ -205,18 +205,18 @@ def tape_block(x, p, i, n_heads):
     def heads(t):
         return t.reshape((B, N, n_heads, dh)).transpose((0, 2, 1, 3))
 
-    a = ad.layer_norm(x, p[f"layer{i}_ln1_g"], p[f"layer{i}_ln1_b"])
-    q = heads(F.linear(a, p[f"layer{i}_wq"], p[f"layer{i}_bq"]))
-    k = heads(F.linear(a, p[f"layer{i}_wk"], p[f"layer{i}_bk"]))
-    v = heads(F.linear(a, p[f"layer{i}_wv"], p[f"layer{i}_bv"]))
+    a = tape.layer_norm(x, p[f"layer{i}_ln1_g"], p[f"layer{i}_ln1_b"])
+    q = heads(tape.linear(a, p[f"layer{i}_wq"], p[f"layer{i}_bq"]))
+    k = heads(tape.linear(a, p[f"layer{i}_wk"], p[f"layer{i}_bk"]))
+    v = heads(tape.linear(a, p[f"layer{i}_wv"], p[f"layer{i}_bv"]))
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1)
+    attn = tape.softmax(scores, axis=-1)
     o = (attn @ v).transpose((0, 2, 1, 3)).reshape((B, N, D))
-    x = x + F.linear(o, p[f"layer{i}_wo"], p[f"layer{i}_bo"])
+    x = x + tape.linear(o, p[f"layer{i}_wo"], p[f"layer{i}_bo"])
 
-    f = ad.layer_norm(x, p[f"layer{i}_ln2_g"], p[f"layer{i}_ln2_b"])
-    f = F.linear(ad.relu(F.linear(f, p[f"layer{i}_ff1_w"], p[f"layer{i}_ff1_b"])),
-                 p[f"layer{i}_ff2_w"], p[f"layer{i}_ff2_b"])
+    f = tape.layer_norm(x, p[f"layer{i}_ln2_g"], p[f"layer{i}_ln2_b"])
+    f = tape.linear(tape.relu(tape.linear(f, p[f"layer{i}_ff1_w"], p[f"layer{i}_ff1_b"])),
+                    p[f"layer{i}_ff2_w"], p[f"layer{i}_ff2_b"])
     return x + f
 
 
@@ -243,7 +243,7 @@ def node_block(n_heads):
 
 def block_outputs(block, params, x, upstream):
     """Output, input gradient and the 16 parameter gradients of one block."""
-    x = ad.parameter(x)
+    x = tape.parameter(x)
     params = {k: ad.parameter(t.data) for k, t in params.items()}
     out = block(x, params)
     out.backward(upstream)
@@ -308,6 +308,116 @@ class TestEncoderBlock:
         for x, row in zip(X, batched):
             single = m.predict(x)
             assert np.all(np.abs(single - row) <= 1e-9 * (1 + np.abs(row)))
+
+
+def randomize_heads(m, rng, scale=0.05):
+    for name, t in m.params.items():
+        if name.startswith("head_"):
+            t.data = scale * rng.standard_normal(t.data.shape)
+
+
+def head_params(m):
+    return [m.params[f"head_{nm}_{p}"] for nm in HEADS for p in ("w", "b")]
+
+
+def heads_outputs(heads_fn, m, h, upstream):
+    """Output, input gradient and the 10 head parameter gradients."""
+    m.zero_grad()
+    h = tape.parameter(h)
+    out = heads_fn(m, h)
+    out.backward(upstream)
+    return [out.data, h.grad] + [t.grad for t in head_params(m)]
+
+
+def node_heads(m, h):
+    return F.heads(h, head_params(m), m._center, m._scale, m._reference_R)
+
+
+class TestHeads:
+    @pytest.mark.parametrize("upstream_kind", ["random", "zero", "negative zero"])
+    @pytest.mark.parametrize("random_heads", [False, True])
+    @pytest.mark.parametrize("n_cameras, d_model", [(6, 16), (10, 64)])
+    def test_bitwise_equal_to_tape(self, n_cameras, d_model, random_heads, upstream_kind):
+        rng = np.random.default_rng(n_cameras)
+        m = tiny_model(n_cameras=n_cameras, d_model=d_model)
+        if random_heads:
+            randomize_heads(m, rng)
+        h = rng.normal(size=(5, n_cameras, d_model))
+        upstream = rng.normal(size=(5, n_cameras, 21))
+        # Exact zeros in the upstream gradient, as the losses give at their
+        # optimum: the tape's zero buffers turn -0.0 into +0.0.
+        if upstream_kind == "random":
+            upstream[0] = 0.0
+            upstream[1] = -0.0
+        else:
+            upstream[...] = 0.0 if upstream_kind == "zero" else -0.0
+        got = heads_outputs(node_heads, m, h, upstream)
+        want = heads_outputs(tape.heads, m, h, upstream)
+        assert len(got) == 12
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_gradients_match_central_differences(self):
+        rng = np.random.default_rng(31)
+        m = tiny_model(n_cameras=3, d_model=4)
+        randomize_heads(m, rng, scale=0.3)
+        h = rng.normal(size=(2, 3, 4))
+        w = rng.normal(size=(2, 3, 21))
+        got = heads_outputs(node_heads, m, h, w)[1:]
+
+        def loss():
+            return float((node_heads(m, ad.constant(h)).data * w).sum())
+
+        step = 1e-6
+        for base, g in zip([h] + [t.data for t in head_params(m)], got):
+            num = np.zeros_like(base)
+            for idx in np.ndindex(base.shape):
+                orig = base[idx]
+                base[idx] = orig + step
+                hi = loss()
+                base[idx] = orig - step
+                lo = loss()
+                base[idx] = orig
+                num[idx] = (hi - lo) / (2 * step)
+            np.testing.assert_allclose(g, num, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("bias, message", [
+        ([-1.0, 0.0, 0.0, 0.0, 0.0, 0.0], "near-zero norm"),
+        ([0.0, 0.0, 0.0, 1.0, -1.0, 0.0], "near parallel"),
+    ])
+    def test_degenerate_rotation_raises_like_tape(self, bias, message):
+        # Zero weights and this r6 bias put the first 6D column at zero, or
+        # the second along the first, for every camera.
+        m = tiny_model()
+        m.params["head_r6_b"].data = np.array(bias)
+        h = ad.constant(np.ones((2, 3, 8)))
+        for heads_fn in (node_heads, tape.heads):
+            with pytest.raises(DegenerateRotation, match=message):
+                heads_fn(m, h)
+
+    def test_constant_inputs_make_a_constant_node(self):
+        m = tiny_model()
+        params = [ad.constant(t.data) for t in head_params(m)]
+        out = F.heads(ad.constant(np.ones((2, 3, 8))), params, m._center, m._scale,
+                      m._reference_R)
+        assert not out.requires_grad and out._backward is None
+        np.testing.assert_array_equal(out.data[0], m.reference_params)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("shape", [(7, 5), (3, 4, 5)])
+    def test_bitwise_equal_to_tape(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x, w, b = rng.normal(size=shape), rng.normal(size=(5, 6)), rng.normal(size=6)
+        upstream = rng.normal(size=shape[:-1] + (6,))
+        runs = []
+        for linear in (F.linear, tape.linear):
+            ts = [tape.parameter(a) for a in (x, w, b)]
+            out = linear(*ts)
+            out.backward(upstream)
+            runs.append([out.data] + [t.grad for t in ts])
+        for g, want in zip(*runs):
+            assert g.shape == want.shape and g.tobytes() == want.tobytes()
 
 
 class TestEncoder:
@@ -457,7 +567,7 @@ class TestForward:
             return float((m.forward(X).data * w).sum())
 
         m.zero_grad()
-        (m.forward(X) * ad.constant(w)).sum().backward()
+        (m.forward(X) * tape.constant(w)).sum().backward()
         h = 1e-5
         checked = 0
         for name in ("embed_w", "layer0_wq", "layer0_ff1_w", "head_r6_w", "head_t_b"):

@@ -5,7 +5,9 @@ import gc
 import numpy as np
 import pytest
 
+import tape
 from ncal.errors import ConfigError, NonFiniteLoss
+from ncal.losses import compound_loss
 from ncal.nn.checkpoint import load_checkpoint, save_checkpoint
 from ncal.nn.autodiff import Tensor
 from ncal.nn.model import PtModel, PtModelConfig
@@ -185,7 +187,7 @@ class TestTrainLoop:
                 parents=(pred,),
                 backward=lambda g: pred._accum(np.full(pred.data.shape, np.nan)),
             )
-            return total + poison, parts
+            return tape.add(total, poison), parts
 
         monkeypatch.setattr(training, "compound_loss", loss_with_nan_gradient)
         scn, model = small_setup()
@@ -210,6 +212,72 @@ class TestTrainLoop:
     def test_negative_phase1_or_seed_rejected(self, bad):
         with pytest.raises(ConfigError):
             TrainConfig(**{"epochs": 10, "phase1_epochs": 5, **bad})
+
+
+def small_train_step(random_heads, phase, forward=None, loss=None):
+    """One training step at the train_small benchmark's shape (O-6, cube8,
+    d_model 64 x 2 layers, 4 heads, d_ff 128), on a batch of 16: returns
+    (pred, total, parts, model) after backward."""
+    rig, oem = make_rig("O-6")
+    scn = SceneConfig(rig=rig, oem=oem, obj=make_object("cube8"),
+                      perturbation=PerturbationSpec(0.05, 0.05))
+    cfg = PtModelConfig(n_cameras=6, n_fiducials=8, d_model=64, n_layers=2, n_heads=4, d_ff=128)
+    model = PtModel(cfg, reference_params(rig, oem), rig.image_size, scn.radius, seed=1)
+    if random_heads:
+        rng = np.random.default_rng(2)
+        for name, t in model.params.items():
+            if name.startswith("head_"):
+                t.data = 0.05 * rng.standard_normal(t.data.shape)
+    batch = synthesize_batch(scn, 16, seed=3)
+    pred = (forward or PtModel.forward)(model, batch.observations)
+    total, parts = (loss or compound_loss)(pred, batch.gt_params, batch.observations,
+                                           scn.obj.fiducials, rig.image_size, phase)
+    model.zero_grad()
+    total.backward()
+    return pred, total, parts, model
+
+
+def recorded_nodes(root):
+    """Nodes reachable from root that carry a backward closure."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return sum(t._backward is not None for t in seen.values())
+
+
+class TestStep:
+    @pytest.mark.parametrize("random_heads", [False, True])
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_bitwise_equal_to_tape(self, phase, random_heads):
+        # The forward and the compound loss as one node per stage against
+        # the same step composed on the generic tape (tests/tape.py): the
+        # prediction, the loss parts and every parameter gradient.
+        got = small_train_step(random_heads, phase)
+        want = small_train_step(random_heads, phase, tape.forward, tape.compound_loss)
+        assert got[0].data.tobytes() == want[0].data.tobytes()
+        assert got[1].data.tobytes() == want[1].data.tobytes()
+        assert got[2] == want[2]
+        for k, t in got[3].params.items():
+            assert t.grad.tobytes() == want[3].params[k].grad.tobytes(), k
+
+    def test_phase2_step_records_eight_nodes(self):
+        # The embedding, two encoder blocks, the heads, three loss terms and
+        # their weighted total.
+        _, total, _, _ = small_train_step(True, 2)
+        assert recorded_nodes(total) == 8
+
+    def test_parameter_gradients_share_no_memory(self):
+        # clip_gradients scales the gradients in place, so one array handed
+        # to two parameters would be scaled twice.
+        _, _, _, model = small_train_step(True, 2)
+        grads = [t.grad for t in model.params.values()]
+        assert all(g is not None for g in grads)
+        for i, a in enumerate(grads):
+            for b in grads[i + 1:]:
+                assert not np.shares_memory(a, b)
 
 
 class TestEvaluate:

@@ -14,7 +14,10 @@ checkpoint bytes and what loading them returns (with the Adam moments, and
 model-only as a deployed model is saved) of a small fixed-seed training run,
 evaluation figures, the reprojection loss and its gradient on a prediction
 that puts fiducials behind cameras, the forward and gradients of a
-paper-width encoder, and the reference calibration of every built-in rig.
+paper-width encoder, a model's prediction, loss parts and parameter
+gradients with non-zero heads in both phases, the gradients of the three
+loss terms at the ground truth and next to it, where arccos is steepest, and
+the reference calibration of every built-in rig.
 """
 
 from __future__ import annotations
@@ -157,6 +160,51 @@ def encoder_lines():
     yield "encoder paper width", digest(out.data, x.grad, *(model.params[k].grad for k in layers))
 
 
+def heads_lines():
+    # Random non-zero heads, so the affine map, Gram-Schmidt and the
+    # reference rotation product all carry gradient.
+    cfg = config("O-10", "cube27", 0.05)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
+                         n_heads=4, d_ff=128)
+    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
+    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
+    rng = np.random.default_rng(7)
+    for k, t in model.params.items():
+        if k.startswith("head_"):
+            t.data = 0.05 * rng.standard_normal(t.data.shape)
+    b = scene.synthesize_batch(cfg, 32, 8)
+    for phase in (1, 2):
+        pred = model.forward(b.observations)
+        total, parts = losses.compound_loss(pred, b.gt_params, b.observations,
+                                            cfg.obj.fiducials, cfg.rig.image_size, phase)
+        model.zero_grad()
+        total.backward()
+        yield f"heads and loss gradients O-10/cube27 phase {phase}", digest(
+            pred.data, total.data, json.dumps(parts, sort_keys=True),
+            *(model.params[k].grad for k in model.params))
+
+
+def ground_truth_lines():
+    # At pred = gt the parameter and reprojection residuals are exactly zero;
+    # scaling the rotations by 1 - 4 eps puts (trace - 1) / 2 a few ULP
+    # below 1, where the arccos gradient is largest.
+    cfg = config("O-6", "cube8", 0.05)
+    b = scene.synthesize_batch(cfg, 8, 9)
+    nudged = b.gt_params.copy()
+    nudged[..., :9] *= 1.0 - 4.0 * np.finfo(float).eps
+    for name, pred in (("", b.gt_params), (" rotations scaled by 1 - 4 eps", nudged)):
+        parts = []
+        for loss in (lambda t: losses.loss_diff(t, b.gt_params),
+                     lambda t: losses.loss_geo(t, b.gt_params),
+                     lambda t: losses.loss_reproj(t, b.observations, cfg.obj.fiducials,
+                                                  cfg.rig.image_size)):
+            t = autodiff.parameter(pred)
+            value = loss(t)
+            value.backward()
+            parts += [value.data, t.grad]
+        yield f"losses at ground truth{name}", digest(*parts)
+
+
 def reference_lines():
     for kind in ("O-10", "O-6", "U-7", "T-4"):
         rig, oem = scene.make_rig(kind)
@@ -165,7 +213,7 @@ def reference_lines():
 
 def main() -> None:
     for lines in (synthesis_lines, training_lines, penalty_lines, encoder_lines,
-                  reference_lines):
+                  heads_lines, ground_truth_lines, reference_lines):
         for label, h in lines():
             print(h, label)
 
