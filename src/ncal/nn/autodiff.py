@@ -15,11 +15,9 @@ only their parent tensors, never their output, so finished graphs are free
 of reference cycles and are reclaimed immediately by reference counting.
 
 Besides the holder, ``node`` and the walker, this module keeps the array
-kernels the encoder block shares (softmax and layer normalization with their
-gradients, the zero-subgradient rule) and two one-node ops, ``softmax`` and
-``layer_norm``, that the package no longer calls: the benchmark's tracer
-wraps them by name. All data is float64 and every kernel is deterministic,
-so a fixed graph yields bitwise-identical gradients.
+kernels the encoder block shares: softmax and layer normalization with their
+gradients, and the zero-subgradient rule. All data is float64 and every
+kernel is deterministic, so a fixed graph yields bitwise-identical gradients.
 """
 
 from __future__ import annotations
@@ -28,21 +26,8 @@ import numpy as np
 
 from ..errors import GraphCycle, ShapeMismatch
 
-# Added to the variance in layer_norm; keeps a row of equal values finite.
+# Added to the variance in normalize; keeps a row of equal values finite.
 LAYER_NORM_EPS = 1e-5
-
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum gradient g back down to `shape` (inverse of numpy broadcasting)."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
 
 
 class Tensor:
@@ -107,10 +92,6 @@ class Tensor:
                 node.grad = None
 
 
-def constant(data) -> Tensor:
-    return Tensor(data, requires_grad=False)
-
-
 def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
 
@@ -137,7 +118,7 @@ def subgradient(derivative, singular) -> np.ndarray:
     return np.where(singular, 0.0, d)
 
 
-def softmax_array(a: np.ndarray, axis=-1) -> np.ndarray:
+def softmax(a: np.ndarray, axis=-1) -> np.ndarray:
     """Numerically-stable softmax of a plain array; rows along `axis` sum to 1."""
     e = np.exp(a - a.max(axis=axis, keepdims=True))
     e /= e.sum(axis=axis, keepdims=True)
@@ -147,16 +128,6 @@ def softmax_array(a: np.ndarray, axis=-1) -> np.ndarray:
 def softmax_grad(g: np.ndarray, s: np.ndarray, axis=-1) -> np.ndarray:
     """Gradient through softmax output `s` for the upstream gradient g."""
     return s * (g - (g * s).sum(axis=axis, keepdims=True))
-
-
-def softmax(a: Tensor, axis=-1) -> Tensor:
-    """Numerically-stable softmax as one node; rows along `axis` sum to 1."""
-    s = softmax_array(a.data, axis)
-
-    def backward(g):
-        a._accum(softmax_grad(g, s, axis))
-
-    return node(s, (a,), backward)
 
 
 def normalize(x: np.ndarray):
@@ -177,19 +148,3 @@ def normalize_grad(gx: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray) -> np.
     gx -= xhat * mean_gxhat
     gx *= inv_std
     return gx
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Fused last-axis layer normalization as one node:
-    gain * (x - mean) / std + bias."""
-    xhat, inv_std = normalize(x.data)
-
-    def backward(g):
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            x._accum(normalize_grad(g * gain.data, xhat, inv_std))
-
-    return node(gain.data * xhat + bias.data, (x, gain, bias), backward)

@@ -162,8 +162,11 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
         raise
 
 
-def _optimizer_state(blobs: dict, params: dict, step: int) -> AdamState:
+def _optimizer_state(blobs: dict, params: dict, step) -> AdamState:
     """The Adam moments among `blobs`, checked against the model's parameters."""
+    # A negative step would turn the next Adam steps' bias corrections into NaN.
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise CorruptCheckpoint(f"adam_step must be a non-negative integer, got {step!r}")
     m = {k[len("adam_m:") :]: a for k, a in blobs.items() if k.startswith("adam_m:")}
     v = {k[len("adam_v:") :]: a for k, a in blobs.items() if k.startswith("adam_v:")}
     if m.keys() != v.keys():
@@ -242,7 +245,8 @@ def load_checkpoint(path):
     a model matching the stored blobs, on a blob that is neither a
     parameter, the reference nor an Adam moment, and on Adam moments that
     do not pair up with the model's parameters or that a file saved without
-    an optimizer holds; UnsupportedVersion on a correctly hashed file of a
+    an optimizer holds, and on an Adam step count that is not a
+    non-negative integer; UnsupportedVersion on a correctly hashed file of a
     format version this build cannot read.
     """
     error = None
@@ -279,7 +283,7 @@ def load_checkpoint(path):
             raise CorruptCheckpoint(f"blobs the model does not have: {sorted(unexpected)}")
         opt_state = None
         if config.get("has_optimizer"):
-            opt_state = _optimizer_state(blobs, model.params, int(config.get("adam_step", 0)))
+            opt_state = _optimizer_state(blobs, model.params, config.get("adam_step", 0))
         elif moments:
             raise CorruptCheckpoint("Adam moments in a checkpoint saved without an optimizer")
     except LookupError as e:

@@ -1,14 +1,17 @@
 """The network's nodes: each computes its forward on plain arrays and has a
 written-out backward.
 
-``linear`` is the embedding, ``encoder_block`` one transformer encoder
+``embed`` is the embedding, ``encoder_block`` one transformer encoder
 block, and ``heads`` the five output heads with the bridge to the camera
 model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
-(``rot6d_to_matrix_t``) and the product with the reference rotations. Each
-node keeps only the arrays its backward needs. The arithmetic is that of
-the same step composed from generic tape primitives (kept in the tests as
-the oracle), op for op and in the tape's order of accumulation, so values
-and gradients are bitwise equal to that composition.
+(``rot6d_to_matrix_t``) and the product with the reference rotations. Their
+affine maps are the array kernel ``linear``, the block's norms
+``layer_norm`` and its attention weights ``autodiff.softmax``, each looked
+up through its module at every call. Each node keeps only the arrays its
+backward needs. The arithmetic is that of the same step composed from
+generic tape primitives (kept in the tests as the oracle), op for op and in
+the tape's order of accumulation, so values and gradients are bitwise equal
+to that composition.
 """
 
 from __future__ import annotations
@@ -21,18 +24,42 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map along the last axis, x @ weight + bias, as one node.
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w + b along the last axis.
 
     Leading axes are flattened around one large matrix product, which is far
     faster than numpy's batched matmul of many small blocks.
     """
-    parents = (x, weight, bias)
+    out = x.reshape(-1, x.shape[-1]) @ w
+    out += b
+    return out.reshape(x.shape[:-1] + (w.shape[-1],))
+
+
+def linear_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, want_x=True):
+    """Gradients of linear(x, w, b) for the upstream gradient g: (gx, gw, gb);
+    gx is None unless want_x."""
+    gflat = g.reshape(-1, g.shape[-1])
+    xflat = x.reshape(-1, x.shape[-1])
+    gx = (gflat @ np.swapaxes(w, -1, -2)).reshape(x.shape) if want_x else None
+    return gx, np.swapaxes(xflat, -1, -2) @ gflat, gflat.sum(axis=0)
+
+
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Last-axis layer normalization, gain * (x - mean) / std + bias, and
+    the normalized x and inverse deviation that its gradient needs."""
+    xhat, inv_std = ad.normalize(x)
+    return gain * xhat + bias, xhat, inv_std
+
+
+def embed(x: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
+    """The affine embedding x @ weight + bias of the data x as one node,
+    with gradients for the weight and bias only."""
+    parents = (weight, bias)
 
     def backward(g):
-        _accum(parents, _affine_grad(g, x.data, weight.data, x.requires_grad))
+        _accum(parents, linear_grad(g, x, weight.data, False)[1:])
 
-    return ad.node(_affine(x.data, weight.data, bias.data), parents, backward)
+    return ad.node(linear(x, weight.data, bias.data), parents, backward)
 
 
 def _accum(parents, grads):
@@ -40,27 +67,6 @@ def _accum(parents, grads):
     for t, g in zip(parents, grads):
         if t.requires_grad:
             t._accum(g)
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale-shift."""
-    return ad.layer_norm(x, gain, bias)
-
-
-def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b along the last axis, on x flattened to one matrix."""
-    out = x.reshape(-1, x.shape[-1]) @ w
-    out += b
-    return out.reshape(x.shape[:-1] + (w.shape[-1],))
-
-
-def _affine_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, want_x=True):
-    """Gradients of _affine(x, w, b) for the upstream gradient g: (gx, gw, gb);
-    gx is None unless want_x."""
-    gflat = g.reshape(-1, g.shape[-1])
-    xflat = x.reshape(-1, x.shape[-1])
-    gx = (gflat @ np.swapaxes(w, -1, -2)).reshape(x.shape) if want_x else None
-    return gx, np.swapaxes(xflat, -1, -2) @ gflat, gflat.sum(axis=0)
 
 
 def _split_heads(t: np.ndarray, n_heads: int) -> np.ndarray:
@@ -97,20 +103,18 @@ def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
     ]
     if x.data.ndim != 3 or x.data.shape[-1] % n_heads != 0:
         raise ShapeMismatch(f"encoder block expects (B, N, d_model), got {x.data.shape}")
-    xhat1, inv_std1 = ad.normalize(x.data)
-    a = g1 * xhat1 + b1
-    q, k, v = _affine(a, wq, bq), _affine(a, wk, bk), _affine(a, wv, bv)
+    a, xhat1, inv_std1 = layer_norm(x.data, g1, b1)
+    q, k, v = linear(a, wq, bq), linear(a, wk, bk), linear(a, wv, bv)
     scores = _split_heads(q, n_heads) @ _split_heads(k, n_heads).transpose(0, 1, 3, 2)
     scores *= 1.0 / np.sqrt(x.data.shape[-1] // n_heads)
-    attn = ad.softmax_array(scores)
+    attn = ad.softmax(scores)
     o = _merge_heads(attn @ _split_heads(v, n_heads))
-    x1 = _affine(o, wo, bo)
+    x1 = linear(o, wo, bo)
     x1 += x.data
-    xhat2, inv_std2 = ad.normalize(x1)
-    f = g2 * xhat2 + b2
-    h = _affine(f, w1, c1)
+    f, xhat2, inv_std2 = layer_norm(x1, g2, b2)
+    h = linear(f, w1, c1)
     np.maximum(h, 0.0, out=h)
-    out = _affine(h, w2, c2)
+    out = linear(h, w2, c2)
     out += x1
 
     parents = (x, *params)
@@ -137,9 +141,9 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     n_heads = attn.shape[1]
 
     # Feed-forward residual.
-    gh, gw2, gc2 = _affine_grad(g, h, w2)
+    gh, gw2, gc2 = linear_grad(g, h, w2)
     gh *= h > 0.0
-    gf, gw1, gc1 = _affine_grad(gh, f, w1)
+    gf, gw1, gc1 = linear_grad(gh, f, w1)
     del gh
     gg2, gb2 = (gf * xhat2).sum(axis=(0, 1)), gf.sum(axis=(0, 1))
     gf *= g2
@@ -147,7 +151,7 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     gx1 += g
 
     # Attention residual.
-    go, gwo, gbo = _affine_grad(gx1, o, wo)
+    go, gwo, gbo = linear_grad(gx1, o, wo)
     go = _split_heads(go, n_heads)
     qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
     gv = _merge_heads(np.swapaxes(attn, -1, -2) @ go)
@@ -157,11 +161,11 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     gq = _merge_heads(gs @ kh)
     gk = _merge_heads((np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2))
     del gs
-    ga, gwv, gbv = _affine_grad(gv, a, wv)
-    ga_k, gwk, gbk = _affine_grad(gk, a, wk)
+    ga, gwv, gbv = linear_grad(gv, a, wv)
+    ga_k, gwk, gbk = linear_grad(gk, a, wk)
     ga += ga_k
     del ga_k
-    ga_q, gwq, gbq = _affine_grad(gq, a, wq)
+    ga_q, gwq, gbq = linear_grad(gq, a, wq)
     ga += ga_q
     del ga_q
     gg1, gb1 = (ga * xhat1).sum(axis=(0, 1)), ga.sum(axis=(0, 1))
@@ -188,7 +192,7 @@ def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
     of the tape composition, which keeps the sum bitwise equal to it.
     """
     ws = [p.data for p in params]
-    raw = np.concatenate([_affine(h.data, w, b) for w, b in zip(ws[0::2], ws[1::2])], axis=-1)
+    raw = np.concatenate([linear(h.data, w, b) for w, b in zip(ws[0::2], ws[1::2])], axis=-1)
     out = center + scale * raw
     r9, saved = rot6d_to_matrix_t(out[..., 0:6])
     batch = out.shape[:-1]
@@ -203,7 +207,7 @@ def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
         grads = [None] * len(ws)
         gh = None
         for i in reversed(range(len(bounds) - 1)):
-            gx, grads[2 * i], grads[2 * i + 1] = _affine_grad(
+            gx, grads[2 * i], grads[2 * i + 1] = linear_grad(
                 graw[..., bounds[i] : bounds[i + 1]], h.data, ws[2 * i], h.requires_grad)
             gh = gx if gh is None else gh + gx
         _accum(parents, (gh, *grads))

@@ -25,9 +25,9 @@ cameras and regresses the full 21-parameter calibration of every camera:
    per mount.
 
 A forward pass records one node per stage, each with a written-out backward
-in ``nn.functional``: the embedding (step 1; the constant identity codes of
-step 2 need no node), one per encoder block (step 3) and one for steps 4
-and 5, ``F.heads``.
+in ``nn.functional``: the embedding (step 1, ``F.embed``; the constant
+identity codes of step 2 need no node), one per encoder block (step 3,
+``F.encoder_block``) and one for steps 4 and 5, ``F.heads``.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
@@ -255,8 +255,8 @@ class PtModel:
             raise ShapeMismatch(
                 f"expected (B, {cfg.n_cameras}, {cfg.n_fiducials}, 2), got {X.shape}"
             )
-        flat = ad.constant(X.reshape(X.shape[0], cfg.n_cameras, 2 * cfg.n_fiducials))
-        return F.linear(flat, self.params["embed_w"], self.params["embed_b"])
+        flat = X.reshape(X.shape[0], cfg.n_cameras, 2 * cfg.n_fiducials)
+        return F.embed(flat, self.params["embed_w"], self.params["embed_b"])
 
     def _block(self, x: Tensor, i: int) -> Tensor:
         block = [self.params[f"layer{i}_{nm}"] for nm in _block_spec(self.config)]

@@ -6,8 +6,10 @@ Composed from them are the references the package's written-out nodes must
 equal bit for bit: ``linear``, ``rot6d_to_matrix_t`` with ``cross3_t``,
 ``geodesic_angles_t``, ``heads``, ``forward``, ``loss_diff``, ``loss_geo``
 and ``compound_loss``, each as the package computed it before it became one
-node. Binary elementwise operations broadcast like numpy; gradients are
-summed back over the broadcast axes.
+node. ``softmax`` and ``layer_norm`` are one node each over the package's
+array kernels, as the encoder block's reference uses them. Binary
+elementwise operations broadcast like numpy; gradients are summed back over
+the broadcast axes.
 
 A package node's output has no operators; ``as_tape`` passes it through one
 identity node, which leaves every value and gradient bitwise unchanged.
@@ -21,7 +23,8 @@ from ncal import geometry
 from ncal.errors import DegenerateRotation, ShapeMismatch
 from ncal.losses import LAM1, LAM2, PARAM_SCALE, loss_reproj
 from ncal.nn import autodiff as ad
-from ncal.nn.autodiff import _unbroadcast, subgradient
+from ncal.nn import functional as F
+from ncal.nn.autodiff import subgradient
 from ncal.nn.model import HEADS
 
 
@@ -100,6 +103,19 @@ def _node(data, parents, backward):
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data, requires_grad=False)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum gradient g back down to `shape` (inverse of numpy broadcasting)."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g.reshape(shape)
 
 
 def as_tape(t) -> Tensor:
@@ -274,11 +290,29 @@ def matmul(a, b) -> Tensor:
 
 
 def softmax(a, axis=-1) -> Tensor:
-    return as_tape(ad.softmax(a, axis))
+    """Numerically-stable softmax as one node; rows along `axis` sum to 1."""
+    s = ad.softmax(a.data, axis)
+
+    def backward(g):
+        a._accum(ad.softmax_grad(g, s, axis))
+
+    return _node(s, (a,), backward)
 
 
 def layer_norm(x, gain, bias) -> Tensor:
-    return as_tape(ad.layer_norm(x, gain, bias))
+    """Fused last-axis layer normalization as one node:
+    gain * (x - mean) / std + bias."""
+    out, xhat, inv_std = F.layer_norm(x.data, gain.data, bias.data)
+
+    def backward(g):
+        if gain.requires_grad:
+            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            bias._accum(_unbroadcast(g, bias.data.shape))
+        if x.requires_grad:
+            x._accum(ad.normalize_grad(g * gain.data, xhat, inv_std))
+
+    return _node(out, (x, gain, bias), backward)
 
 
 # -- references composed from the ops above --------------------------------

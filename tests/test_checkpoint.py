@@ -370,6 +370,11 @@ MALFORMED = {
         optimizer=AdamState(m={"no_such_param": np.zeros(3)}, v={"no_such_param": np.zeros(3)})),
     "adam_m_without_adam_v": dict(optimizer=AdamState(m={"embed_b": np.zeros(16)})),
     "adam_v_without_adam_m": dict(optimizer=AdamState(v={"embed_b": np.zeros(16)})),
+    # A negative step puts NaN into every weight at the next Adam step; a
+    # bool or a fraction is not a step count.
+    "adam_step_negative": dict(optimizer=AdamState(step=-3)),
+    "adam_step_fractional": dict(optimizer=AdamState(step=2.5)),
+    "adam_step_bool": dict(optimizer=AdamState(step=True)),
     # Blobs this module never writes for the stored model.
     "blob_of_a_missing_layer": dict(
         extra_blob=_blob_header(b"layer9_wq", 16, 16) + bytes(16 * 16 * 8)),

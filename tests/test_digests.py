@@ -7,6 +7,36 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "digests.py"
 
+# Every bitwise check the script makes, with a trailing "=value" (a figure
+# the check computed) dropped; a refactor of the script must not lose one.
+LABELS = {
+    "synthesis O-10/cube27 kappa 0 n=512 seed=3 attempts",
+    "synthesis O-10/cube27 kappa 0.05 n=512 seed=3 attempts",
+    "synthesis O-6/cube8 radius 0.7 kappa 0.2 n=48 seed=7 attempts",
+    "synthesis O-6/cube8 zero distortion kappa 0.05 n=64 seed=5 attempts",
+    "stall message: sample 9: no visible pose in 1000 attempts (rig=O-6, object=cube8, "
+    "radius=0.7)",
+    "train records",
+    "train weights",
+    "train adam m",
+    "train adam v",
+    "checkpoint bytes",
+    "checkpoint load",
+    "checkpoint bytes model-only",
+    "checkpoint load model-only",
+    "evaluate re_avg",
+    "loss_reproj behind cameras value",
+    "encoder paper width",
+    "heads and loss gradients O-10/cube27 phase 1",
+    "heads and loss gradients O-10/cube27 phase 2",
+    "losses at ground truth",
+    "losses at ground truth rotations scaled by 1 - 4 eps",
+    "reference_params O-10",
+    "reference_params O-6",
+    "reference_params U-7",
+    "reference_params T-4",
+}
+
 
 def test_prints_one_digest_per_distinct_label(tmp_path):
     # Run from an unrelated directory: the script finds the package itself.
@@ -21,3 +51,4 @@ def test_prints_one_digest_per_distinct_label(tmp_path):
         assert m, line
         labels.append(m.group(1))
     assert len(set(labels)) == len(labels)
+    assert {re.sub(r"=[-+.\w]+$", "", label) for label in labels} == LABELS

@@ -59,21 +59,21 @@ def partly_behind(gt):
 class TestLossDiff:
     def test_zero_at_ground_truth(self, batch):
         b, _ = batch
-        assert float(loss_diff(ad.constant(b.gt_params), b.gt_params).data) == 0.0
+        assert float(loss_diff(tape.constant(b.gt_params), b.gt_params).data) == 0.0
 
     def test_scaled_distortion_slot(self):
         gt = np.zeros((1, 21))
         gt[0, :9] = np.eye(3).reshape(9)
         pred = gt.copy()
         pred[0, 16] += 1.0 / LAM_SCALE  # k1 off by 1 / LAM_SCALE -> scaled deviation of 1.0
-        val = float(loss_diff(ad.constant(pred), gt).data)
+        val = float(loss_diff(tape.constant(pred), gt).data)
         assert val == pytest.approx(np.sqrt(1.0 / 21.0))
 
     def test_matches_flatten_scale_rmse_oracle(self, batch):
         b, _ = batch
         rng = np.random.default_rng(1)
         pred = b.gt_params + rng.normal(size=b.gt_params.shape) * 0.01
-        got = float(loss_diff(ad.constant(pred), b.gt_params).data)
+        got = float(loss_diff(tape.constant(pred), b.gt_params).data)
         s = np.ones(21)
         s[0:9] = LAM_SCALE  # rotation entries
         s[16:21] = LAM_SCALE  # distortion entries
@@ -85,13 +85,13 @@ class TestLossGeo:
     def test_zero_for_identical_exact_rotations(self):
         gt = np.zeros((3, 21))
         gt[:, :9] = np.eye(3).reshape(9)
-        assert float(loss_geo(ad.constant(gt), gt).data) == 0.0
+        assert float(loss_geo(tape.constant(gt), gt).data) == 0.0
 
     def test_near_zero_for_identical_composed_rotations(self, batch):
         # Rotations assembled from matrix products carry ~1e-13 orthogonality
         # defects; arccos near 1 amplifies those to ~1e-6 radians.
         b, _ = batch
-        assert float(loss_geo(ad.constant(b.gt_params), b.gt_params).data) < 1e-5
+        assert float(loss_geo(tape.constant(b.gt_params), b.gt_params).data) < 1e-5
 
     def test_mean_of_single_offset(self):
         gt = np.zeros((2, 21))
@@ -99,13 +99,13 @@ class TestLossGeo:
         pred = gt.copy()
         rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         pred[1, :9] = rz.reshape(9)
-        val = float(loss_geo(ad.constant(pred), gt).data)
+        val = float(loss_geo(tape.constant(pred), gt).data)
         assert val == pytest.approx(np.pi / 4)
 
     def test_matches_geometry_oracle(self, batch):
         b, _ = batch
         pred = perturbed_pred(b.gt_params, seed=2)
-        got = float(loss_geo(ad.constant(pred), b.gt_params).data)
+        got = float(loss_geo(tape.constant(pred), b.gt_params).data)
         R1 = pred[..., :9].reshape(pred.shape[:-1] + (3, 3))
         R2 = b.gt_params[..., :9].reshape(pred.shape[:-1] + (3, 3))
         expected = geodesic_distance(R1, R2).mean()
@@ -116,7 +116,7 @@ class TestLossReproj:
     def test_zero_at_ground_truth(self, batch):
         b, cfg = batch
         val = loss_reproj(
-            ad.constant(b.gt_params), b.observations, cfg.obj.fiducials, cfg.rig.image_size
+            tape.constant(b.gt_params), b.observations, cfg.obj.fiducials, cfg.rig.image_size
         )
         assert float(val.data) == 0.0
 
@@ -125,7 +125,7 @@ class TestLossReproj:
         pred = b.gt_params.copy()
         pred[..., 14] += 2.0  # cx + 2 px shifts every projection by exactly 2 px in x
         val = loss_reproj(
-            ad.constant(pred), b.observations, cfg.obj.fiducials, cfg.rig.image_size
+            tape.constant(pred), b.observations, cfg.obj.fiducials, cfg.rig.image_size
         )
         assert float(val.data) == pytest.approx(2.0, rel=1e-12)
 
@@ -134,7 +134,7 @@ class TestLossReproj:
         pred = perturbed_pred(b.gt_params, seed=3)
         val = float(
             loss_reproj(
-                ad.constant(pred), b.observations, cfg.obj.fiducials, cfg.rig.image_size
+                tape.constant(pred), b.observations, cfg.obj.fiducials, cfg.rig.image_size
             ).data
         )
         pix, valid = geometry.project_array(pred, cfg.obj.fiducials)
@@ -181,7 +181,7 @@ class TestLossReproj:
         np.testing.assert_array_equal(t.grad[0, 1], 0.0)
 
         def f(p):
-            return float(loss_reproj(ad.constant(p), obs, fid, size).data)
+            return float(loss_reproj(tape.constant(p), obs, fid, size).data)
 
         # The penalty puts the loss near 5e3, so its rounding sets the floor
         # of the differences; the cameras that see everything have gradient
@@ -219,7 +219,7 @@ class TestCompound:
         b, cfg = batch
         for phase in (1, 2):
             total, parts = compound_loss(
-                ad.constant(b.gt_params),
+                tape.constant(b.gt_params),
                 b.gt_params,
                 b.observations,
                 cfg.obj.fiducials,
@@ -239,7 +239,7 @@ class TestCompound:
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=4)
         total, parts = compound_loss(
-            ad.constant(pred),
+            tape.constant(pred),
             b.gt_params,
             b.observations,
             cfg.obj.fiducials,
@@ -253,7 +253,7 @@ class TestCompound:
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=5)
         total, parts = compound_loss(
-            ad.constant(pred),
+            tape.constant(pred),
             b.gt_params,
             b.observations,
             cfg.obj.fiducials,
@@ -267,7 +267,7 @@ class TestCompound:
         b, cfg = batch
         with pytest.raises(ValueError):
             compound_loss(
-                ad.constant(b.gt_params),
+                tape.constant(b.gt_params),
                 b.gt_params,
                 b.observations,
                 cfg.obj.fiducials,
@@ -371,8 +371,8 @@ class TestReprojectionRmse:
         b, cfg = batch
         pred = partly_behind(b.gt_params)
         for p in (pred, perturbed_pred(b.gt_params, seed=6)):
-            tape = float(
-                loss_reproj(ad.constant(p), b.observations, cfg.obj.fiducials, cfg.rig.image_size).data
+            node = float(
+                loss_reproj(tape.constant(p), b.observations, cfg.obj.fiducials, cfg.rig.image_size).data
             )
             total, _ = reprojection_rmse(p, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
-            assert tape == pytest.approx(total, rel=1e-15)
+            assert node == pytest.approx(total, rel=1e-15)
