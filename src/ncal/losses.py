@@ -13,12 +13,12 @@ Three terms drive the network toward the ground-truth calibration:
   behind-camera penalty included, come from ``_squared_errors``, which the
   evaluation metric ``reprojection_rmse`` shares.
 
-Each term is one node on the prediction with a written-out backward, and the
-compound loss, ``LAM1 * (diff + geo)`` in phase 1 and additionally
-``+ LAM2 * reproj`` in phase 2, is one node over the terms. All RMSEs pool
-over every element of the batch (a single square root of the grand mean).
-Every square root and the arccos take the zero subgradient where their
-derivative is infinite (``nn.autodiff.subgradient``).
+Each term is one node on the prediction, and the compound loss,
+``LAM1 * (diff + geo)`` in phase 1 and ``+ LAM2 * reproj`` in phase 2, one
+node over the terms; each backward returns its parents' gradients. All
+RMSEs pool over every element of the batch (a single square root of the
+grand mean). Every square root and the arccos take the zero subgradient
+where their derivative is infinite (``nn.autodiff.subgradient``).
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ def loss_diff(pred: Tensor, gt_params: np.ndarray) -> Tensor:
 
     def backward(g):
         gd = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * d
-        pred._accum((gd + gd) * PARAM_SCALE)
+        return ((gd + gd) * PARAM_SCALE,)
 
     return ad.node(ms**0.5, (pred,), backward)
 
@@ -95,7 +95,7 @@ def loss_geo(pred: Tensor, gt_params: np.ndarray) -> Tensor:
         gc = g * (1.0 / n) * dc * 0.5
         gp = np.zeros(pred.data.shape)
         gp[..., geometry.ROT_SLICE] += gc[..., None] * gt_rot
-        pred._accum(gp)
+        return (gp,)
 
     return ad.node(np.asarray(angles.sum() * (1.0 / n)), (pred,), backward)
 
@@ -117,7 +117,7 @@ def loss_reproj(pred: Tensor, observations: np.ndarray, fiducials, image_size) -
         # the (..., F, 2, 21) Jacobian over (F, 2); its rows are zero for
         # points behind their camera, so those points pass no gradient.
         gp = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * diff
-        pred._accum(np.einsum("...fc,...fcp->...p", gp + gp, jac))
+        return (np.einsum("...fc,...fcp->...p", gp + gp, jac),)
 
     return ad.node(ms**0.5, (pred,), backward)
 
@@ -148,8 +148,7 @@ def compound_loss(
         parts["loss_reproj"] = float(lrep.data)
 
     def backward(g):
-        for t, w in zip(terms, weights):
-            t._accum(g * w)
+        return [g * w for w in weights]
 
     return ad.node(total, terms, backward), parts
 

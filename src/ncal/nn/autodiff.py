@@ -6,11 +6,10 @@ network's nodes (``nn.functional``: the embedding, each encoder block, the
 output heads; ``losses``: each loss term and their weighted total) each
 compute their forward on plain arrays and write their backward out.
 ``Tensor.backward()`` walks the recorded nodes once in reverse topological
-order and accumulates gradients into every tensor created with
-``requires_grad=True``; where several nodes feed one tensor, their gradients
-add in the walk's order.
-
-Gradient closures receive the upstream gradient as an argument and reference
+order. A node's gradient closure maps the upstream gradient to one gradient
+per parent, in parent order (None for none), and writes into no tensor: the
+walker alone adds them into every parent created with ``requires_grad=True``,
+in the walk's order where several nodes feed one tensor. Closures reference
 only their parent tensors, never their output, so finished graphs are free
 of reference cycles and are reclaimed immediately by reference counting.
 
@@ -86,19 +85,17 @@ class Tensor:
                 stack.pop()
         for node in reversed(order):
             if node._backward is not None:
-                node._backward(node.grad)
+                for p, g in zip(node._parents, node._backward(node.grad), strict=True):
+                    if g is not None and p.requires_grad:
+                        p._accum(g)
             if node._parents:
                 # interior node: its gradient has been fully consumed
                 node.grad = None
 
 
-def parameter(data) -> Tensor:
-    return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
-
-
 def node(data, parents, backward) -> Tensor:
-    """A node over `parents` whose backward(g) accumulates their gradients;
-    a constant, with no parents or closure, when none of them needs one."""
+    """A node over `parents` whose backward(g) returns their gradients; a
+    constant, with no parents or closure, when none of them needs one."""
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data, requires_grad=False)

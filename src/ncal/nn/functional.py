@@ -8,10 +8,10 @@ model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
 affine maps are the array kernel ``linear``, the block's norms
 ``layer_norm`` and its attention weights ``autodiff.softmax``, each looked
 up through its module at every call. Each node keeps only the arrays its
-backward needs. The arithmetic is that of the same step composed from
-generic tape primitives (kept in the tests as the oracle), op for op and in
-the tape's order of accumulation, so values and gradients are bitwise equal
-to that composition.
+backward needs, and its backward returns its parents' gradients. The
+arithmetic is that of the same step composed from generic tape primitives
+(kept in the tests as the oracle), op for op and in the tape's order of
+accumulation, so values and gradients are bitwise equal to that composition.
 """
 
 from __future__ import annotations
@@ -54,19 +54,11 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 def embed(x: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
     """The affine embedding x @ weight + bias of the data x as one node,
     with gradients for the weight and bias only."""
-    parents = (weight, bias)
 
     def backward(g):
-        _accum(parents, linear_grad(g, x, weight.data, False)[1:])
+        return linear_grad(g, x, weight.data, False)[1:]
 
-    return ad.node(linear(x, weight.data, bias.data), parents, backward)
-
-
-def _accum(parents, grads):
-    """Hand each parent that wants a gradient its own."""
-    for t, g in zip(parents, grads):
-        if t.requires_grad:
-            t._accum(g)
+    return ad.node(linear(x, weight.data, bias.data), (weight, bias), backward)
 
 
 def _split_heads(t: np.ndarray, n_heads: int) -> np.ndarray:
@@ -117,22 +109,20 @@ def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
     out = linear(h, w2, c2)
     out += x1
 
-    parents = (x, *params)
     saved = (xhat1, inv_std1, a, q, k, v, attn, o, xhat2, inv_std2, f, h)
 
     def backward(g):
-        gx, grads = encoder_block_backward(g, saved, weights)
-        _accum(parents, (gx, *grads))
+        return encoder_block_backward(g, saved, weights)
 
-    return ad.node(out, parents, backward)
+    return ad.node(out, (x, *params), backward)
 
 
 def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     """Gradients of encoder_block for the upstream gradient g of its output.
 
     saved: the arrays the forward kept; weights: the 16 parameter arrays.
-    Returns (gradient of x, list of the 16 parameter gradients in parameter
-    order). Each step is the tape primitive's backward for the same step,
+    Returns the gradient of x, then the 16 parameter gradients in parameter
+    order. Each step is the tape primitive's backward for the same step,
     including where a gradient is the sum of several: x and x1 each get the
     residual path plus their norm's, and a gets (k + v) + q.
     """
@@ -172,8 +162,8 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     ga *= g1
     gx = ad.normalize_grad(ga, xhat1, inv_std1)
     gx += gx1
-    return gx, [gg1, gb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
-                gg2, gb2, gw1, gc1, gw2, gc2]
+    return (gx, gg1, gb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+            gg2, gb2, gw1, gc1, gw2, gc2)
 
 
 def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
@@ -198,7 +188,6 @@ def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
     batch = out.shape[:-1]
     r9 = (reference_R @ r9.reshape(batch + (3, 3))).reshape(batch + (9,))
     bounds = np.cumsum([0] + [w.shape[-1] for w in ws[0::2]])
-    parents = (h, *params)
 
     def backward(g):
         gr9 = np.swapaxes(reference_R, -1, -2) @ g[..., 0:9].reshape(batch + (3, 3))
@@ -208,11 +197,11 @@ def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
         gh = None
         for i in reversed(range(len(bounds) - 1)):
             gx, grads[2 * i], grads[2 * i + 1] = linear_grad(
-                graw[..., bounds[i] : bounds[i + 1]], h.data, ws[2 * i], h.requires_grad)
+                graw[..., bounds[i] : bounds[i + 1]], h.data, ws[2 * i])
             gh = gx if gh is None else gh + gx
-        _accum(parents, (gh, *grads))
+        return gh, *grads
 
-    return ad.node(np.concatenate([r9, out[..., 6:]], axis=-1), parents, backward)
+    return ad.node(np.concatenate([r9, out[..., 6:]], axis=-1), (h, *params), backward)
 
 
 def rot6d_to_matrix_t(r6: np.ndarray):

@@ -42,7 +42,6 @@ import numpy as np
 
 from .. import geometry
 from ..errors import ShapeMismatch
-from . import autodiff as ad
 from . import functional as F
 from .autodiff import Tensor
 
@@ -168,7 +167,8 @@ class PtModel:
     def __init__(self, config: PtModelConfig, reference_params, image_size, radius, seed=0):
         rng = self._derive(config, reference_params, image_size, radius, seed)
         self.params = {
-            k: ad.parameter(init(rng, shape)) for k, (shape, init) in _param_spec(config).items()
+            k: Tensor(init(rng, shape), requires_grad=True)
+            for k, (shape, init) in _param_spec(config).items()
         }
 
     @classmethod
@@ -271,16 +271,13 @@ class PtModel:
         return x
 
     def forward(self, X) -> Tensor:
-        """Predict flattened camera parameters.
+        """Predict flattened camera parameters for a batch of captures.
 
-        X: observations in pixels, (n_cameras, n_fiducials, 2) or batched
-        (B, n_cameras, n_fiducials, 2). Returns a (B, n_cameras, 21) Tensor;
-        rotation blocks are orthonormal for any weights.
+        X: observations in pixels, (B, n_cameras, n_fiducials, 2); predict
+        takes a single capture. Returns a (B, n_cameras, 21) Tensor; rotation
+        blocks are orthonormal for any weights.
         """
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim == 3:
-            X = X[None]
-        h = self.embed(self.normalize_input(X))
+        h = self.embed(self.normalize_input(np.asarray(X, dtype=np.float64)))
         # The identity codes are a constant offset, whose gradient is the
         # identity: added to the embedding's value, they need no node.
         h.data += self.cie
@@ -290,8 +287,8 @@ class PtModel:
 
     def predict(self, X) -> np.ndarray:
         """Forward passes over PREDICT_CHUNK captures at a time, returning a
-        plain array; drops the batch axis that forward adds for unbatched
-        input."""
+        plain array. A single capture, (n_cameras, n_fiducials, 2), gets the
+        batch axis here, and its (n_cameras, 21) result loses it again."""
         X = np.asarray(X, dtype=np.float64)
         batch = X[None] if X.ndim == 3 else X
         # At least one pass, so an empty batch still meets forward's shape checks.

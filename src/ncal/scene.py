@@ -368,9 +368,11 @@ def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     per attempt round, so the first k samples of a batch of n > k equal a
     batch of k. The perturbation arithmetic runs once on the stacked draws,
     and each round places, projects and checks all pending samples in one
-    call. Raises SynthesisStalled, naming the lowest sample with no visible
-    pose in MAX_ATTEMPTS_PER_SAMPLE draws.
+    call. Raises ValueError for a negative n, and SynthesisStalled, naming
+    the lowest sample with no visible pose in MAX_ATTEMPTS_PER_SAMPLE draws.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
     pert, ranges = cfg.perturbation, cfg.pose_ranges
     intr = perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, rngs)

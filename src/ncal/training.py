@@ -103,6 +103,8 @@ def train(
     epoch_callback(epoch, record, model, optimizer, scheduler) runs after
     each update, e.g. to write checkpoints.
     """
+    if start_epoch < 0:
+        raise ConfigError(f"start_epoch must be >= 0, got {start_epoch}")
     optimizer = optimizer if optimizer is not None else AdamState()
     scheduler = scheduler if scheduler is not None else PlateauScheduler()
     fiducials = scene_cfg.obj.fiducials
@@ -223,12 +225,16 @@ def detect_decalibration(
 
     observations: (N_C, N_fid, 2) capture from the live system.
     reference: (N_C, 21) factory calibration to compare against.
+    threshold: >= 0; an infinite one flags only non-finite distances.
     Returns {"distances": per-camera values, "drifted": bool per camera,
-    "any_drift": bool}.
+    "any_drift": bool}. A camera whose distance is not finite (a NaN or inf
+    in the capture or the prediction) counts as drifted.
     """
+    if not threshold >= 0.0:
+        raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold!r}")
     pred = model.predict(observations)
     dist = parameter_distances(pred, reference)
-    drifted = dist > threshold
+    drifted = ~(np.isfinite(dist) & (dist <= threshold))
     return {
         "distances": dist,
         "drifted": drifted,
@@ -245,11 +251,15 @@ def calibrate_detection_threshold(
     margin: float = 1.25,
 ) -> float:
     """Threshold = margin x the largest per-camera distance observed on a
-    clean (unperturbed) sample set drawn from the detection seed stream."""
+    clean (unperturbed) sample set drawn from the detection seed stream.
+    Raises ValueError if any of those distances is not finite."""
     if n_samples < 1 or seed < 0:
         raise ConfigError(f"need n_samples >= 1 and seed >= 0, got {n_samples} and {seed}")
     reference = model.reference_params
     batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _DETECT_STREAM, 0))
     pred = model.predict(batch.observations)
     dist = parameter_distances(pred, reference)
+    bad = np.count_nonzero(~np.isfinite(dist))
+    if bad:
+        raise ValueError(f"{bad} of {dist.size} clean-set distances are not finite")
     return float(dist.max() * margin)

@@ -1,15 +1,15 @@
 """The generic reverse-mode tape: the test oracle for the package's nodes.
 
 Each op below records one node on ``ncal.nn.autodiff.Tensor``'s tape with
-the textbook gradient closure, and ``Tensor`` here adds the operator sugar.
-Composed from them are the references the package's written-out nodes must
-equal bit for bit: ``linear``, ``rot6d_to_matrix_t`` with ``cross3_t``,
-``geodesic_angles_t``, ``heads``, ``forward``, ``loss_diff``, ``loss_geo``
-and ``compound_loss``, each as the package computed it before it became one
-node. ``softmax`` and ``layer_norm`` are one node each over the package's
-array kernels, as the encoder block's reference uses them. Binary
-elementwise operations broadcast like numpy; gradients are summed back over
-the broadcast axes.
+the textbook gradient closure, which returns one gradient per parent, and
+``Tensor`` here adds the operator sugar. Composed from them are the
+references the package's written-out nodes must equal bit for bit:
+``linear``, ``rot6d_to_matrix_t`` with ``cross3_t``, ``geodesic_angles_t``,
+``heads``, ``forward``, ``loss_diff``, ``loss_geo`` and ``compound_loss``,
+each as the package computed it before it became one node. ``softmax`` and
+``layer_norm`` are one node each over the package's array kernels, as the
+encoder block's reference uses them. Binary elementwise operations
+broadcast like numpy; gradients are summed back over the broadcast axes.
 
 A package node's output has no operators; ``as_tape`` passes it through one
 identity node, which leaves every value and gradient bitwise unchanged.
@@ -124,7 +124,7 @@ def as_tape(t) -> Tensor:
     if isinstance(t, Tensor):
         return t
     t = _lift(t)
-    return _node(t.data, (t,), t._accum)
+    return _node(t.data, (t,), lambda g: (g,))
 
 
 # -- elementwise primitives ----------------------------------------------
@@ -132,47 +132,36 @@ def as_tape(t) -> Tensor:
 
 def add(a, b) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
 
     return _node(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g, b.data.shape))
+        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
 
     return _node(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(g * a.data, b.data.shape))
+        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
 
     return _node(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        return (_unbroadcast(g / b.data, a.data.shape),
+                _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(a.data / b.data, (a, b), backward)
 
 
 def neg(a) -> Tensor:
     def backward(g):
-        a._accum(-g)
+        return (-g,)
 
     return _node(-a.data, (a,), backward)
 
@@ -184,14 +173,14 @@ def power(a, p: float) -> Tensor:
 
     def backward(g):
         singular = a.data == 0.0 if p < 1.0 else False
-        a._accum(g * subgradient(lambda: p * a.data ** (p - 1.0), singular))
+        return (g * subgradient(lambda: p * a.data ** (p - 1.0), singular),)
 
     return _node(a.data**p, (a,), backward)
 
 
 def relu(a) -> Tensor:
     def backward(g):
-        a._accum(g * (a.data > 0.0))
+        return (g * (a.data > 0.0),)
 
     return _node(np.maximum(a.data, 0.0), (a,), backward)
 
@@ -207,7 +196,7 @@ def acos(a) -> Tensor:
     xc = np.clip(a.data, -1.0, 1.0)
 
     def backward(g):
-        a._accum(g * subgradient(lambda: -1.0 / np.sqrt(1.0 - xc * xc), np.abs(a.data) >= 1.0))
+        return (g * subgradient(lambda: -1.0 / np.sqrt(1.0 - xc * xc), np.abs(a.data) >= 1.0),)
 
     return _node(np.arccos(xc), (a,), backward)
 
@@ -219,7 +208,7 @@ def tsum(a, axis=None, keepdims=False) -> Tensor:
     def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accum(np.broadcast_to(g, a.data.shape).copy())
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
@@ -231,7 +220,7 @@ def tmean(a, axis=None, keepdims=False) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     def backward(g):
-        a._accum(g.reshape(a.data.shape))
+        return (g.reshape(a.data.shape),)
 
     return _node(a.data.reshape(shape), (a,), backward)
 
@@ -241,7 +230,7 @@ def transpose(a, axes) -> Tensor:
     inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        a._accum(g.transpose(inverse))
+        return (g.transpose(inverse),)
 
     return _node(a.data.transpose(axes), (a,), backward)
 
@@ -252,22 +241,17 @@ def getitem(a, idx) -> Tensor:
     def backward(g):
         buf = np.zeros_like(a.data)
         buf[idx] += g
-        a._accum(buf)
+        return (buf,)
 
     return _node(a.data[idx], (a,), backward)
 
 
 def concat(tensors, axis=-1) -> Tensor:
     tensors = [_lift(t) for t in tensors]
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([t.data.shape[axis] for t in tensors])
 
     def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accum(g[tuple(idx)])
+        return np.split(g, offsets[:-1], axis=axis)
 
     return _node(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), backward)
 
@@ -281,10 +265,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatch(str(e)) from e
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-        if b.requires_grad:
-            b._accum(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+        return (_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape),
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -294,7 +276,7 @@ def softmax(a, axis=-1) -> Tensor:
     s = ad.softmax(a.data, axis)
 
     def backward(g):
-        a._accum(ad.softmax_grad(g, s, axis))
+        return (ad.softmax_grad(g, s, axis),)
 
     return _node(s, (a,), backward)
 
@@ -305,12 +287,8 @@ def layer_norm(x, gain, bias) -> Tensor:
     out, xhat, inv_std = F.layer_norm(x.data, gain.data, bias.data)
 
     def backward(g):
-        if gain.requires_grad:
-            gain._accum(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias._accum(_unbroadcast(g, bias.data.shape))
-        if x.requires_grad:
-            x._accum(ad.normalize_grad(g * gain.data, xhat, inv_std))
+        return (ad.normalize_grad(g * gain.data, xhat, inv_std),
+                _unbroadcast(g * xhat, gain.data.shape), _unbroadcast(g, bias.data.shape))
 
     return _node(out, (x, gain, bias), backward)
 
@@ -401,8 +379,6 @@ def heads(model, h) -> Tensor:
 def forward(model, X) -> Tensor:
     """PtModel.forward composed from this tape around the encoder blocks."""
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 3:
-        X = X[None]
     cfg = model.config
     flat = constant(model.normalize_input(X).reshape(X.shape[0], cfg.n_cameras, -1))
     h = linear(flat, model.params["embed_w"], model.params["embed_b"])

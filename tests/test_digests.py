@@ -26,6 +26,7 @@ LABELS = {
     "checkpoint load model-only",
     "evaluate re_avg",
     "loss_reproj behind cameras value",
+    "model init O-10/cube27 d_model 512 seed 1",
     "encoder paper width",
     "heads and loss gradients O-10/cube27 phase 1",
     "heads and loss gradients O-10/cube27 phase 2",
@@ -44,7 +45,7 @@ def test_prints_one_digest_per_distinct_label(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) >= 24
+    assert len(lines) >= 25
     labels = []
     for line in lines:
         m = re.fullmatch(r"[0-9a-f]{64} (\S.*)", line)

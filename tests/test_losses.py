@@ -15,7 +15,6 @@ from ncal.losses import (
     reprojection_rmse,
 )
 import tape
-from ncal.nn import autodiff as ad
 from ncal.scene import PerturbationSpec, SceneConfig, make_object, make_rig, synthesize_batch
 from oracle import geodesic_distance, rot6d_to_matrix
 
@@ -152,7 +151,7 @@ class TestLossReproj:
         pred[0, 0, 9:12] = flip @ pred[0, 0, 9:12]
         _, valid = geometry.project_array(pred, cfg.obj.fiducials)
         assert not valid[0, 0].any() and valid[0, 1:].all()
-        t = ad.parameter(pred)
+        t = tape.parameter(pred)
         val = loss_reproj(t, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
         assert np.isfinite(float(val.data))
         val.backward()
@@ -172,7 +171,7 @@ class TestLossReproj:
         assert valid[0, 0].sum() == 4
         assert not valid[0, 1].any() and valid[0, 2:].all() and valid[1].all()
 
-        t = ad.parameter(pred)
+        t = tape.parameter(pred)
         val = loss_reproj(t, obs, fid, size)
         assert np.isfinite(float(val.data))
         val.backward()
@@ -206,7 +205,7 @@ class TestLossReproj:
         moved[~valid] += 123.0
         runs = []
         for obs in (b.observations, moved):
-            t = ad.parameter(pred)
+            t = tape.parameter(pred)
             val = loss_reproj(t, obs, fid, size)
             val.backward()
             runs.append((float(val.data), t.grad))

@@ -233,7 +233,7 @@ def random_block_params(rng, d_model, d_ff):
         shape = shapes.get(nm, (d_model, d_model) if nm.startswith("w") else (d_model,))
         scale = 1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.2
         data = rng.normal(size=shape) * scale + (1.0 if nm.endswith("_g") else 0.0)
-        out[f"layer0_{nm}"] = ad.parameter(data)
+        out[f"layer0_{nm}"] = tape.parameter(data)
     return out
 
 
@@ -244,7 +244,7 @@ def node_block(n_heads):
 def block_outputs(block, params, x, upstream):
     """Output, input gradient and the 16 parameter gradients of one block."""
     x = tape.parameter(x)
-    params = {k: ad.parameter(t.data) for k, t in params.items()}
+    params = {k: tape.parameter(t.data) for k, t in params.items()}
     out = block(x, params)
     out.backward(upstream)
     return [out.data, x.grad] + [params[f"layer0_{nm}"].grad for nm in BLOCK_PARAMS]
@@ -416,7 +416,7 @@ class TestLinear:
         want = [out.data] + [t.grad for t in ts]
         got = [F.linear(x, w, b), *F.linear_grad(upstream, x, w)]
         # The embedding node over data: the weight and bias gradients only.
-        weight, bias = ad.parameter(w), ad.parameter(b)
+        weight, bias = tape.parameter(w), tape.parameter(b)
         node = F.embed(x, weight, bias)
         node.backward(upstream)
         got += [node.data, weight.grad, bias.grad]
@@ -541,6 +541,14 @@ class TestForward:
         X = np.random.default_rng(13).uniform(0, 1024, size=(3, 4, 2))
         out = m.predict(X)
         assert out.shape == (3, 21)
+        assert out.tobytes() == m.forward(X[None]).data[0].tobytes()
+
+    def test_forward_rejects_single_capture(self):
+        # forward takes batches; predict is the single-capture path.
+        m = tiny_model()
+        X = np.random.default_rng(13).uniform(0, 1024, size=(3, 4, 2))
+        with pytest.raises(ShapeMismatch, match=r"expected \(B, 3, 4, 2\)"):
+            m.forward(X)
 
     def test_predict_in_chunks_matches_one_forward(self, monkeypatch):
         from ncal.nn import model as model_module

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from ncal.nn import autodiff as ad
 from ncal.nn.optim import (
     PLATEAU_FACTOR,
     PLATEAU_PATIENCE,
@@ -13,6 +12,8 @@ from ncal.nn.optim import (
     clip_gradients,
 )
 
+import tape
+
 
 def groups(name):
     return "heads" if name.startswith("head") else "encoder"
@@ -20,7 +21,7 @@ def groups(name):
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = {"w": ad.parameter([1.0, 2.0])}
+        p = {"w": tape.parameter([1.0, 2.0])}
         p["w"].grad = np.zeros(2)
         state = AdamState()
         adam_step(p, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
@@ -28,7 +29,7 @@ class TestAdam:
         assert state.step == 1
 
     def test_constant_gradient_step_approaches_lr_sign(self):
-        p = {"w": ad.parameter([0.0])}
+        p = {"w": tape.parameter([0.0])}
         state = AdamState()
         lr = 1e-2
         prev = p["w"].data.copy()
@@ -48,7 +49,7 @@ class TestAdam:
     def test_quadratic_bowl_converges(self):
         # minimize 0.5 * ||x - target||^2
         target = np.array([3.0, -2.0, 1.0])
-        p = {"x": ad.parameter(np.zeros(3))}
+        p = {"x": tape.parameter(np.zeros(3))}
         state = AdamState()
         losses = []
         for _ in range(100):
@@ -68,7 +69,7 @@ class TestAdam:
         assert final < 1e-2 * losses[0]
 
     def test_per_group_learning_rates(self):
-        p = {"head_w": ad.parameter([0.0]), "enc_w": ad.parameter([0.0])}
+        p = {"head_w": tape.parameter([0.0]), "enc_w": tape.parameter([0.0])}
         state = AdamState()
         for t in p.values():
             t.grad = np.array([1.0])

@@ -361,6 +361,10 @@ class TestSynthesis:
         assert len(batch) == 0
         assert batch.gt_params.shape == (0, 6, 21)
 
+    def test_negative_count_rejected(self, o6_config):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            synthesize_batch(o6_config, -1, seed=1)
+
     def test_seeded_determinism(self, o6_config):
         a = synthesize_batch(o6_config, 16, seed=42)
         b = synthesize_batch(o6_config, 16, seed=42)

@@ -185,7 +185,7 @@ class TestTrainLoop:
                 0.0,
                 requires_grad=True,
                 parents=(pred,),
-                backward=lambda g: pred._accum(np.full(pred.data.shape, np.nan)),
+                backward=lambda g: (np.full(pred.data.shape, np.nan),),
             )
             return tape.add(total, poison), parts
 
@@ -204,6 +204,12 @@ class TestTrainLoop:
         for k, t in model.params.items():
             np.testing.assert_array_equal(t.data, snapshot[k])
 
+    def test_negative_start_epoch_rejected(self):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="start_epoch"):
+            train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4),
+                  start_epoch=-1)
+
     def test_phase1_longer_than_total_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=10, phase1_epochs=20)
@@ -214,10 +220,10 @@ class TestTrainLoop:
             TrainConfig(**{"epochs": 10, "phase1_epochs": 5, **bad})
 
 
-def small_train_step(random_heads, phase, forward=None, loss=None):
+def small_train_step(random_heads, phase, forward=None, loss=None, backward=True):
     """One training step at the train_small benchmark's shape (O-6, cube8,
     d_model 64 x 2 layers, 4 heads, d_ff 128), on a batch of 16: returns
-    (pred, total, parts, model) after backward."""
+    (pred, total, parts, model), after backward unless told otherwise."""
     rig, oem = make_rig("O-6")
     scn = SceneConfig(rig=rig, oem=oem, obj=make_object("cube8"),
                       perturbation=PerturbationSpec(0.05, 0.05))
@@ -233,7 +239,8 @@ def small_train_step(random_heads, phase, forward=None, loss=None):
     total, parts = (loss or compound_loss)(pred, batch.gt_params, batch.observations,
                                            scn.obj.fiducials, rig.image_size, phase)
     model.zero_grad()
-    total.backward()
+    if backward:
+        total.backward()
     return pred, total, parts, model
 
 
@@ -245,7 +252,7 @@ def recorded_nodes(root):
             if id(p) not in seen:
                 seen[id(p)] = p
                 stack.append(p)
-    return sum(t._backward is not None for t in seen.values())
+    return [t for t in seen.values() if t._backward is not None]
 
 
 class TestStep:
@@ -267,7 +274,23 @@ class TestStep:
         # The embedding, two encoder blocks, the heads, three loss terms and
         # their weighted total.
         _, total, _, _ = small_train_step(True, 2)
-        assert recorded_nodes(total) == 8
+        assert len(recorded_nodes(total)) == 8
+
+    def test_every_node_returns_its_parents_gradients(self):
+        # The node contract: a backward maps the upstream gradient to one
+        # gradient per parent, in parent order, and writes into no tensor;
+        # only the walker adds into .grad.
+        _, total, _, _ = small_train_step(True, 2, backward=False)
+        nodes = recorded_nodes(total)
+        kinds = {t._backward.__qualname__.split(".")[0] for t in nodes}
+        assert kinds == {"embed", "encoder_block", "heads", "loss_diff", "loss_geo",
+                         "loss_reproj", "compound_loss"}
+        for t in nodes:
+            grads = t._backward(np.ones_like(t.data))
+            assert len(grads) == len(t._parents)
+            for p, g in zip(t._parents, grads):
+                assert p.grad is None
+                assert g is None or g.shape == p.data.shape
 
     def test_parameter_gradients_share_no_memory(self):
         # clip_gradients scales the gradients in place, so one array handed
@@ -363,3 +386,28 @@ class TestDetection:
         scn, model = small_setup()
         with pytest.raises(ConfigError, match="seed"):
             calibrate_detection_threshold(model, scn, n_samples=4, seed=-1)
+
+    @pytest.mark.parametrize("threshold", [1.0, np.inf])
+    def test_non_finite_capture_counts_as_drift(self, threshold):
+        # One NaN fiducial makes every camera's distance NaN, which must
+        # flag every camera rather than pass as "no drift".
+        scn, model = small_setup()
+        obs = synthesize_batch(scn, 1, seed=0).observations[0].copy()
+        obs[0, 0, 0] = np.nan
+        verdict = detect_decalibration(model, obs, model.reference_params, threshold)
+        assert np.isnan(verdict["distances"]).all()
+        assert verdict["drifted"].all() and verdict["any_drift"]
+
+    @pytest.mark.parametrize("threshold", [np.nan, -1.0, -np.inf])
+    def test_nan_or_negative_threshold_rejected(self, threshold):
+        scn, model = small_setup()
+        obs = synthesize_batch(scn, 1, seed=0).observations[0]
+        with pytest.raises(ValueError, match="threshold"):
+            detect_decalibration(model, obs, model.reference_params, threshold)
+
+    def test_threshold_calibration_rejects_non_finite_distances(self):
+        # A NaN focal-length bias makes every clean-set distance NaN.
+        scn, model = small_setup()
+        model.params["head_fc_b"].data[:] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            calibrate_detection_threshold(model, scn, n_samples=4, seed=1)

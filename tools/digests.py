@@ -13,11 +13,12 @@ which are perturbed additively), the records, final weights, Adam moments,
 checkpoint bytes and what loading them returns (with the Adam moments, and
 model-only as a deployed model is saved) of a small fixed-seed training run,
 evaluation figures, the reprojection loss and its gradient on a prediction
-that puts fiducials behind cameras, the forward and gradients of a
-paper-width encoder, a model's prediction, loss parts and parameter
-gradients with non-zero heads in both phases, the gradients of the three
-loss terms at the ground truth and next to it, where arccos is steepest, and
-the reference calibration of every built-in rig.
+that puts fiducials behind cameras, the parameters of a freshly built
+paper-width model, the forward and gradients of a paper-width encoder, a
+model's prediction, loss parts and parameter gradients with non-zero heads
+in both phases, the gradients of the three loss terms at the ground truth
+and next to it, where arccos is steepest, and the reference calibration of
+every built-in rig.
 """
 
 from __future__ import annotations
@@ -132,11 +133,22 @@ def penalty_lines():
     pred[0, 0, 9:12] = 0.0
     pred[0, 1, 3:9] *= -1.0
     pred[0, 1, 10:12] *= -1.0
-    t = autodiff.parameter(pred)
+    t = autodiff.Tensor(pred, requires_grad=True)
     loss = losses.loss_reproj(t, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
     loss.backward()
     value = float(loss.data)
     yield f"loss_reproj behind cameras value={value!r}", digest(value, t.grad)
+
+
+def construction_lines():
+    # The Glorot draws and the reference of a model at the paper's
+    # architecture (the PtModelConfig defaults), as built, before training.
+    cfg = config("O-10", "cube27", 0.0)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials)
+    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
+    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=1)
+    yield (f"model init O-10/cube27 d_model {mcfg.d_model} seed 1",
+           arrays_digest(model.state_arrays()))
 
 
 def encoder_lines():
@@ -154,7 +166,7 @@ def encoder_lines():
         t.data = rng.normal(size=t.data.shape) * (0.04 if t.data.ndim == 2 else 0.2)
         if k.endswith(("ln1_g", "ln2_g")):
             t.data += 1.0
-    x = autodiff.parameter(rng.normal(size=(4, cfg.n_cameras, 512)))
+    x = autodiff.Tensor(rng.normal(size=(4, cfg.n_cameras, 512)), requires_grad=True)
     out = model.encode(x)
     out.backward(rng.normal(size=out.data.shape))
     yield "encoder paper width", digest(out.data, x.grad, *(model.params[k].grad for k in layers))
@@ -198,7 +210,7 @@ def ground_truth_lines():
                      lambda t: losses.loss_geo(t, b.gt_params),
                      lambda t: losses.loss_reproj(t, b.observations, cfg.obj.fiducials,
                                                   cfg.rig.image_size)):
-            t = autodiff.parameter(pred)
+            t = autodiff.Tensor(pred, requires_grad=True)
             value = loss(t)
             value.backward()
             parts += [value.data, t.grad]
@@ -212,8 +224,8 @@ def reference_lines():
 
 
 def main() -> None:
-    for lines in (synthesis_lines, training_lines, penalty_lines, encoder_lines,
-                  heads_lines, ground_truth_lines, reference_lines):
+    for lines in (synthesis_lines, training_lines, penalty_lines, construction_lines,
+                  encoder_lines, heads_lines, ground_truth_lines, reference_lines):
         for label, h in lines():
             print(h, label)
 
