@@ -7,8 +7,8 @@ Submodules
 ----------
 geometry   the 21-parameter camera layout, batched projection and its Jacobian
 scene      rig/object definitions, rig placement, perturbation, pose synthesis
-nn         point-based transformer as nodes with written-out gradients,
-           optimizer, checkpoints
+nn         point-based transformer as stages with written-out backwards
+           composed into one pullback, optimizer, checkpoints
 losses     parameter / geodesic / reprojection losses and the compound loss
 training   training loop, evaluation, decalibration detection
 errors     exception types shared across the toolkit

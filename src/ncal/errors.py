@@ -25,10 +25,6 @@ class ShapeMismatch(NcalError):
     """Tensor or array shapes are inconsistent with the operation's contract."""
 
 
-class GraphCycle(NcalError):
-    """The autodiff graph contains a cycle (impossible by construction; indicates a bug)."""
-
-
 class CorruptCheckpoint(NcalError):
     """Checkpoint file failed magic, hash, or structural validation."""
 

@@ -13,12 +13,14 @@ Three terms drive the network toward the ground-truth calibration:
   behind-camera penalty included, come from ``_squared_errors``, which the
   evaluation metric ``reprojection_rmse`` shares.
 
-Each term is one node on the prediction, and the compound loss,
-``LAM1 * (diff + geo)`` in phase 1 and ``+ LAM2 * reproj`` in phase 2, one
-node over the terms; each backward returns its parents' gradients. All
-RMSEs pool over every element of the batch (a single square root of the
-grand mean). Every square root and the arccos take the zero subgradient
-where their derivative is infinite (``nn.autodiff.subgradient``).
+Each term maps the prediction array to ``(value, backward)``, where
+``backward(g)`` returns the prediction's gradient for the upstream gradient
+g of the value. The compound loss, ``LAM1 * (diff + geo)`` in phase 1 and
+``+ LAM2 * reproj`` in phase 2, returns the total, the parts and the
+prediction's gradient of the total. All RMSEs pool over every element of
+the batch (a single square root of the grand mean). Every square root and
+the arccos take the zero subgradient where their derivative is infinite
+(``nn.autodiff.subgradient``).
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import numpy as np
 
 from . import geometry
 from .nn import autodiff as ad
-from .nn.autodiff import Tensor
 
 # Weights of the compound loss: LAM1 on the parameter and geodesic terms,
 # LAM2 on the phase-2 reprojection term.
@@ -62,30 +63,31 @@ def _squared_errors(pixels, valid, observations, image_size):
     return np.where(valid, (diff * diff).sum(axis=-1), penalty), diff
 
 
-def loss_diff(pred: Tensor, gt_params: np.ndarray) -> Tensor:
+def loss_diff(pred: np.ndarray, gt_params: np.ndarray):
     """RMSE over all PARAM_SCALE-scaled parameter entries, pooled over the
-    whole batch."""
-    d = (pred.data - gt_params) * PARAM_SCALE
+    whole batch, and its backward."""
+    d = (pred - gt_params) * PARAM_SCALE
     n = d.size
     ms = np.asarray((d * d).sum() * (1.0 / n))
 
     def backward(g):
         gd = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * d
-        return ((gd + gd) * PARAM_SCALE,)
+        return (gd + gd) * PARAM_SCALE
 
-    return ad.node(ms**0.5, (pred,), backward)
+    return ms**0.5, backward
 
 
-def loss_geo(pred: Tensor, gt_params: np.ndarray) -> Tensor:
+def loss_geo(pred: np.ndarray, gt_params: np.ndarray):
     """Mean geodesic angle between predicted and ground-truth rotations,
-    arccos((trace(R^T R_gt) - 1) / 2) with the argument clamped to [-1, 1].
+    arccos((trace(R^T R_gt) - 1) / 2) with the argument clamped to [-1, 1],
+    and its backward.
 
     Wherever the argument is at or past the clamp the gradient is zero, the
     true derivative of the clamped function, so coincident rotations
     contribute no gradient.
     """
     gt_rot = np.asarray(gt_params, dtype=float)[..., geometry.ROT_SLICE]
-    c = ((pred.data[..., geometry.ROT_SLICE] * gt_rot).sum(axis=-1) - 1.0) * 0.5
+    c = ((pred[..., geometry.ROT_SLICE] * gt_rot).sum(axis=-1) - 1.0) * 0.5
     cc = np.clip(c, -1.0, 1.0)
     angles = np.arccos(cc)
     n = angles.size
@@ -93,21 +95,21 @@ def loss_geo(pred: Tensor, gt_params: np.ndarray) -> Tensor:
     def backward(g):
         dc = ad.subgradient(lambda: -1.0 / np.sqrt(1.0 - cc * cc), np.abs(c) >= 1.0)
         gc = g * (1.0 / n) * dc * 0.5
-        gp = np.zeros(pred.data.shape)
+        gp = np.zeros(pred.shape)
         gp[..., geometry.ROT_SLICE] += gc[..., None] * gt_rot
-        return (gp,)
+        return gp
 
-    return ad.node(np.asarray(angles.sum() * (1.0 / n)), (pred,), backward)
+    return angles.sum() * (1.0 / n), backward
 
 
-def loss_reproj(pred: Tensor, observations: np.ndarray, fiducials, image_size) -> Tensor:
+def loss_reproj(pred: np.ndarray, observations: np.ndarray, fiducials, image_size):
     """Pixel RMSE between projections under predicted parameters and the
-    observed (ground-truth) projections.
+    observed (ground-truth) projections, and its backward.
 
     Points behind a predicted camera contribute the fixed penalty of
     ``_squared_errors`` with zero gradient.
     """
-    pix, valid, jac = geometry.project_jacobian_array(pred.data, fiducials)
+    pix, valid, jac = geometry.project_jacobian_array(pred, fiducials)
     sq, diff = _squared_errors(pix, valid, observations, image_size)
     n = sq.size
     ms = np.asarray(sq.sum() * (1.0 / n))
@@ -117,40 +119,39 @@ def loss_reproj(pred: Tensor, observations: np.ndarray, fiducials, image_size) -
         # the (..., F, 2, 21) Jacobian over (F, 2); its rows are zero for
         # points behind their camera, so those points pass no gradient.
         gp = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * diff
-        return (np.einsum("...fc,...fcp->...p", gp + gp, jac),)
+        return np.einsum("...fc,...fcp->...p", gp + gp, jac)
 
-    return ad.node(ms**0.5, (pred,), backward)
+    return ms**0.5, backward
 
 
 def compound_loss(
-    pred: Tensor,
+    pred: np.ndarray,
     gt_params: np.ndarray,
     observations: np.ndarray,
     fiducials: np.ndarray,
     image_size,
     phase: int,
 ):
-    """Phase-dependent weighted sum as one node; returns (total, parts dict).
+    """Phase-dependent weighted sum; returns (total, parts dict, gradient of
+    the total with respect to pred).
 
-    Phase 1: LAM1 * (diff + geo). Phase 2 adds LAM2 * reproj.
+    Phase 1: LAM1 * (diff + geo). Phase 2 adds LAM2 * reproj. Each term's
+    backward gets its weight as upstream gradient, and their gradients are
+    summed as (reproj + geo) + diff, or geo + diff in phase 1.
     """
     if phase not in (1, 2):
         raise ValueError(f"phase must be 1 or 2, got {phase}")
-    terms = (loss_diff(pred, gt_params), loss_geo(pred, gt_params))
-    weights = (LAM1, LAM1)
-    total = LAM1 * terms[0].data + LAM1 * terms[1].data
-    parts = {"loss_diff": float(terms[0].data), "loss_geo": float(terms[1].data),
-             "loss_reproj": None}
+    ldiff, diff_backward = loss_diff(pred, gt_params)
+    lgeo, geo_backward = loss_geo(pred, gt_params)
+    total = LAM1 * ldiff + LAM1 * lgeo
+    parts = {"loss_diff": float(ldiff), "loss_geo": float(lgeo), "loss_reproj": None}
+    grad = geo_backward(LAM1)
     if phase == 2:
-        lrep = loss_reproj(pred, observations, fiducials, image_size)
-        terms, weights = terms + (lrep,), weights + (LAM2,)
-        total = total + LAM2 * lrep.data
-        parts["loss_reproj"] = float(lrep.data)
-
-    def backward(g):
-        return [g * w for w in weights]
-
-    return ad.node(total, terms, backward), parts
+        lrep, reproj_backward = loss_reproj(pred, observations, fiducials, image_size)
+        total = total + LAM2 * lrep
+        parts["loss_reproj"] = float(lrep)
+        grad = reproj_backward(LAM2) + grad
+    return total, parts, grad + diff_backward(LAM1)
 
 
 def reprojection_rmse(pred_params: np.ndarray, observations: np.ndarray, fiducials, image_size):

@@ -1,5 +1,5 @@
-"""The point-based calibration network: parameters and nodes with
-written-out gradients, the model, its optimizer and checkpoints."""
+"""The point-based calibration network: stages with written-out backwards
+composed into one pullback, the model, its optimizer and checkpoints."""
 
 from .autodiff import Tensor
 from .model import PtModel, PtModelConfig

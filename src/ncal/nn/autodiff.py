@@ -1,104 +1,48 @@
-"""Reverse-mode gradients over nodes with written-out backward passes.
+"""The prediction's holder and the array kernels the encoder block shares.
 
-A Tensor holds a float64 ndarray, its gradient slot, and the record of the
-node that produced it: the parent tensors and a gradient closure. The
-network's nodes (``nn.functional``: the embedding, each encoder block, the
-output heads; ``losses``: each loss term and their weighted total) each
-compute their forward on plain arrays and write their backward out.
-``Tensor.backward()`` walks the recorded nodes once in reverse topological
-order. A node's gradient closure maps the upstream gradient to one gradient
-per parent, in parent order (None for none), and writes into no tensor: the
-walker alone adds them into every parent created with ``requires_grad=True``,
-in the walk's order where several nodes feed one tensor. Closures reference
-only their parent tensors, never their output, so finished graphs are free
-of reference cycles and are reclaimed immediately by reference counting.
+A training step is a straight-line program: the embedding, the encoder
+blocks and the heads (``nn.functional``), then the loss terms
+(``losses``). Each stage computes its forward on plain arrays and returns it
+with a written-out backward, a pure function from its output's gradient to
+its inputs' gradients. ``PtModel.forward`` composes the stages' backwards,
+in reverse, into one pullback and returns the prediction as a ``Tensor``
+holding it; ``Tensor.backward(g)`` runs that pullback, which assigns every
+parameter's ``.grad``. There is no graph to walk.
 
-Besides the holder, ``node`` and the walker, this module keeps the array
-kernels the encoder block shares: softmax and layer normalization with their
-gradients, and the zero-subgradient rule. All data is float64 and every
-kernel is deterministic, so a fixed graph yields bitwise-identical gradients.
+``Tensor`` is the holder of the prediction and of each parameter: a float64
+array, a gradient slot and, for the prediction, the pullback. The parameters
+stay ``Tensor`` rather than plain arrays because the benchmark assigns
+``model.params[k].data`` (``bench/workloads.py``) and wraps
+``autodiff.Tensor.backward`` by name (``bench/tracing.py`` and
+``bench/tests/test_helpers.py``).
+
+The kernels are softmax and layer normalization with their gradients, and
+the zero-subgradient rule. All data is float64 and every kernel is
+deterministic, so a fixed step yields bitwise-identical gradients.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GraphCycle, ShapeMismatch
-
 # Added to the variance in normalize; keeps a row of equal values finite.
 LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
-    """A node of the autodiff tape: value, gradient slot, and provenance."""
+    """A float64 array with a gradient slot and, for a prediction, the
+    pullback that maps its gradient to the parameters'."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "_pullback")
 
-    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+    def __init__(self, data, pullback=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = bool(requires_grad)
-        self._parents = parents
-        self._backward = backward
+        self._pullback = pullback
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    def _accum(self, g):
-        self.grad = g if self.grad is None else self.grad + g
-
-    def backward(self, grad=None):
-        """Populate .grad for every requires_grad tensor reachable from here."""
-        if grad is None:
-            if self.data.size != 1:
-                raise ShapeMismatch("backward() without an explicit gradient needs a scalar")
-            grad = np.ones_like(self.data)
-        self._accum(np.asarray(grad, dtype=np.float64))
-        if not self.requires_grad:
-            return
-        # Iterative DFS: topological order with cycle detection. State is
-        # 0 while a node is on the stack, 1 once all parents are emitted.
-        order = []
-        state = {id(self): 0}
-        stack = [(self, iter(self._parents))]
-        while stack:
-            node, parents = stack[-1]
-            pushed = False
-            for p in parents:
-                if not p.requires_grad:
-                    continue
-                s = state.get(id(p))
-                if s == 0:
-                    raise GraphCycle("cycle detected in autodiff graph")
-                if s is None:
-                    state[id(p)] = 0
-                    stack.append((p, iter(p._parents)))
-                    pushed = True
-                    break
-            if not pushed:
-                state[id(node)] = 1
-                order.append(node)
-                stack.pop()
-        for node in reversed(order):
-            if node._backward is not None:
-                for p, g in zip(node._parents, node._backward(node.grad), strict=True):
-                    if g is not None and p.requires_grad:
-                        p._accum(g)
-            if node._parents:
-                # interior node: its gradient has been fully consumed
-                node.grad = None
-
-
-def node(data, parents, backward) -> Tensor:
-    """A node over `parents` whose backward(g) returns their gradients; a
-    constant, with no parents or closure, when none of them needs one."""
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, parents=parents, backward=backward)
-    return Tensor(data, requires_grad=False)
+    def backward(self, grad) -> None:
+        """Run the pullback on this tensor's gradient `grad`."""
+        self._pullback(grad)
 
 
 def subgradient(derivative, singular) -> np.ndarray:

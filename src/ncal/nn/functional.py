@@ -1,5 +1,5 @@
-"""The network's nodes: each computes its forward on plain arrays and has a
-written-out backward.
+"""The network's stages: each computes its forward on plain arrays and
+returns it with its written-out backward, ``(out, backward)``.
 
 ``embed`` is the embedding, ``encoder_block`` one transformer encoder
 block, and ``heads`` the five output heads with the bridge to the camera
@@ -7,11 +7,12 @@ model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
 (``rot6d_to_matrix_t``) and the product with the reference rotations. Their
 affine maps are the array kernel ``linear``, the block's norms
 ``layer_norm`` and its attention weights ``autodiff.softmax``, each looked
-up through its module at every call. Each node keeps only the arrays its
-backward needs, and its backward returns its parents' gradients. The
-arithmetic is that of the same step composed from generic tape primitives
-(kept in the tests as the oracle), op for op and in the tape's order of
-accumulation, so values and gradients are bitwise equal to that composition.
+up through its module at every call. Each stage keeps only the arrays its
+backward needs, and its backward maps its output's gradient to its inputs'
+gradients and writes into nothing. The arithmetic is that of the same step
+composed from generic tape primitives (kept in the tests as the oracle), op
+for op and in the tape's order of accumulation, so values and gradients are
+bitwise equal to that composition.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .. import geometry
 from ..errors import DegenerateRotation, ShapeMismatch
 from . import autodiff as ad
-from .autodiff import Tensor
 
 
 def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -51,14 +51,14 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     return gain * xhat + bias, xhat, inv_std
 
 
-def embed(x: np.ndarray, weight: Tensor, bias: Tensor) -> Tensor:
-    """The affine embedding x @ weight + bias of the data x as one node,
-    with gradients for the weight and bias only."""
+def embed(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
+    """The affine embedding x @ weight + bias of the data x, and its
+    backward, which returns the weight and bias gradients only."""
 
     def backward(g):
-        return linear_grad(g, x, weight.data, False)[1:]
+        return linear_grad(g, x, weight, False)[1:]
 
-    return ad.node(linear(x, weight.data, bias.data), (weight, bias), backward)
+    return linear(x, weight, bias), backward
 
 
 def _split_heads(t: np.ndarray, n_heads: int) -> np.ndarray:
@@ -73,11 +73,11 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(B, N, H * dh)
 
 
-def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
+def encoder_block(x: np.ndarray, weights, n_heads: int):
     """One pre-norm transformer encoder block over axis 1 of x, (B, N, D),
-    as one node.
+    and its backward.
 
-    params: the block's 16 tensors in parameter order, (ln1 gain, ln1 bias,
+    weights: the block's 16 arrays in parameter order, (ln1 gain, ln1 bias,
     wq, bq, wk, bk, wv, bv, wo, bo, ln2 gain, ln2 bias, ff1 weight, ff1 bias,
     ff2 weight, ff2 bias). With dh = D / n_heads and attention per head,
 
@@ -85,24 +85,22 @@ def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
         x1 = x + softmax(q k^T / sqrt(dh)) v @ wo + bo
         out = x1 + relu(LN2(x1) @ ff1_w + ff1_b) @ ff2_w + ff2_b
 
-    When a gradient is wanted the node keeps the normalized inputs and
-    inverse deviations of both norms, a, q, k, v, the attention weights, the
-    merged head outputs o, LN2's output and the ReLU output, and nothing
-    else; the backward reads the weights as they were at the forward.
+    The backward keeps the normalized inputs and inverse deviations of both
+    norms, a, q, k, v, the attention weights, the merged head outputs o,
+    LN2's output and the ReLU output, and nothing else; it reads the weights
+    as they were at the forward.
     """
-    (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights = [
-        p.data for p in params
-    ]
-    if x.data.ndim != 3 or x.data.shape[-1] % n_heads != 0:
-        raise ShapeMismatch(f"encoder block expects (B, N, d_model), got {x.data.shape}")
-    a, xhat1, inv_std1 = layer_norm(x.data, g1, b1)
+    (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights
+    if x.ndim != 3 or x.shape[-1] % n_heads != 0:
+        raise ShapeMismatch(f"encoder block expects (B, N, d_model), got {x.shape}")
+    a, xhat1, inv_std1 = layer_norm(x, g1, b1)
     q, k, v = linear(a, wq, bq), linear(a, wk, bk), linear(a, wv, bv)
     scores = _split_heads(q, n_heads) @ _split_heads(k, n_heads).transpose(0, 1, 3, 2)
-    scores *= 1.0 / np.sqrt(x.data.shape[-1] // n_heads)
+    scores *= 1.0 / np.sqrt(x.shape[-1] // n_heads)
     attn = ad.softmax(scores)
     o = _merge_heads(attn @ _split_heads(v, n_heads))
     x1 = linear(o, wo, bo)
-    x1 += x.data
+    x1 += x
     f, xhat2, inv_std2 = layer_norm(x1, g2, b2)
     h = linear(f, w1, c1)
     np.maximum(h, 0.0, out=h)
@@ -114,7 +112,7 @@ def encoder_block(x: Tensor, params, n_heads: int) -> Tensor:
     def backward(g):
         return encoder_block_backward(g, saved, weights)
 
-    return ad.node(out, (x, *params), backward)
+    return out, backward
 
 
 def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
@@ -166,10 +164,12 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
             gg2, gb2, gw1, gc1, gw2, gc2)
 
 
-def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
-    """The output heads on the encoder output h, (B, N, D), as one node.
+def heads(h: np.ndarray, ws, center, scale, reference_R):
+    """The output heads on the encoder output h, (B, N, D), and their
+    backward, which returns the gradient of h, then the heads' parameter
+    gradients in parameter order.
 
-    params: the heads' (weight, bias) pairs in output-column order, 18
+    ws: the heads' (weight, bias) arrays in output-column order, 18
     columns per camera in all (r6, t, fc, pp, kc). With raw their outputs
     side by side and the constant maps center and scale, (N, 18), and
     reference rotations reference_R, (N, 3, 3),
@@ -181,8 +181,7 @@ def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
     The backward adds the heads' input gradients last head first, the order
     of the tape composition, which keeps the sum bitwise equal to it.
     """
-    ws = [p.data for p in params]
-    raw = np.concatenate([linear(h.data, w, b) for w, b in zip(ws[0::2], ws[1::2])], axis=-1)
+    raw = np.concatenate([linear(h, w, b) for w, b in zip(ws[0::2], ws[1::2])], axis=-1)
     out = center + scale * raw
     r9, saved = rot6d_to_matrix_t(out[..., 0:6])
     batch = out.shape[:-1]
@@ -197,11 +196,11 @@ def heads(h: Tensor, params, center, scale, reference_R) -> Tensor:
         gh = None
         for i in reversed(range(len(bounds) - 1)):
             gx, grads[2 * i], grads[2 * i + 1] = linear_grad(
-                graw[..., bounds[i] : bounds[i + 1]], h.data, ws[2 * i])
+                graw[..., bounds[i] : bounds[i + 1]], h, ws[2 * i])
             gh = gx if gh is None else gh + gx
         return gh, *grads
 
-    return ad.node(np.concatenate([r9, out[..., 6:]], axis=-1), (h, *params), backward)
+    return np.concatenate([r9, out[..., 6:]], axis=-1), backward
 
 
 def rot6d_to_matrix_t(r6: np.ndarray):

@@ -24,10 +24,12 @@ cameras and regresses the full 21-parameter calibration of every camera:
    head, which all cameras share, learns one rig motion rather than one
    per mount.
 
-A forward pass records one node per stage, each with a written-out backward
-in ``nn.functional``: the embedding (step 1, ``F.embed``; the constant
-identity codes of step 2 need no node), one per encoder block (step 3,
-``F.encoder_block``) and one for steps 4 and 5, ``F.heads``.
+Each stage is a function in ``nn.functional`` that returns its output and
+its written-out backward: the embedding (step 1, ``F.embed``; the constant
+identity codes of step 2 pass the gradient through unchanged), one per
+encoder block (step 3, ``F.encoder_block``) and steps 4 and 5,
+``F.heads``. A forward pass composes their backwards, in reverse, into one
+pullback that assigns every parameter's gradient.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
@@ -60,7 +62,7 @@ IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 # Output heads and their widths, in the column order of the affine output map.
 HEADS = {"r6": 6, "t": 3, "fc": 2, "pp": 2, "kc": 5}
 
-# Captures per forward pass in predict, which bounds the memory the nodes
+# Captures per forward pass in predict, which bounds the memory the stages
 # keep for their backward when a whole test set is predicted at once.
 PREDICT_CHUNK = 1024
 
@@ -167,7 +169,7 @@ class PtModel:
     def __init__(self, config: PtModelConfig, reference_params, image_size, radius, seed=0):
         rng = self._derive(config, reference_params, image_size, radius, seed)
         self.params = {
-            k: Tensor(init(rng, shape), requires_grad=True)
+            k: Tensor(init(rng, shape))
             for k, (shape, init) in _param_spec(config).items()
         }
 
@@ -186,7 +188,7 @@ class PtModel:
             a = np.asarray(arrays[k], dtype=np.float64)
             if a.shape != shape:
                 raise ShapeMismatch(f"parameter {k}: expected {shape}, got {a.shape}")
-            params[k] = Tensor(a, requires_grad=True)
+            params[k] = Tensor(a)
         self.params = params
         return self
 
@@ -236,17 +238,14 @@ class PtModel:
         """Learning-rate group: prediction heads vs everything else."""
         return "heads" if name.startswith("head_") else "encoder"
 
-    def zero_grad(self):
-        for t in self.params.values():
-            t.grad = None
-
     def normalize_input(self, X: np.ndarray) -> np.ndarray:
         """Map pixels to [-1, 1] per axis using the image size."""
         w, h = self.image_size
         return X / np.array([w / 2.0, h / 2.0]) - 1.0
 
-    def embed(self, X) -> Tensor:
-        """Flatten each camera's fiducial block and apply the affine embedding.
+    def embed(self, X):
+        """Flatten each camera's fiducial block and apply the affine embedding;
+        returns F.embed's (out, backward).
 
         X: (B, n_cameras, n_fiducials, 2) normalized coordinates.
         """
@@ -256,34 +255,56 @@ class PtModel:
                 f"expected (B, {cfg.n_cameras}, {cfg.n_fiducials}, 2), got {X.shape}"
             )
         flat = X.reshape(X.shape[0], cfg.n_cameras, 2 * cfg.n_fiducials)
-        return F.embed(flat, self.params["embed_w"], self.params["embed_b"])
+        return F.embed(flat, self.params["embed_w"].data, self.params["embed_b"].data)
 
-    def _block(self, x: Tensor, i: int) -> Tensor:
-        block = [self.params[f"layer{i}_{nm}"] for nm in _block_spec(self.config)]
-        return F.encoder_block(x, block, self.config.n_heads)
+    def encode(self, x: np.ndarray):
+        """Run the transformer encoder stack over the camera axis.
 
-    def encode(self, x: Tensor) -> Tensor:
-        """Run the transformer encoder stack over the camera axis."""
-        if x.data.ndim != 3 or x.data.shape[-1] != self.config.d_model:
-            raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.data.shape}")
+        Returns (out, pullback): pullback(g) assigns each block parameter's
+        .grad for the gradient g of out and returns the gradient of x.
+        """
+        if x.ndim != 3 or x.shape[-1] != self.config.d_model:
+            raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
+        blocks = []
         for i in range(self.config.n_layers):
-            x = self._block(x, i)
-        return x
+            block = [self.params[f"layer{i}_{nm}"] for nm in _block_spec(self.config)]
+            x, backward = F.encoder_block(x, [t.data for t in block], self.config.n_heads)
+            blocks.append((block, backward))
+
+        def pullback(g):
+            for block, backward in reversed(blocks):
+                g, *grads = backward(g)
+                for t, gt in zip(block, grads, strict=True):
+                    t.grad = gt
+            return g
+
+        return x, pullback
 
     def forward(self, X) -> Tensor:
         """Predict flattened camera parameters for a batch of captures.
 
         X: observations in pixels, (B, n_cameras, n_fiducials, 2); predict
-        takes a single capture. Returns a (B, n_cameras, 21) Tensor; rotation
-        blocks are orthonormal for any weights.
+        takes a single capture. Returns a (B, n_cameras, 21) Tensor whose
+        backward(g) assigns every parameter's .grad for the prediction's
+        gradient g; rotation blocks are orthonormal for any weights.
         """
-        h = self.embed(self.normalize_input(np.asarray(X, dtype=np.float64)))
+        h, embed_backward = self.embed(self.normalize_input(np.asarray(X, dtype=np.float64)))
         # The identity codes are a constant offset, whose gradient is the
-        # identity: added to the embedding's value, they need no node.
-        h.data += self.cie
-        h = self.encode(h)
+        # identity: added to the embedding's value, they need no backward.
+        h += self.cie
+        h, encode_pullback = self.encode(h)
         heads = [self.params[f"head_{nm}_{p}"] for nm in HEADS for p in ("w", "b")]
-        return F.heads(h, heads, self._center, self._scale, self._reference_R)
+        pred, heads_backward = F.heads(h, [t.data for t in heads], self._center, self._scale,
+                                       self._reference_R)
+
+        def pullback(g):
+            gh, *grads = heads_backward(g)
+            for t, gt in zip(heads, grads, strict=True):
+                t.grad = gt
+            w, b = self.params["embed_w"], self.params["embed_b"]
+            w.grad, b.grad = embed_backward(encode_pullback(gh))
+
+        return Tensor(pred, pullback)
 
     def predict(self, X) -> np.ndarray:
         """Forward passes over PREDICT_CHUNK captures at a time, returning a

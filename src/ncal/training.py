@@ -93,6 +93,10 @@ def train(
 ) -> TrainResult:
     """Run epochs [start_epoch, cfg.epochs); the model is updated in place.
 
+    start_epoch must lie in [0, cfg.epochs]: start_epoch == cfg.epochs is a
+    finished run and returns no records, and a larger one raises ConfigError,
+    so a resume under a shortened TrainConfig cannot silently train nothing.
+
     Each epoch clips the gradients of its phase's compound loss to
     CLIP_NORM and takes one Adam step at the LEARNING_RATES times the
     plateau scheduler's scale, floored at LR_MIN.
@@ -103,8 +107,8 @@ def train(
     epoch_callback(epoch, record, model, optimizer, scheduler) runs after
     each update, e.g. to write checkpoints.
     """
-    if start_epoch < 0:
-        raise ConfigError(f"start_epoch must be >= 0, got {start_epoch}")
+    if not 0 <= start_epoch <= cfg.epochs:
+        raise ConfigError(f"start_epoch must be in [0, {cfg.epochs}], got {start_epoch}")
     optimizer = optimizer if optimizer is not None else AdamState()
     scheduler = scheduler if scheduler is not None else PlateauScheduler()
     fiducials = scene_cfg.obj.fiducials
@@ -117,18 +121,17 @@ def train(
         phase = 1 if epoch < cfg.phase1_epochs else 2
 
         pred = model.forward(batch.observations)
-        total, parts = compound_loss(
-            pred, batch.gt_params, batch.observations, fiducials, image_size, phase
+        total, parts, grad = compound_loss(
+            pred.data, batch.gt_params, batch.observations, fiducials, image_size, phase
         )
-        loss_value = float(total.data)
+        loss_value = float(total)
         if not np.isfinite(loss_value):
             raise NonFiniteLoss(epoch, batch_seed)
 
-        model.zero_grad()
-        total.backward()
-        # Free this step's graph now rather than when the next forward pass
-        # rebinds the names: at paper scale it holds about 2 GB.
-        del pred, total
+        pred.backward(grad)
+        # Free what this step's pullback keeps now rather than when the next
+        # forward pass rebinds the names: at paper scale it is about 1 GB.
+        del pred, grad
         grads = {k: t.grad for k, t in model.params.items()}
         grad_norm = clip_gradients(grads, CLIP_NORM)
         if not np.isfinite(grad_norm):
@@ -252,9 +255,13 @@ def calibrate_detection_threshold(
 ) -> float:
     """Threshold = margin x the largest per-camera distance observed on a
     clean (unperturbed) sample set drawn from the detection seed stream.
-    Raises ValueError if any of those distances is not finite."""
+    Raises ValueError unless 1 <= margin < inf (a NaN, infinite or shrinking
+    margin would give a NaN, negative or too tight threshold), or if any of
+    those distances is not finite."""
     if n_samples < 1 or seed < 0:
         raise ConfigError(f"need n_samples >= 1 and seed >= 0, got {n_samples} and {seed}")
+    if not 1.0 <= margin < np.inf:
+        raise ValueError(f"margin must be finite and >= 1, got {margin!r}")
     reference = model.reference_params
     batch = synthesize_batch(scene_cfg, n_samples, derive_seed(seed, _DETECT_STREAM, 0))
     pred = model.predict(batch.observations)

@@ -1,37 +1,98 @@
-"""The generic reverse-mode tape: the test oracle for the package's nodes.
+"""The generic reverse-mode tape: the test oracle for the package's stages.
 
-Each op below records one node on ``ncal.nn.autodiff.Tensor``'s tape with
-the textbook gradient closure, which returns one gradient per parent, and
-``Tensor`` here adds the operator sugar. Composed from them are the
-references the package's written-out nodes must equal bit for bit:
-``linear``, ``rot6d_to_matrix_t`` with ``cross3_t``, ``geodesic_angles_t``,
-``heads``, ``forward``, ``loss_diff``, ``loss_geo`` and ``compound_loss``,
-each as the package computed it before it became one node. ``softmax`` and
+``Tensor`` here records one node per op: the parent tensors and the
+textbook gradient closure, which returns one gradient per parent.
+``Tensor.backward()`` walks the recorded nodes once in reverse topological
+order, detecting cycles, and adds each returned gradient into every parent
+created with ``requires_grad=True``, in the walk's order where several
+nodes feed one tensor. Composed from the ops below are the references the
+package's written-out stages must equal bit for bit: ``linear``,
+``rot6d_to_matrix_t`` with ``cross3_t``, ``geodesic_angles_t``, ``heads``,
+``forward``, ``loss_diff``, ``loss_geo`` and ``compound_loss``, each as the
+package computed it before it became one stage. ``softmax`` and
 ``layer_norm`` are one node each over the package's array kernels, as the
-encoder block's reference uses them. Binary elementwise operations
-broadcast like numpy; gradients are summed back over the broadcast axes.
+encoder block's reference uses them, and ``encode`` and ``loss_reproj`` one
+node each over the package's stage and its backward. Binary elementwise
+operations broadcast like numpy; gradients are summed back over the
+broadcast axes.
 
-A package node's output has no operators; ``as_tape`` passes it through one
-identity node, which leaves every value and gradient bitwise unchanged.
+The compositions over a model read its parameters from ``model.params``;
+``on_tape`` makes those tape leaves over the model's own arrays.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ncal import geometry
-from ncal.errors import DegenerateRotation, ShapeMismatch
-from ncal.losses import LAM1, LAM2, PARAM_SCALE, loss_reproj
+from ncal import geometry, losses
+from ncal.errors import DegenerateRotation, NcalError, ShapeMismatch
+from ncal.losses import LAM1, LAM2, PARAM_SCALE
 from ncal.nn import autodiff as ad
 from ncal.nn import functional as F
 from ncal.nn.autodiff import subgradient
 from ncal.nn.model import HEADS
 
 
-class Tensor(ad.Tensor):
-    """A tape node with operator sugar."""
+class GraphCycle(NcalError):
+    """The tape contains a cycle (impossible through the ops; indicates a bug)."""
 
-    __slots__ = ()
+
+class Tensor:
+    """A node of the tape: value, gradient slot, and provenance, with
+    operator sugar."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, data, requires_grad=False, parents=(), backward=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.requires_grad = bool(requires_grad)
+        self._parents = parents
+        self._backward = backward
+
+    def _accum(self, g):
+        self.grad = g if self.grad is None else self.grad + g
+
+    def backward(self, grad=None):
+        """Populate .grad for every requires_grad tensor reachable from here."""
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeMismatch("backward() without an explicit gradient needs a scalar")
+            grad = np.ones_like(self.data)
+        self._accum(np.asarray(grad, dtype=np.float64))
+        if not self.requires_grad:
+            return
+        # Iterative DFS: topological order with cycle detection. State is
+        # 0 while a node is on the stack, 1 once all parents are emitted.
+        order = []
+        state = {id(self): 0}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            pushed = False
+            for p in parents:
+                if not p.requires_grad:
+                    continue
+                s = state.get(id(p))
+                if s == 0:
+                    raise GraphCycle("cycle detected in autodiff graph")
+                if s is None:
+                    state[id(p)] = 0
+                    stack.append((p, iter(p._parents)))
+                    pushed = True
+                    break
+            if not pushed:
+                state[id(node)] = 1
+                order.append(node)
+                stack.pop()
+        for node in reversed(order):
+            if node._backward is not None:
+                for p, g in zip(node._parents, node._backward(node.grad), strict=True):
+                    if g is not None and p.requires_grad:
+                        p._accum(g)
+            if node._parents:
+                # interior node: its gradient has been fully consumed
+                node.grad = None
 
     def __add__(self, other):
         return add(self, _lift(other))
@@ -94,8 +155,16 @@ def parameter(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64, copy=True), requires_grad=True)
 
 
+def on_tape(model):
+    """Replace the model's parameters by tape leaves over the same arrays and
+    return the model. The package reads a parameter's .data and assigns its
+    .grad, which a tape leaf has too."""
+    model.params = {k: Tensor(t.data, requires_grad=True) for k, t in model.params.items()}
+    return model
+
+
 def _lift(x):
-    return x if isinstance(x, ad.Tensor) else constant(x)
+    return x if isinstance(x, Tensor) else constant(x)
 
 
 def _node(data, parents, backward):
@@ -103,6 +172,13 @@ def _node(data, parents, backward):
     if any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, parents=parents, backward=backward)
     return Tensor(data, requires_grad=False)
+
+
+def _stage(x, stage, *args):
+    """A package stage, out, backward = stage(x.data, *args), as one node
+    over x whose gradient is backward's."""
+    out, backward = stage(x.data, *args)
+    return _node(out, (x,), lambda g: (backward(g),))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -116,15 +192,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
-
-
-def as_tape(t) -> Tensor:
-    """t as a Tensor of this module: itself, or an identity node over a
-    package Tensor (a leaf or a node's output), so the operators apply."""
-    if isinstance(t, Tensor):
-        return t
-    t = _lift(t)
-    return _node(t.data, (t,), lambda g: (g,))
 
 
 # -- elementwise primitives ----------------------------------------------
@@ -302,7 +369,7 @@ def linear(x, weight, bias) -> Tensor:
     Leading axes are flattened around one large matrix product, which is far
     faster than numpy's batched matmul of many small blocks.
     """
-    x = as_tape(x)
+    x = _lift(x)
     shape = x.data.shape
     if x.data.ndim == 2:
         return x @ weight + bias
@@ -319,7 +386,7 @@ def rot6d_to_matrix_t(r6) -> Tensor:
     DegenerateRotation when any first column is near zero or the columns
     are near parallel.
     """
-    r6 = as_tape(r6)
+    r6 = _lift(r6)
     a1 = r6[..., 0:3]
     a2 = r6[..., 3:6]
     n1sq = (a1 * a1).sum(axis=-1, keepdims=True)
@@ -355,16 +422,15 @@ def geodesic_angles_t(pred_r9, gt_r9) -> Tensor:
     Both arguments are (..., 9) row-major matrices; the target is constant.
     Uses trace(R1^T R2) = sum of elementwise products.
     """
-    pred_r9 = as_tape(pred_r9)
-    gt = gt_r9 if isinstance(gt_r9, ad.Tensor) else constant(gt_r9)
-    tr = (pred_r9 * gt).sum(axis=-1)
+    pred_r9 = _lift(pred_r9)
+    tr = (pred_r9 * _lift(gt_r9)).sum(axis=-1)
     return acos((tr - 1.0) * 0.5)
 
 
 def heads(model, h) -> Tensor:
     """The model's heads on the encoder output h: five linear heads, the
     affine output map, Gram-Schmidt and the reference rotation product."""
-    h = as_tape(h)
+    h = _lift(h)
     raw = concat([
         linear(h, model.params[f"head_{nm}_w"], model.params[f"head_{nm}_b"])
         for nm in HEADS
@@ -383,20 +449,26 @@ def forward(model, X) -> Tensor:
     flat = constant(model.normalize_input(X).reshape(X.shape[0], cfg.n_cameras, -1))
     h = linear(flat, model.params["embed_w"], model.params["embed_b"])
     h = h + constant(model.cie)
-    return heads(model, model.encode(h))
+    return heads(model, encode(model, h))
+
+
+def encode(model, x) -> Tensor:
+    """The model's encoder stack as one node over x; its pullback assigns
+    the block parameters' gradients itself."""
+    return _stage(x, model.encode)
 
 
 def loss_diff(pred, gt_params) -> Tensor:
     """RMSE over all PARAM_SCALE-scaled parameter entries, pooled over the
     whole batch."""
-    pred = as_tape(pred)
+    pred = _lift(pred)
     d = (pred - constant(gt_params)) * constant(PARAM_SCALE)
     return (d * d).mean() ** 0.5
 
 
 def loss_geo(pred, gt_params) -> Tensor:
     """Mean geodesic angle between predicted and ground-truth rotations."""
-    pred = as_tape(pred)
+    pred = _lift(pred)
     gt_rot = np.asarray(gt_params, dtype=float)[..., geometry.ROT_SLICE]
     angles = geodesic_angles_t(pred[..., geometry.ROT_SLICE], gt_rot)
     return angles.mean()
@@ -410,6 +482,11 @@ def compound_loss(pred, gt_params, observations, fiducials, image_size, phase):
     parts = {"loss_diff": float(ldiff.data), "loss_geo": float(lgeo.data), "loss_reproj": None}
     if phase == 2:
         lrep = loss_reproj(pred, observations, fiducials, image_size)
-        total = total + LAM2 * as_tape(lrep)
+        total = total + LAM2 * lrep
         parts["loss_reproj"] = float(lrep.data)
     return total, parts
+
+
+def loss_reproj(pred, observations, fiducials, image_size) -> Tensor:
+    """The package's reprojection term as one node over pred."""
+    return _stage(_lift(pred), losses.loss_reproj, observations, fiducials, image_size)

@@ -58,21 +58,21 @@ def partly_behind(gt):
 class TestLossDiff:
     def test_zero_at_ground_truth(self, batch):
         b, _ = batch
-        assert float(loss_diff(tape.constant(b.gt_params), b.gt_params).data) == 0.0
+        assert float(loss_diff(b.gt_params, b.gt_params)[0]) == 0.0
 
     def test_scaled_distortion_slot(self):
         gt = np.zeros((1, 21))
         gt[0, :9] = np.eye(3).reshape(9)
         pred = gt.copy()
         pred[0, 16] += 1.0 / LAM_SCALE  # k1 off by 1 / LAM_SCALE -> scaled deviation of 1.0
-        val = float(loss_diff(tape.constant(pred), gt).data)
+        val = float(loss_diff(pred, gt)[0])
         assert val == pytest.approx(np.sqrt(1.0 / 21.0))
 
     def test_matches_flatten_scale_rmse_oracle(self, batch):
         b, _ = batch
         rng = np.random.default_rng(1)
         pred = b.gt_params + rng.normal(size=b.gt_params.shape) * 0.01
-        got = float(loss_diff(tape.constant(pred), b.gt_params).data)
+        got = float(loss_diff(pred, b.gt_params)[0])
         s = np.ones(21)
         s[0:9] = LAM_SCALE  # rotation entries
         s[16:21] = LAM_SCALE  # distortion entries
@@ -84,13 +84,13 @@ class TestLossGeo:
     def test_zero_for_identical_exact_rotations(self):
         gt = np.zeros((3, 21))
         gt[:, :9] = np.eye(3).reshape(9)
-        assert float(loss_geo(tape.constant(gt), gt).data) == 0.0
+        assert float(loss_geo(gt, gt)[0]) == 0.0
 
     def test_near_zero_for_identical_composed_rotations(self, batch):
         # Rotations assembled from matrix products carry ~1e-13 orthogonality
         # defects; arccos near 1 amplifies those to ~1e-6 radians.
         b, _ = batch
-        assert float(loss_geo(tape.constant(b.gt_params), b.gt_params).data) < 1e-5
+        assert float(loss_geo(b.gt_params, b.gt_params)[0]) < 1e-5
 
     def test_mean_of_single_offset(self):
         gt = np.zeros((2, 21))
@@ -98,13 +98,13 @@ class TestLossGeo:
         pred = gt.copy()
         rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         pred[1, :9] = rz.reshape(9)
-        val = float(loss_geo(tape.constant(pred), gt).data)
+        val = float(loss_geo(pred, gt)[0])
         assert val == pytest.approx(np.pi / 4)
 
     def test_matches_geometry_oracle(self, batch):
         b, _ = batch
         pred = perturbed_pred(b.gt_params, seed=2)
-        got = float(loss_geo(tape.constant(pred), b.gt_params).data)
+        got = float(loss_geo(pred, b.gt_params)[0])
         R1 = pred[..., :9].reshape(pred.shape[:-1] + (3, 3))
         R2 = b.gt_params[..., :9].reshape(pred.shape[:-1] + (3, 3))
         expected = geodesic_distance(R1, R2).mean()
@@ -114,27 +114,27 @@ class TestLossGeo:
 class TestLossReproj:
     def test_zero_at_ground_truth(self, batch):
         b, cfg = batch
-        val = loss_reproj(
-            tape.constant(b.gt_params), b.observations, cfg.obj.fiducials, cfg.rig.image_size
+        val, _ = loss_reproj(
+            b.gt_params, b.observations, cfg.obj.fiducials, cfg.rig.image_size
         )
-        assert float(val.data) == 0.0
+        assert float(val) == 0.0
 
     def test_uniform_principal_point_shift(self, batch):
         b, cfg = batch
         pred = b.gt_params.copy()
         pred[..., 14] += 2.0  # cx + 2 px shifts every projection by exactly 2 px in x
-        val = loss_reproj(
-            tape.constant(pred), b.observations, cfg.obj.fiducials, cfg.rig.image_size
+        val, _ = loss_reproj(
+            pred, b.observations, cfg.obj.fiducials, cfg.rig.image_size
         )
-        assert float(val.data) == pytest.approx(2.0, rel=1e-12)
+        assert float(val) == pytest.approx(2.0, rel=1e-12)
 
     def test_matches_project_then_rmse_oracle(self, batch):
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=3)
         val = float(
             loss_reproj(
-                tape.constant(pred), b.observations, cfg.obj.fiducials, cfg.rig.image_size
-            ).data
+                pred, b.observations, cfg.obj.fiducials, cfg.rig.image_size
+            )[0]
         )
         pix, valid = geometry.project_array(pred, cfg.obj.fiducials)
         assert valid.all()
@@ -151,16 +151,14 @@ class TestLossReproj:
         pred[0, 0, 9:12] = flip @ pred[0, 0, 9:12]
         _, valid = geometry.project_array(pred, cfg.obj.fiducials)
         assert not valid[0, 0].any() and valid[0, 1:].all()
-        t = tape.parameter(pred)
-        val = loss_reproj(t, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
-        assert np.isfinite(float(val.data))
-        val.backward()
-        assert np.isfinite(t.grad).all()
+        val, backward = loss_reproj(pred, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
+        assert np.isfinite(val)
+        assert np.isfinite(backward(1.0)).all()
         # the 8 masked points dominate the RMSE with the fixed penalty
         diag = np.hypot(*cfg.rig.image_size)
         n_points = b.observations.shape[0] * 6 * 8
         expected_floor = 10.0 * diag * np.sqrt(8 / n_points)
-        assert float(val.data) >= expected_floor * 0.99
+        assert float(val) >= expected_floor * 0.99
 
     def test_gradient_matches_central_differences_with_points_behind(self, batch):
         b, cfg = batch
@@ -171,16 +169,15 @@ class TestLossReproj:
         assert valid[0, 0].sum() == 4
         assert not valid[0, 1].any() and valid[0, 2:].all() and valid[1].all()
 
-        t = tape.parameter(pred)
-        val = loss_reproj(t, obs, fid, size)
-        assert np.isfinite(float(val.data))
-        val.backward()
-        assert np.isfinite(t.grad).all()
+        val, backward = loss_reproj(pred, obs, fid, size)
+        assert np.isfinite(val)
+        grad = backward(1.0)
+        assert np.isfinite(grad).all()
         # the camera that sees nothing has no gradient
-        np.testing.assert_array_equal(t.grad[0, 1], 0.0)
+        np.testing.assert_array_equal(grad[0, 1], 0.0)
 
         def f(p):
-            return float(loss_reproj(tape.constant(p), obs, fid, size).data)
+            return float(loss_reproj(p, obs, fid, size)[0])
 
         # The penalty puts the loss near 5e3, so its rounding sets the floor
         # of the differences; the cameras that see everything have gradient
@@ -192,7 +189,7 @@ class TestLossReproj:
             hi[idx] += h
             lo[idx] -= h
             num[idx] = (f(hi) - f(lo)) / (2 * h)
-        np.testing.assert_allclose(t.grad, num, rtol=1e-4, atol=1e-7)
+        np.testing.assert_allclose(grad, num, rtol=1e-4, atol=1e-7)
 
     def test_points_behind_contribute_no_gradient(self, batch):
         # Moving the observation of a fiducial behind its camera changes
@@ -205,10 +202,8 @@ class TestLossReproj:
         moved[~valid] += 123.0
         runs = []
         for obs in (b.observations, moved):
-            t = tape.parameter(pred)
-            val = loss_reproj(t, obs, fid, size)
-            val.backward()
-            runs.append((float(val.data), t.grad))
+            val, backward = loss_reproj(pred, obs, fid, size)
+            runs.append((float(val), backward(1.0)))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
 
@@ -217,8 +212,8 @@ class TestCompound:
     def test_zero_at_gt_in_both_phases(self, batch):
         b, cfg = batch
         for phase in (1, 2):
-            total, parts = compound_loss(
-                tape.constant(b.gt_params),
+            total, parts, _ = compound_loss(
+                b.gt_params,
                 b.gt_params,
                 b.observations,
                 cfg.obj.fiducials,
@@ -230,15 +225,15 @@ class TestCompound:
             assert parts["loss_diff"] == 0.0
             if phase == 2:
                 assert parts["loss_reproj"] == 0.0
-            assert float(total.data) < 1e-3
+            assert float(total) < 1e-3
 
     def test_phase1_independent_of_lam2(self, batch):
         # Phase 1 is exactly LAM1 * (diff + geo): any reprojection term,
         # however small its weight, would change the total.
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=4)
-        total, parts = compound_loss(
-            tape.constant(pred),
+        total, parts, _ = compound_loss(
+            pred,
             b.gt_params,
             b.observations,
             cfg.obj.fiducials,
@@ -246,13 +241,13 @@ class TestCompound:
             phase=1,
         )
         assert parts["loss_reproj"] is None
-        assert float(total.data) == LAM1 * parts["loss_diff"] + LAM1 * parts["loss_geo"]
+        assert float(total) == LAM1 * parts["loss_diff"] + LAM1 * parts["loss_geo"]
 
     def test_phase2_recomposition(self, batch):
         b, cfg = batch
         pred = perturbed_pred(b.gt_params, seed=5)
-        total, parts = compound_loss(
-            tape.constant(pred),
+        total, parts, _ = compound_loss(
+            pred,
             b.gt_params,
             b.observations,
             cfg.obj.fiducials,
@@ -260,13 +255,13 @@ class TestCompound:
             phase=2,
         )
         expected = LAM1 * parts["loss_diff"] + LAM1 * parts["loss_geo"] + LAM2 * parts["loss_reproj"]
-        assert float(total.data) == pytest.approx(expected, rel=1e-12)
+        assert float(total) == pytest.approx(expected, rel=1e-12)
 
     def test_invalid_phase(self, batch):
         b, cfg = batch
         with pytest.raises(ValueError):
             compound_loss(
-                tape.constant(b.gt_params),
+                b.gt_params,
                 b.gt_params,
                 b.observations,
                 cfg.obj.fiducials,
@@ -284,7 +279,14 @@ def nudged(gt):
 
 
 def gradients(loss_fn, pred, *args):
-    """Value and gradient of a loss at pred."""
+    """Value, as an array, and gradient of a loss term at pred under a unit
+    upstream gradient."""
+    val, backward = loss_fn(pred, *args)
+    return np.asarray(val), backward(np.ones(()))
+
+
+def tape_gradients(loss_fn, pred, *args):
+    """gradients() for a loss composed on the tape."""
     t = tape.parameter(pred)
     val = loss_fn(t, *args)
     val.backward()
@@ -292,8 +294,8 @@ def gradients(loss_fn, pred, *args):
 
 
 class TestNodesAgainstTape:
-    """loss_diff, loss_geo and compound_loss are nodes whose values and
-    gradients equal the tape composition (tests/tape.py) bit for bit."""
+    """loss_diff, loss_geo and compound_loss give values and gradients equal
+    to the tape composition (tests/tape.py) bit for bit."""
 
     def cases(self, gt):
         near = nudged(gt)
@@ -310,7 +312,7 @@ class TestNodesAgainstTape:
         b, _ = batch
         for case, pred in self.cases(b.gt_params).items():
             got = gradients(getattr(losses, name), pred, b.gt_params)
-            want = gradients(getattr(tape, name), pred, b.gt_params)
+            want = tape_gradients(getattr(tape, name), pred, b.gt_params)
             for g, w in zip(got, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes(), case
             assert np.isfinite(got[1]).all(), case
@@ -320,13 +322,12 @@ class TestNodesAgainstTape:
         b, cfg = batch
         args = (b.gt_params, b.observations, cfg.obj.fiducials, cfg.rig.image_size, phase)
         for case, pred in self.cases(b.gt_params).items():
-            runs = []
-            for loss_fn in (losses.compound_loss, tape.compound_loss):
-                t = tape.parameter(pred)
-                total, parts = loss_fn(t, *args)
-                total.backward()
-                runs.append((total.data.tobytes(), parts, t.grad.tobytes()))
-            assert runs[0] == runs[1], case
+            total, parts, grad = losses.compound_loss(pred, *args)
+            t = tape.parameter(pred)
+            want_total, want_parts = tape.compound_loss(t, *args)
+            want_total.backward()
+            got = (np.asarray(total).tobytes(), parts, grad.tobytes())
+            assert got == (want_total.data.tobytes(), want_parts, t.grad.tobytes()), case
 
     def test_diff_gradient_zero_at_exact_zero_residual(self, batch):
         b, _ = batch
@@ -370,8 +371,8 @@ class TestReprojectionRmse:
         b, cfg = batch
         pred = partly_behind(b.gt_params)
         for p in (pred, perturbed_pred(b.gt_params, seed=6)):
-            node = float(
-                loss_reproj(tape.constant(p), b.observations, cfg.obj.fiducials, cfg.rig.image_size).data
+            term = float(
+                loss_reproj(p, b.observations, cfg.obj.fiducials, cfg.rig.image_size)[0]
             )
             total, _ = reprojection_rmse(p, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
-            assert node == pytest.approx(total, rel=1e-15)
+            assert term == pytest.approx(total, rel=1e-15)

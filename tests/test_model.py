@@ -130,8 +130,8 @@ class TestCIE:
 class TestEmbed:
     def test_zero_input_zero_bias_gives_zero(self):
         m = tiny_model()
-        out = m.embed(np.zeros((2, 3, 4, 2)))
-        np.testing.assert_array_equal(out.data, 0.0)
+        out, _ = m.embed(np.zeros((2, 3, 4, 2)))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_identity_passthrough_on_toy(self):
         # 1 camera, 1 fiducial, d_model = 2: identity weights reproduce the input.
@@ -143,15 +143,15 @@ class TestEmbed:
         m.params["embed_w"].data = np.eye(2)
         m.params["embed_b"].data = np.zeros(2)
         x = np.array([[[[0.25, -0.5]]]])
-        np.testing.assert_allclose(m.embed(x).data, x.reshape(1, 1, 2))
+        np.testing.assert_allclose(m.embed(x)[0], x.reshape(1, 1, 2))
 
     def test_matches_matmul_oracle(self):
         rng = np.random.default_rng(8)
         m = tiny_model()
         x = rng.normal(size=(5, 3, 4, 2))
-        out = m.embed(x)
+        out, _ = m.embed(x)
         expected = x.reshape(5, 3, 8) @ m.params["embed_w"].data + m.params["embed_b"].data
-        np.testing.assert_allclose(out.data, expected, atol=1e-12)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_shape_mismatch(self):
         m = tiny_model()
@@ -225,7 +225,7 @@ BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"
 
 
 def random_block_params(rng, d_model, d_ff):
-    """The 16 tensors of one block with random weights, gains and biases,
+    """The 16 arrays of one block with random weights, gains and biases,
     keyed as layer 0 of a model."""
     shapes = {"ff1_w": (d_model, d_ff), "ff1_b": (d_ff,), "ff2_w": (d_ff, d_model)}
     out = {}
@@ -233,19 +233,21 @@ def random_block_params(rng, d_model, d_ff):
         shape = shapes.get(nm, (d_model, d_model) if nm.startswith("w") else (d_model,))
         scale = 1.0 / np.sqrt(shape[0]) if len(shape) == 2 else 0.2
         data = rng.normal(size=shape) * scale + (1.0 if nm.endswith("_g") else 0.0)
-        out[f"layer0_{nm}"] = tape.parameter(data)
+        out[f"layer0_{nm}"] = data
     return out
 
 
-def node_block(n_heads):
-    return lambda x, p: F.encoder_block(x, [p[f"layer0_{nm}"] for nm in BLOCK_PARAMS], n_heads)
+def block_outputs(params, x, upstream, n_heads):
+    """Output, input gradient and the 16 parameter gradients of F.encoder_block."""
+    out, backward = F.encoder_block(x, [params[f"layer0_{nm}"] for nm in BLOCK_PARAMS], n_heads)
+    return [out, *backward(upstream)]
 
 
-def block_outputs(block, params, x, upstream):
-    """Output, input gradient and the 16 parameter gradients of one block."""
+def tape_block_outputs(params, x, upstream, n_heads):
+    """block_outputs() of the block composed on the tape."""
     x = tape.parameter(x)
-    params = {k: tape.parameter(t.data) for k, t in params.items()}
-    out = block(x, params)
+    params = {k: tape.parameter(a) for k, a in params.items()}
+    out = tape_block(x, params, 0, n_heads)
     out.backward(upstream)
     return [out.data, x.grad] + [params[f"layer0_{nm}"].grad for nm in BLOCK_PARAMS]
 
@@ -258,8 +260,8 @@ class TestEncoderBlock:
         params = random_block_params(rng, d_model, d_ff)
         x = rng.normal(size=(4, n_cameras, d_model))
         upstream = rng.normal(size=x.shape)
-        got = block_outputs(node_block(n_heads), params, x, upstream)
-        want = block_outputs(lambda x, p: tape_block(x, p, 0, n_heads), params, x, upstream)
+        got = block_outputs(params, x, upstream, n_heads)
+        want = tape_block_outputs(params, x, upstream, n_heads)
         assert len(got) == 18
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -268,15 +270,14 @@ class TestEncoderBlock:
         rng = np.random.default_rng(22)
         d_model, n_heads, d_ff = 8, 2, 12
         params = random_block_params(rng, d_model, d_ff)
-        arrays = [params[f"layer0_{nm}"].data for nm in BLOCK_PARAMS]
+        arrays = [params[f"layer0_{nm}"] for nm in BLOCK_PARAMS]
         x = rng.normal(size=(2, 3, d_model))
         w = rng.normal(size=x.shape)
 
         def loss(x, arrays):
-            out = F.encoder_block(tape.constant(x), [tape.constant(a) for a in arrays], n_heads)
-            return float((out.data * w).sum())
+            return float((F.encoder_block(x, arrays, n_heads)[0] * w).sum())
 
-        got = block_outputs(node_block(n_heads), params, x, w)[1:]
+        got = block_outputs(params, x, w, n_heads)[1:]
         h = 1e-6
         for j, base in enumerate([x] + arrays):
             num = np.zeros_like(base)
@@ -287,12 +288,6 @@ class TestEncoderBlock:
                 lo[j][idx] -= h
                 num[idx] = (loss(hi[0], hi[1:]) - loss(lo[0], lo[1:])) / (2 * h)
             np.testing.assert_allclose(got[j], num, rtol=1e-6, atol=1e-7)
-
-    def test_constant_inputs_make_a_constant_node(self):
-        rng = np.random.default_rng(23)
-        params = [tape.constant(t.data) for t in random_block_params(rng, 8, 12).values()]
-        out = F.encoder_block(tape.constant(rng.normal(size=(2, 3, 8))), params, 2)
-        assert not out.requires_grad and out._backward is None
 
     def test_single_capture_predict_matches_batched(self):
         # The recal_online check: a batch-1 predict equals its row of a
@@ -320,17 +315,23 @@ def head_params(m):
     return [m.params[f"head_{nm}_{p}"] for nm in HEADS for p in ("w", "b")]
 
 
-def heads_outputs(heads_fn, m, h, upstream):
-    """Output, input gradient and the 10 head parameter gradients."""
-    m.zero_grad()
+def stage_heads(m, h):
+    return F.heads(h, [t.data for t in head_params(m)], m._center, m._scale, m._reference_R)
+
+
+def heads_outputs(m, h, upstream):
+    """Output, input gradient and the 10 head parameter gradients of F.heads."""
+    out, backward = stage_heads(m, h)
+    return [out, *backward(upstream)]
+
+
+def tape_heads_outputs(m, h, upstream):
+    """heads_outputs() of the heads composed on the tape."""
+    tape.on_tape(m)
     h = tape.parameter(h)
-    out = heads_fn(m, h)
+    out = tape.heads(m, h)
     out.backward(upstream)
     return [out.data, h.grad] + [t.grad for t in head_params(m)]
-
-
-def node_heads(m, h):
-    return F.heads(h, head_params(m), m._center, m._scale, m._reference_R)
 
 
 class TestHeads:
@@ -351,8 +352,8 @@ class TestHeads:
             upstream[1] = -0.0
         else:
             upstream[...] = 0.0 if upstream_kind == "zero" else -0.0
-        got = heads_outputs(node_heads, m, h, upstream)
-        want = heads_outputs(tape.heads, m, h, upstream)
+        got = heads_outputs(m, h, upstream)
+        want = tape_heads_outputs(m, h, upstream)
         assert len(got) == 12
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
@@ -363,10 +364,10 @@ class TestHeads:
         randomize_heads(m, rng, scale=0.3)
         h = rng.normal(size=(2, 3, 4))
         w = rng.normal(size=(2, 3, 21))
-        got = heads_outputs(node_heads, m, h, w)[1:]
+        got = heads_outputs(m, h, w)[1:]
 
         def loss():
-            return float((node_heads(m, tape.constant(h)).data * w).sum())
+            return float((stage_heads(m, h)[0] * w).sum())
 
         step = 1e-6
         for base, g in zip([h] + [t.data for t in head_params(m)], got):
@@ -388,20 +389,12 @@ class TestHeads:
     def test_degenerate_rotation_raises_like_tape(self, bias, message):
         # Zero weights and this r6 bias put the first 6D column at zero, or
         # the second along the first, for every camera.
-        m = tiny_model()
+        m = tape.on_tape(tiny_model())
         m.params["head_r6_b"].data = np.array(bias)
-        h = tape.constant(np.ones((2, 3, 8)))
-        for heads_fn in (node_heads, tape.heads):
+        h = np.ones((2, 3, 8))
+        for heads_fn in (stage_heads, tape.heads):
             with pytest.raises(DegenerateRotation, match=message):
                 heads_fn(m, h)
-
-    def test_constant_inputs_make_a_constant_node(self):
-        m = tiny_model()
-        params = [tape.constant(t.data) for t in head_params(m)]
-        out = F.heads(tape.constant(np.ones((2, 3, 8))), params, m._center, m._scale,
-                      m._reference_R)
-        assert not out.requires_grad and out._backward is None
-        np.testing.assert_array_equal(out.data[0], m.reference_params)
 
 
 class TestLinear:
@@ -415,15 +408,13 @@ class TestLinear:
         out.backward(upstream)
         want = [out.data] + [t.grad for t in ts]
         got = [F.linear(x, w, b), *F.linear_grad(upstream, x, w)]
-        # The embedding node over data: the weight and bias gradients only.
-        weight, bias = tape.parameter(w), tape.parameter(b)
-        node = F.embed(x, weight, bias)
-        node.backward(upstream)
-        got += [node.data, weight.grad, bias.grad]
+        # The embedding of data: the weight and bias gradients only.
+        out, backward = F.embed(x, w, b)
+        got += [out, *backward(upstream)]
         want += [want[0], want[2], want[3]]
+        assert len(got) == len(want) == 7
         for g, wnt in zip(got, want):
             assert g.shape == wnt.shape and g.tobytes() == wnt.tobytes()
-        assert node._parents == (weight, bias)
 
 
 class TestKernelCalls:
@@ -456,7 +447,7 @@ class TestEncoder:
             if not k.startswith("head_"):
                 t.data = rng.normal(size=t.data.shape) * 0.5
         x = rng.normal(size=(2, 3, 8))
-        out = m.encode(tape.constant(x)).data
+        out, _ = m.encode(x)
         ref = x.copy()
         for i in range(2):
             ref = loop_reference_block(ref, m.params, i, n_heads=2)
@@ -468,13 +459,13 @@ class TestEncoder:
             if k.startswith("layer") and not k.endswith("ln1_g") and not k.endswith("ln2_g"):
                 t.data = np.zeros_like(t.data)
         x = np.random.default_rng(10).normal(size=(2, 3, 8))
-        out = m.encode(tape.constant(x)).data
+        out, _ = m.encode(x)
         np.testing.assert_allclose(out, x, atol=1e-14)
 
     def test_shape_mismatch(self):
         m = tiny_model()
         with pytest.raises(ShapeMismatch):
-            m.encode(tape.constant(np.zeros((2, 3, 5))))
+            m.encode(np.zeros((2, 3, 5)))
 
 
 class TestForward:
@@ -574,7 +565,7 @@ class TestForward:
         m2 = PtModel.from_state_arrays(m.config, arrays, m.image_size, m.radius, seed=m.seed)
         assert list(m2.params) == list(m.params)
         for k, t in m2.params.items():
-            assert t.data is arrays[k] and t.requires_grad
+            assert t.data is arrays[k]
         for attr in ("cie", "_reference", "_reference_R", "_center", "_scale"):
             assert getattr(m2, attr).tobytes() == getattr(m, attr).tobytes()
         X = rng.uniform(0, 1024, size=(2, 3, 4, 2))
@@ -601,8 +592,7 @@ class TestForward:
         def loss_value():
             return float((m.forward(X).data * w).sum())
 
-        m.zero_grad()
-        (m.forward(X) * tape.constant(w)).sum().backward()
+        m.forward(X).backward(w)
         h = 1e-5
         checked = 0
         for name in ("embed_w", "layer0_wq", "layer0_ff1_w", "head_r6_w", "head_t_b"):

@@ -3,7 +3,9 @@
 ``bench/tracing.py`` times each layer by wrapping module attributes by name;
 a name the package no longer calls through would read 0 in every traced
 run. This runs a small session under the tracer and requires a span for
-every name ``install()`` wraps.
+every name ``install()`` wraps, and exactly one ``autodiff.backward`` span
+per training epoch, none inside another, so the backward figure counts each
+pullback once.
 """
 
 import importlib.util
@@ -60,3 +62,10 @@ def test_every_wrapped_name_is_recorded(tmp_path, monkeypatch):
     assert len(wrapped) == len(set(wrapped)) > 0
     recorded = {s[tracing.NAME] for s in tracer.spans}
     assert sorted(set(wrapped) - recorded) == []
+    backward = [i for i, s in enumerate(tracer.spans) if s[tracing.NAME] == "autodiff.backward"]
+    assert len(backward) == len(result.records)
+    for i in backward:
+        parent = tracer.spans[i][tracing.PARENT]
+        while parent >= 0:
+            assert tracer.spans[parent][tracing.NAME] != "autodiff.backward"
+            parent = tracer.spans[parent][tracing.PARENT]

@@ -170,24 +170,17 @@ class TestTrainLoop:
 
     def test_non_finite_gradient_reports_epoch_before_step(self, monkeypatch):
         from ncal import training
-        from ncal.nn import autodiff as ad
 
         real_loss = training.compound_loss
         calls = []
 
         def loss_with_nan_gradient(pred, *args):
-            total, parts = real_loss(pred, *args)
+            total, parts, grad = real_loss(pred, *args)
             calls.append(None)
             if len(calls) < 3:
-                return total, parts
-            # Finite value (adds 0), NaN gradient into every weight.
-            poison = ad.Tensor(
-                0.0,
-                requires_grad=True,
-                parents=(pred,),
-                backward=lambda g: (np.full(pred.data.shape, np.nan),),
-            )
-            return tape.add(total, poison), parts
+                return total, parts, grad
+            # Finite value, NaN gradient into every weight.
+            return total, parts, np.full(grad.shape, np.nan)
 
         monkeypatch.setattr(training, "compound_loss", loss_with_nan_gradient)
         scn, model = small_setup()
@@ -210,6 +203,22 @@ class TestTrainLoop:
             train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4),
                   start_epoch=-1)
 
+    def test_start_epoch_past_the_end_rejected(self):
+        # A resume under a shortened TrainConfig must not silently train nothing.
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="start_epoch"):
+            train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4),
+                  start_epoch=3)
+
+    def test_start_epoch_at_the_end_is_a_finished_run(self):
+        scn, model = small_setup()
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        result = train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4),
+                       start_epoch=2)
+        assert result.records == [] and result.optimizer.step == 0
+        for k, t in model.params.items():
+            assert t.data.tobytes() == before[k].tobytes(), k
+
     def test_phase1_longer_than_total_rejected(self):
         with pytest.raises(ConfigError):
             TrainConfig(epochs=10, phase1_epochs=20)
@@ -220,10 +229,11 @@ class TestTrainLoop:
             TrainConfig(**{"epochs": 10, "phase1_epochs": 5, **bad})
 
 
-def small_train_step(random_heads, phase, forward=None, loss=None, backward=True):
-    """One training step at the train_small benchmark's shape (O-6, cube8,
-    d_model 64 x 2 layers, 4 heads, d_ff 128), on a batch of 16: returns
-    (pred, total, parts, model), after backward unless told otherwise."""
+def small_step_inputs(random_heads, phase):
+    """The model and batch of one training step at the train_small
+    benchmark's shape (O-6, cube8, d_model 64 x 2 layers, 4 heads, d_ff 128),
+    on a batch of 16: (model, observations, the compound loss's other
+    arguments)."""
     rig, oem = make_rig("O-6")
     scn = SceneConfig(rig=rig, oem=oem, obj=make_object("cube8"),
                       perturbation=PerturbationSpec(0.05, 0.05))
@@ -235,69 +245,61 @@ def small_train_step(random_heads, phase, forward=None, loss=None, backward=True
             if name.startswith("head_"):
                 t.data = 0.05 * rng.standard_normal(t.data.shape)
     batch = synthesize_batch(scn, 16, seed=3)
-    pred = (forward or PtModel.forward)(model, batch.observations)
-    total, parts = (loss or compound_loss)(pred, batch.gt_params, batch.observations,
-                                           scn.obj.fiducials, rig.image_size, phase)
-    model.zero_grad()
-    if backward:
+    args = (batch.gt_params, batch.observations, scn.obj.fiducials, rig.image_size, phase)
+    return model, batch.observations, args
+
+
+def small_train_step(random_heads, phase, taped=False):
+    """The step of small_step_inputs through backward: (prediction, total,
+    parts, model) with arrays for the first two; on the generic tape
+    (tests/tape.py) if taped."""
+    model, X, args = small_step_inputs(random_heads, phase)
+    if taped:
+        pred = tape.forward(tape.on_tape(model), X)
+        total, parts = tape.compound_loss(pred, *args)
         total.backward()
-    return pred, total, parts, model
-
-
-def recorded_nodes(root):
-    """Nodes reachable from root that carry a backward closure."""
-    seen, stack = {id(root): root}, [root]
-    while stack:
-        for p in stack.pop()._parents:
-            if id(p) not in seen:
-                seen[id(p)] = p
-                stack.append(p)
-    return [t for t in seen.values() if t._backward is not None]
+        return pred.data, total.data, parts, model
+    pred = model.forward(X)
+    total, parts, grad = compound_loss(pred.data, *args)
+    pred.backward(grad)
+    return pred.data, np.asarray(total), parts, model
 
 
 class TestStep:
     @pytest.mark.parametrize("random_heads", [False, True])
     @pytest.mark.parametrize("phase", [1, 2])
     def test_bitwise_equal_to_tape(self, phase, random_heads):
-        # The forward and the compound loss as one node per stage against
+        # The forward's pullback and the compound loss's gradient against
         # the same step composed on the generic tape (tests/tape.py): the
         # prediction, the loss parts and every parameter gradient.
         got = small_train_step(random_heads, phase)
-        want = small_train_step(random_heads, phase, tape.forward, tape.compound_loss)
-        assert got[0].data.tobytes() == want[0].data.tobytes()
-        assert got[1].data.tobytes() == want[1].data.tobytes()
+        want = small_train_step(random_heads, phase, taped=True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
         assert got[2] == want[2]
         for k, t in got[3].params.items():
             assert t.grad.tobytes() == want[3].params[k].grad.tobytes(), k
 
-    def test_phase2_step_records_eight_nodes(self):
-        # The embedding, two encoder blocks, the heads, three loss terms and
-        # their weighted total.
-        _, total, _, _ = small_train_step(True, 2)
-        assert len(recorded_nodes(total)) == 8
-
-    def test_every_node_returns_its_parents_gradients(self):
-        # The node contract: a backward maps the upstream gradient to one
-        # gradient per parent, in parent order, and writes into no tensor;
-        # only the walker adds into .grad.
-        _, total, _, _ = small_train_step(True, 2, backward=False)
-        nodes = recorded_nodes(total)
-        kinds = {t._backward.__qualname__.split(".")[0] for t in nodes}
-        assert kinds == {"embed", "encoder_block", "heads", "loss_diff", "loss_geo",
-                         "loss_reproj", "compound_loss"}
-        for t in nodes:
-            grads = t._backward(np.ones_like(t.data))
-            assert len(grads) == len(t._parents)
-            for p, g in zip(t._parents, grads):
-                assert p.grad is None
-                assert g is None or g.shape == p.data.shape
+    def test_backward_assigns_gradients(self):
+        # The pullback assigns every parameter's gradient rather than adding
+        # into it, so a second backward leaves each one bitwise as the first.
+        model, X, args = small_step_inputs(True, 2)
+        pred = model.forward(X)
+        grad = compound_loss(pred.data, *args)[2]
+        pred.backward(grad)
+        first = {k: t.grad.copy() for k, t in model.params.items()}
+        pred.backward(grad)
+        for k, t in model.params.items():
+            assert t.grad.tobytes() == first[k].tobytes(), k
 
     def test_parameter_gradients_share_no_memory(self):
-        # clip_gradients scales the gradients in place, so one array handed
-        # to two parameters would be scaled twice.
+        # Every parameter gets a gradient of its own shape. clip_gradients
+        # scales the gradients in place, so one array handed to two
+        # parameters would be scaled twice.
         _, _, _, model = small_train_step(True, 2)
+        for k, t in model.params.items():
+            assert t.grad is not None and t.grad.shape == t.data.shape, k
         grads = [t.grad for t in model.params.values()]
-        assert all(g is not None for g in grads)
         for i, a in enumerate(grads):
             for b in grads[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -411,3 +413,20 @@ class TestDetection:
         model.params["head_fc_b"].data[:] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             calibrate_detection_threshold(model, scn, n_samples=4, seed=1)
+
+    @pytest.mark.parametrize("margin", [np.nan, np.inf, -1.0, 0.5])
+    def test_threshold_margin_below_one_or_not_finite_rejected(self, margin):
+        # NaN would give a NaN threshold, -1 a threshold of -0.0 that
+        # detect_decalibration accepts, and inf a NaN wherever every clean
+        # distance is 0, as it is for this untrained model at kappa 0.
+        scn, model = small_setup(kappa=0.0)
+        with pytest.raises(ValueError, match="margin"):
+            calibrate_detection_threshold(model, scn, n_samples=4, seed=1, margin=margin)
+
+    def test_threshold_margin_one_accepted(self):
+        # A focal-length bias puts every clean distance above 0.
+        scn, model = small_setup(kappa=0.0)
+        model.params["head_fc_b"].data[:] = 0.01
+        thr = calibrate_detection_threshold(model, scn, n_samples=8, seed=1, margin=1.0)
+        thr2 = calibrate_detection_threshold(model, scn, n_samples=8, seed=1, margin=2.0)
+        assert 0.0 < thr < np.inf and thr2 == 2.0 * thr

@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ncal import losses, scene, training  # noqa: E402
 from ncal.errors import SynthesisStalled  # noqa: E402
-from ncal.nn import autodiff, checkpoint  # noqa: E402
+from ncal.nn import checkpoint  # noqa: E402
 from ncal.nn.model import PtModel, PtModelConfig  # noqa: E402
 from ncal.scene import PerturbationSpec, PoseRanges, SceneConfig  # noqa: E402
 
@@ -133,11 +133,10 @@ def penalty_lines():
     pred[0, 0, 9:12] = 0.0
     pred[0, 1, 3:9] *= -1.0
     pred[0, 1, 10:12] *= -1.0
-    t = autodiff.Tensor(pred, requires_grad=True)
-    loss = losses.loss_reproj(t, b.observations, cfg.obj.fiducials, cfg.rig.image_size)
-    loss.backward()
-    value = float(loss.data)
-    yield f"loss_reproj behind cameras value={value!r}", digest(value, t.grad)
+    loss, backward = losses.loss_reproj(pred, b.observations, cfg.obj.fiducials,
+                                        cfg.rig.image_size)
+    value = float(loss)
+    yield f"loss_reproj behind cameras value={value!r}", digest(value, backward(np.ones(())))
 
 
 def construction_lines():
@@ -166,10 +165,9 @@ def encoder_lines():
         t.data = rng.normal(size=t.data.shape) * (0.04 if t.data.ndim == 2 else 0.2)
         if k.endswith(("ln1_g", "ln2_g")):
             t.data += 1.0
-    x = autodiff.Tensor(rng.normal(size=(4, cfg.n_cameras, 512)), requires_grad=True)
-    out = model.encode(x)
-    out.backward(rng.normal(size=out.data.shape))
-    yield "encoder paper width", digest(out.data, x.grad, *(model.params[k].grad for k in layers))
+    out, pullback = model.encode(rng.normal(size=(4, cfg.n_cameras, 512)))
+    gx = pullback(rng.normal(size=out.shape))
+    yield "encoder paper width", digest(out, gx, *(model.params[k].grad for k in layers))
 
 
 def heads_lines():
@@ -187,12 +185,11 @@ def heads_lines():
     b = scene.synthesize_batch(cfg, 32, 8)
     for phase in (1, 2):
         pred = model.forward(b.observations)
-        total, parts = losses.compound_loss(pred, b.gt_params, b.observations,
-                                            cfg.obj.fiducials, cfg.rig.image_size, phase)
-        model.zero_grad()
-        total.backward()
+        total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
+                                                  cfg.obj.fiducials, cfg.rig.image_size, phase)
+        pred.backward(grad)
         yield f"heads and loss gradients O-10/cube27 phase {phase}", digest(
-            pred.data, total.data, json.dumps(parts, sort_keys=True),
+            pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
             *(model.params[k].grad for k in model.params))
 
 
@@ -206,14 +203,11 @@ def ground_truth_lines():
     nudged[..., :9] *= 1.0 - 4.0 * np.finfo(float).eps
     for name, pred in (("", b.gt_params), (" rotations scaled by 1 - 4 eps", nudged)):
         parts = []
-        for loss in (lambda t: losses.loss_diff(t, b.gt_params),
-                     lambda t: losses.loss_geo(t, b.gt_params),
-                     lambda t: losses.loss_reproj(t, b.observations, cfg.obj.fiducials,
-                                                  cfg.rig.image_size)):
-            t = autodiff.Tensor(pred, requires_grad=True)
-            value = loss(t)
-            value.backward()
-            parts += [value.data, t.grad]
+        for value, backward in (losses.loss_diff(pred, b.gt_params),
+                                losses.loss_geo(pred, b.gt_params),
+                                losses.loss_reproj(pred, b.observations, cfg.obj.fiducials,
+                                                   cfg.rig.image_size)):
+            parts += [np.asarray(value), backward(np.ones(()))]
         yield f"losses at ground truth{name}", digest(*parts)
 
 
