@@ -7,9 +7,16 @@ model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
 (``rot6d_to_matrix_t``) and the product with the reference rotations. Their
 affine maps are the array kernel ``linear``, the block's norms
 ``layer_norm`` and its attention weights ``autodiff.softmax``, each looked
-up through its module at every call. Each stage keeps only the arrays its
-backward needs, and its backward maps its output's gradient to its inputs'
-gradients and writes into nothing. The arithmetic is that of the same step
+up through its module at every call.
+
+Each stage keeps only the arrays its backward needs and cannot rebuild from
+the others: an encoder block's backward recomputes its two norms' outputs
+(an elementwise affine map each) and its merged attention output (one
+batched product) instead of keeping them, the recompute-for-memory trade of
+Chen et al. 2016 (*Training Deep Nets with Sublinear Memory Cost*). A
+backward maps its output's gradient to its inputs' gradients, writes into
+nothing and frees nothing, so it can run again; ``PtModel.predict`` drops
+each backward as its stage returns. The arithmetic is that of the same step
 composed from generic tape primitives (kept in the tests as the oracle), op
 for op and in the tape's order of accumulation, so values and gradients are
 bitwise equal to that composition.
@@ -48,7 +55,15 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """Last-axis layer normalization, gain * (x - mean) / std + bias, and
     the normalized x and inverse deviation that its gradient needs."""
     xhat, inv_std = ad.normalize(x)
-    return gain * xhat + bias, xhat, inv_std
+    return _scale_shift(xhat, gain, bias), xhat, inv_std
+
+
+def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """layer_norm's output from its normalized input, gain * xhat + bias,
+    with the bias added in place."""
+    out = gain * xhat
+    out += bias
+    return out
 
 
 def embed(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
@@ -73,6 +88,12 @@ def _merge_heads(t: np.ndarray) -> np.ndarray:
     return t.transpose(0, 2, 1, 3).reshape(B, N, H * dh)
 
 
+def _attend(attn: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The merged head outputs o: the attention weights attn, (B, H, N, N),
+    applied to the values v, (B, N, D)."""
+    return _merge_heads(attn @ _split_heads(v, attn.shape[1]))
+
+
 def encoder_block(x: np.ndarray, weights, n_heads: int):
     """One pre-norm transformer encoder block over axis 1 of x, (B, N, D),
     and its backward.
@@ -86,28 +107,31 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
         out = x1 + relu(LN2(x1) @ ff1_w + ff1_b) @ ff2_w + ff2_b
 
     The backward keeps the normalized inputs and inverse deviations of both
-    norms, a, q, k, v, the attention weights, the merged head outputs o,
-    LN2's output and the ReLU output, and nothing else; it reads the weights
-    as they were at the forward.
+    norms, q, k, v, the attention weights and the ReLU output, and nothing
+    else. It rebuilds LN1's output a, the merged head outputs o and LN2's
+    output f from those, each through the expression the forward used, so
+    they are bit for bit the forward's. It reads the weights as they were at
+    the forward and frees nothing, so it can run more than once.
     """
     (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights
     if x.ndim != 3 or x.shape[-1] % n_heads != 0:
         raise ShapeMismatch(f"encoder block expects (B, N, d_model), got {x.shape}")
     a, xhat1, inv_std1 = layer_norm(x, g1, b1)
     q, k, v = linear(a, wq, bq), linear(a, wk, bk), linear(a, wv, bv)
+    del a
     scores = _split_heads(q, n_heads) @ _split_heads(k, n_heads).transpose(0, 1, 3, 2)
     scores *= 1.0 / np.sqrt(x.shape[-1] // n_heads)
     attn = ad.softmax(scores)
-    o = _merge_heads(attn @ _split_heads(v, n_heads))
-    x1 = linear(o, wo, bo)
+    x1 = linear(_attend(attn, v), wo, bo)
     x1 += x
     f, xhat2, inv_std2 = layer_norm(x1, g2, b2)
     h = linear(f, w1, c1)
+    del f
     np.maximum(h, 0.0, out=h)
     out = linear(h, w2, c2)
     out += x1
 
-    saved = (xhat1, inv_std1, a, q, k, v, attn, o, xhat2, inv_std2, f, h)
+    saved = (xhat1, inv_std1, q, k, v, attn, xhat2, inv_std2, h)
 
     def backward(g):
         return encoder_block_backward(g, saved, weights)
@@ -122,38 +146,47 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     Returns the gradient of x, then the 16 parameter gradients in parameter
     order. Each step is the tape primitive's backward for the same step,
     including where a gradient is the sum of several: x and x1 each get the
-    residual path plus their norm's, and a gets (k + v) + q.
+    residual path plus their norm's, and a gets (k + v) + q. The rebuilt a,
+    o and f, and each head gradient, are dropped once their last product is
+    taken.
     """
-    xhat1, inv_std1, a, q, k, v, attn, o, xhat2, inv_std2, f, h = saved
-    g1, _, wq, _, wk, _, wv, _, wo, _, g2, _, w1, _, w2, _ = weights
+    xhat1, inv_std1, q, k, v, attn, xhat2, inv_std2, h = saved
+    g1, b1, wq, _, wk, _, wv, _, wo, _, g2, b2, w1, _, w2, _ = weights
     n_heads = attn.shape[1]
 
     # Feed-forward residual.
     gh, gw2, gc2 = linear_grad(g, h, w2)
     gh *= h > 0.0
+    f = _scale_shift(xhat2, g2, b2)
     gf, gw1, gc1 = linear_grad(gh, f, w1)
-    del gh
+    del gh, f
     gg2, gb2 = (gf * xhat2).sum(axis=(0, 1)), gf.sum(axis=(0, 1))
     gf *= g2
     gx1 = ad.normalize_grad(gf, xhat2, inv_std2)
     gx1 += g
 
     # Attention residual.
+    o = _attend(attn, v)
     go, gwo, gbo = linear_grad(gx1, o, wo)
+    del o
     go = _split_heads(go, n_heads)
     qh, kh, vh = _split_heads(q, n_heads), _split_heads(k, n_heads), _split_heads(v, n_heads)
     gv = _merge_heads(np.swapaxes(attn, -1, -2) @ go)
     gs = ad.softmax_grad(go @ np.swapaxes(vh, -1, -2), attn)
     del go
     gs *= 1.0 / np.sqrt(q.shape[-1] // n_heads)
-    gq = _merge_heads(gs @ kh)
-    gk = _merge_heads((np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2))
-    del gs
+    a = _scale_shift(xhat1, g1, b1)
     ga, gwv, gbv = linear_grad(gv, a, wv)
+    del gv
+    gk = _merge_heads((np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2))
     ga_k, gwk, gbk = linear_grad(gk, a, wk)
+    del gk
     ga += ga_k
     del ga_k
+    gq = _merge_heads(gs @ kh)
+    del gs
     ga_q, gwq, gbq = linear_grad(gq, a, wq)
+    del gq, a
     ga += ga_q
     del ga_q
     gg1, gb1 = (ga * xhat1).sum(axis=(0, 1)), ga.sum(axis=(0, 1))

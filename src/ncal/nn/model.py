@@ -29,7 +29,9 @@ its written-out backward: the embedding (step 1, ``F.embed``; the constant
 identity codes of step 2 pass the gradient through unchanged), one per
 encoder block (step 3, ``F.encoder_block``) and steps 4 and 5,
 ``F.heads``. A forward pass composes their backwards, in reverse, into one
-pullback that assigns every parameter's gradient.
+pullback that assigns every parameter's gradient. ``predict`` runs the same
+stages and drops each backward as its stage returns, so inference keeps no
+pullback.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
@@ -62,8 +64,9 @@ IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 # Output heads and their widths, in the column order of the affine output map.
 HEADS = {"r6": 6, "t": 3, "fc": 2, "pp": 2, "kc": 5}
 
-# Captures per forward pass in predict, which bounds the memory the stages
-# keep for their backward when a whole test set is predicted at once.
+# Captures per pass in predict. A pass holds one stage's intermediates at a
+# time, so this bounds the working set of one encoder block (0.42 MB per
+# capture at the paper's width, traced) when a whole test set is predicted at once.
 PREDICT_CHUNK = 1024
 
 
@@ -267,7 +270,7 @@ class PtModel:
             raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
         blocks = []
         for i in range(self.config.n_layers):
-            block = [self.params[f"layer{i}_{nm}"] for nm in _block_spec(self.config)]
+            block = self._block_params(i)
             x, backward = F.encoder_block(x, [t.data for t in block], self.config.n_heads)
             blocks.append((block, backward))
 
@@ -293,7 +296,7 @@ class PtModel:
         # identity: added to the embedding's value, they need no backward.
         h += self.cie
         h, encode_pullback = self.encode(h)
-        heads = [self.params[f"head_{nm}_{p}"] for nm in HEADS for p in ("w", "b")]
+        heads = self._head_params()
         pred, heads_backward = F.heads(h, [t.data for t in heads], self._center, self._scale,
                                        self._reference_R)
 
@@ -307,18 +310,34 @@ class PtModel:
         return Tensor(pred, pullback)
 
     def predict(self, X) -> np.ndarray:
-        """Forward passes over PREDICT_CHUNK captures at a time, returning a
-        plain array. A single capture, (n_cameras, n_fiducials, 2), gets the
-        batch axis here, and its (n_cameras, 21) result loses it again."""
+        """The prediction of forward as a plain array, from the same stages
+        over PREDICT_CHUNK captures at a time. Each stage's backward is
+        dropped as the stage returns, so a pass holds the intermediates of
+        one stage at a time. A single capture, (n_cameras, n_fiducials, 2),
+        gets the batch axis here, and its (n_cameras, 21) result loses it
+        again."""
         X = np.asarray(X, dtype=np.float64)
         batch = X[None] if X.ndim == 3 else X
-        # At least one pass, so an empty batch still meets forward's shape checks.
-        chunks = [
-            self.forward(batch[lo : lo + PREDICT_CHUNK]).data
-            for lo in range(0, max(len(batch), 1), PREDICT_CHUNK)
-        ]
+        chunks = []
+        # At least one pass, so an empty batch still meets embed's shape checks.
+        for lo in range(0, max(len(batch), 1), PREDICT_CHUNK):
+            h = self.embed(self.normalize_input(batch[lo : lo + PREDICT_CHUNK]))[0]
+            h += self.cie
+            for i in range(self.config.n_layers):
+                weights = [t.data for t in self._block_params(i)]
+                h = F.encoder_block(h, weights, self.config.n_heads)[0]
+            weights = [t.data for t in self._head_params()]
+            chunks.append(F.heads(h, weights, self._center, self._scale, self._reference_R)[0])
         out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out[0] if X.ndim == 3 else out
+
+    def _block_params(self, i: int) -> list:
+        """Encoder block i's parameters in F.encoder_block's order."""
+        return [self.params[f"layer{i}_{nm}"] for nm in _block_spec(self.config)]
+
+    def _head_params(self) -> list:
+        """The heads' parameters in F.heads' order."""
+        return [self.params[f"head_{nm}_{p}"] for nm in HEADS for p in ("w", "b")]
 
     def state_arrays(self) -> dict:
         """All persistent arrays: the trainable parameters plus the reference.

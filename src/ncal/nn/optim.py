@@ -33,8 +33,14 @@ def adam_step(params: dict, state: AdamState, lr_map: dict, group_of, lr_scale: 
 
     lr_map gives the base learning rate per group name; group_of(name)
     resolves a parameter to its group. lr_scale (from the scheduler)
-    multiplies every base rate, floored at lr_min.
+    multiplies every base rate, floored at lr_min. Raises ValueError, with
+    the parameters and state untouched, when any resulting rate is not
+    finite or is negative.
     """
+    rates = {group: max(base * lr_scale, lr_min) for group, base in lr_map.items()}
+    bad = {group: lr for group, lr in rates.items() if not 0.0 <= lr < np.inf}
+    if bad:
+        raise ValueError(f"learning rates must be finite and >= 0, got {bad}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
@@ -51,17 +57,17 @@ def adam_step(params: dict, state: AdamState, lr_map: dict, group_of, lr_scale: 
         m += (1.0 - ADAM_BETA1) * g
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * (g * g)
-        lr = max(lr_map[group_of(name)] * lr_scale, lr_min)
-        p.data = p.data - lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data = p.data - rates[group_of(name)] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
 def clip_gradients(grads: dict, max_norm: float):
     """Scale the whole gradient set so its global L2 norm is at most max_norm.
 
-    Direction is preserved. Returns the pre-clip norm.
+    Direction is preserved; max_norm = inf never clips. Returns the pre-clip
+    norm.
     """
-    if max_norm <= 0:
-        raise ValueError("max_norm must be positive")
+    if not max_norm > 0:
+        raise ValueError(f"max_norm must be positive, got {max_norm!r}")
     total = 0.0
     for g in grads.values():
         if g is not None:

@@ -1,5 +1,7 @@
 """Tests for the point-based network and its differentiable geometry bridges."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -436,6 +438,58 @@ class TestKernelCalls:
         L = n_layers
         assert counts == {"linear": 6 * L + 6, "layer_norm": 2 * L, "softmax": L,
                           "rot6d_to_matrix_t": 1}
+
+
+def documented_kept_bytes(cfg, batch):
+    """Bytes of the arrays a forward of `batch` captures keeps for its
+    backward, from the shapes: per encoder block the set F.encoder_block
+    lists, which is the normalized inputs of both norms (2 x D per camera),
+    q, k and v (3 x D), the ReLU output (d_ff), the two inverse deviations
+    (2) and the attention weights (n_heads x N); the embedding's normalized
+    input (2 x n_fiducials); the heads' input (D), their 18 outputs and the
+    14 Gram-Schmidt intermediates; plus 64 KiB for the Python objects that
+    hold them."""
+    n, d = cfg.n_cameras, cfg.d_model
+    block = n * (5 * d + cfg.d_ff + 2) + cfg.n_heads * n * n
+    floats = cfg.n_layers * block + n * (2 * cfg.n_fiducials) + n * (d + 18 + 14)
+    return 8 * batch * floats + 64 * 1024
+
+
+class TestKeptMemory:
+    # Each block keeps five (B, N, d_model) arrays besides its ReLU output;
+    # a, o and f are rebuilt in backward. Keeping them too would add
+    # 3 * 8 * B * N * d_model bytes per block, 0.79 MB in all here, over the bound.
+    CONFIG = dict(n_cameras=4, n_fiducials=8, d_model=32, n_layers=4, n_heads=4, d_ff=64)
+    BATCH = 64
+
+    def inputs(self):
+        m = tiny_model(**self.CONFIG)
+        X = np.random.default_rng(31).uniform(100, 900, size=(self.BATCH, 4, 8, 2))
+        return m, X, documented_kept_bytes(m.config, self.BATCH)
+
+    def test_forward_keeps_at_most_the_documented_set(self):
+        m, X, bound = self.inputs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pred = m.forward(X)
+            kept = tracemalloc.get_traced_memory()[0] - before - pred.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert 0 < kept <= bound
+
+    def test_predict_peak_below_what_a_forward_keeps(self):
+        # predict drops each stage's backward as the stage returns, so its
+        # peak is one block's working set, not every block's saved arrays.
+        m, X, bound = self.inputs()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            m.predict(X)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestEncoder:

@@ -76,6 +76,31 @@ class TestAdam:
         adam_step(p, state, {"encoder": 1e-4, "heads": 1e-2}, groups)
         assert abs(p["head_w"].data[0]) > abs(p["enc_w"].data[0]) * 10
 
+    @pytest.mark.parametrize("lr_map, lr_scale, lr_min", [
+        ({"encoder": 1e-3, "heads": 1e-3}, np.nan, 1e-6),
+        ({"encoder": 1e-3, "heads": 1e-3}, np.inf, 1e-6),
+        ({"encoder": 1e-3, "heads": np.nan}, 1.0, 1e-6),
+        ({"encoder": -1e-3, "heads": 1e-3}, 1.0, -1.0),
+    ])
+    def test_non_finite_or_negative_rate_rejected_untouched(self, lr_map, lr_scale, lr_min):
+        # A scheduler state read back with lr_scale NaN would otherwise write
+        # NaN into every weight: max(nan * lr, lr_min) is NaN.
+        rng = np.random.default_rng(3)
+        p = {"head_w": tape.parameter(rng.normal(size=3)),
+             "enc_w": tape.parameter(rng.normal(size=(2, 2)))}
+        state = AdamState()
+        for _ in range(2):
+            for t in p.values():
+                t.grad = rng.normal(size=t.data.shape)
+            adam_step(p, state, {"encoder": 1e-3, "heads": 1e-3}, groups, lr_min=1e-6)
+        data = {k: t.data.tobytes() for k, t in p.items()}
+        moments = {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p}
+        with pytest.raises(ValueError, match="learning rates must be finite"):
+            adam_step(p, state, lr_map, groups, lr_scale=lr_scale, lr_min=lr_min)
+        assert state.step == 2
+        assert {k: t.data.tobytes() for k, t in p.items()} == data
+        assert {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p} == moments
+
 
 class TestClip:
     def test_below_max_unchanged(self):
@@ -104,6 +129,19 @@ class TestClip:
         after = np.concatenate([g["a"], g["b"]])
         cos = before @ after / (np.linalg.norm(before) * np.linalg.norm(after))
         assert cos == pytest.approx(1.0)
+
+
+    @pytest.mark.parametrize("max_norm", [0.0, -1.0, -np.inf, np.nan])
+    def test_max_norm_not_positive_rejected(self, max_norm):
+        g = {"a": np.array([3.0, 4.0])}
+        with pytest.raises(ValueError, match="max_norm must be positive"):
+            clip_gradients(g, max_norm)
+        np.testing.assert_array_equal(g["a"], [3.0, 4.0])
+
+    def test_infinite_max_norm_never_clips(self):
+        g = {"a": np.array([3e100, 4e100])}
+        assert clip_gradients(g, np.inf) == pytest.approx(5e100)
+        np.testing.assert_array_equal(g["a"], [3e100, 4e100])
 
 
 class TestPlateauScheduler:

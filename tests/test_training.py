@@ -292,6 +292,27 @@ class TestStep:
         for k, t in model.params.items():
             assert t.grad.tobytes() == first[k].tobytes(), k
 
+    def test_backward_reads_weights_as_at_forward(self):
+        # The backward rebuilds each block's norm outputs from the gains and
+        # biases, and takes products with the weights, captured at the
+        # forward: rebinding them in between (as adam_step does) changes no
+        # gradient.
+        def gradients(rebind):
+            model, X, args = small_step_inputs(True, 2)
+            pred = model.forward(X)
+            grad = compound_loss(pred.data, *args)[2]
+            if rebind:
+                for nm in ("ln1_g", "ln1_b", "ln2_g", "ln2_b", "wq"):
+                    t = model.params[f"layer0_{nm}"]
+                    t.data = t.data + 1.0
+            pred.backward(grad)
+            return {k: t.grad for k, t in model.params.items()}
+
+        want = gradients(False)
+        got = gradients(True)
+        for k, g in got.items():
+            assert g.tobytes() == want[k].tobytes(), k
+
     def test_parameter_gradients_share_no_memory(self):
         # Every parameter gets a gradient of its own shape. clip_gradients
         # scales the gradients in place, so one array handed to two
