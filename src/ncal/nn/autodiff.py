@@ -10,15 +10,16 @@ holding it; ``Tensor.backward(g)`` runs that pullback, which assigns every
 parameter's ``.grad``. There is no graph to walk.
 
 ``Tensor`` is the holder of the prediction and of each parameter: a float64
-array, a gradient slot and, for the prediction, the pullback. The parameters
-stay ``Tensor`` rather than plain arrays because the benchmark assigns
-``model.params[k].data`` (``bench/workloads.py``) and wraps
-``autodiff.Tensor.backward`` by name (``bench/tracing.py`` and
-``bench/tests/test_helpers.py``).
+array (a parameter's master copy), a float64 gradient slot and, for the
+prediction, the pullback. The parameters stay ``Tensor`` rather than plain
+arrays because the benchmark assigns ``model.params[k].data``
+(``bench/workloads.py``) and wraps ``autodiff.Tensor.backward`` by name
+(``bench/tracing.py`` and ``bench/tests/test_helpers.py``).
 
 The kernels are softmax and layer normalization with their gradients, and
-the zero-subgradient rule. All data is float64 and every kernel is
-deterministic, so a fixed step yields bitwise-identical gradients.
+the zero-subgradient rule. Each computes in its input's dtype: float64, or
+float32 where a training step runs the encoder in single precision. Every
+kernel is deterministic, so a fixed step yields bitwise-identical gradients.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ LAYER_NORM_EPS = 1e-5
 
 class Tensor:
     """A float64 array with a gradient slot and, for a prediction, the
-    pullback that maps its gradient to the parameters'."""
+    pullback that maps its gradient to the parameters'. The data and the
+    gradient are float64 even when the pullback computed in float32: the
+    model casts each gradient back as it assigns it."""
 
     __slots__ = ("data", "grad", "_pullback")
 

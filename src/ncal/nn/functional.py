@@ -7,7 +7,10 @@ model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
 (``rot6d_to_matrix_t``) and the product with the reference rotations. Their
 affine maps are the array kernel ``linear``, the block's norms
 ``layer_norm`` and its attention weights ``autodiff.softmax``, each looked
-up through its module at every call.
+up through its module at every call. The embedding and the encoder block
+compute in the dtype of their input and weights, float64 or float32: their
+scalar constants are Python floats, which NumPy's promotion rules (NEP 50)
+never let widen an array. The heads run in float64.
 
 Each stage keeps only the arrays its backward needs and cannot rebuild from
 the others: an encoder block's backward recomputes its two norms' outputs
@@ -23,6 +26,8 @@ bitwise equal to that composition.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -120,7 +125,7 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
     q, k, v = linear(a, wq, bq), linear(a, wk, bk), linear(a, wv, bv)
     del a
     scores = _split_heads(q, n_heads) @ _split_heads(k, n_heads).transpose(0, 1, 3, 2)
-    scores *= 1.0 / np.sqrt(x.shape[-1] // n_heads)
+    scores *= 1.0 / math.sqrt(x.shape[-1] // n_heads)
     attn = ad.softmax(scores)
     x1 = linear(_attend(attn, v), wo, bo)
     x1 += x
@@ -174,7 +179,7 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     gv = _merge_heads(np.swapaxes(attn, -1, -2) @ go)
     gs = ad.softmax_grad(go @ np.swapaxes(vh, -1, -2), attn)
     del go
-    gs *= 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    gs *= 1.0 / math.sqrt(q.shape[-1] // n_heads)
     a = _scale_shift(xhat1, g1, b1)
     ga, gwv, gbv = linear_grad(gv, a, wv)
     del gv

@@ -33,6 +33,14 @@ pullback that assigns every parameter's gradient. ``predict`` runs the same
 stages and drops each backward as its stage returns, so inference keeps no
 pullback.
 
+The parameters, their gradients and the prediction are float64. ``forward``
+can run the embedding and the encoder blocks in float32 instead (mixed
+precision over float64 master weights, Micikevicius et al., ICLR 2018):
+those stages compute on float32 casts of the weights, and their output
+returns to float64 before the heads, so Gram-Schmidt, the losses and the
+optimizer never see float32. Their gradients are cast back to float64 as
+the pullback assigns them. ``predict`` always computes in float64.
+
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
 factory values exactly, rotation included.
@@ -160,6 +168,12 @@ def _param_spec(config: PtModelConfig) -> dict:
     return spec
 
 
+def _assign_grads(params, grads) -> None:
+    """Set each parameter's .grad to its gradient, as float64."""
+    for t, g in zip(params, grads, strict=True):
+        t.grad = g.astype(np.float64, copy=False)
+
+
 class PtModel:
     """Transformer calibration regressor with frozen output conditioning.
 
@@ -247,8 +261,8 @@ class PtModel:
         return X / np.array([w / 2.0, h / 2.0]) - 1.0
 
     def embed(self, X):
-        """Flatten each camera's fiducial block and apply the affine embedding;
-        returns F.embed's (out, backward).
+        """Flatten each camera's fiducial block and apply the affine embedding
+        in X's dtype; returns F.embed's (out, backward).
 
         X: (B, n_cameras, n_fiducials, 2) normalized coordinates.
         """
@@ -258,54 +272,62 @@ class PtModel:
                 f"expected (B, {cfg.n_cameras}, {cfg.n_fiducials}, 2), got {X.shape}"
             )
         flat = X.reshape(X.shape[0], cfg.n_cameras, 2 * cfg.n_fiducials)
-        return F.embed(flat, self.params["embed_w"].data, self.params["embed_b"].data)
+        w, b = self.params["embed_w"].data, self.params["embed_b"].data
+        return F.embed(flat, w.astype(X.dtype, copy=False), b.astype(X.dtype, copy=False))
 
     def encode(self, x: np.ndarray):
-        """Run the transformer encoder stack over the camera axis.
+        """Run the transformer encoder stack over the camera axis, in x's
+        dtype.
 
-        Returns (out, pullback): pullback(g) assigns each block parameter's
-        .grad for the gradient g of out and returns the gradient of x.
+        Returns (out, pullback): pullback(g) casts g to x's dtype, assigns
+        each block parameter's float64 .grad for the gradient g of out and
+        returns the gradient of x, in x's dtype.
         """
         if x.ndim != 3 or x.shape[-1] != self.config.d_model:
             raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
+        dtype = x.dtype
         blocks = []
         for i in range(self.config.n_layers):
             block = self._block_params(i)
-            x, backward = F.encoder_block(x, [t.data for t in block], self.config.n_heads)
+            weights = [t.data.astype(dtype, copy=False) for t in block]
+            x, backward = F.encoder_block(x, weights, self.config.n_heads)
             blocks.append((block, backward))
 
         def pullback(g):
+            g = g.astype(dtype, copy=False)
             for block, backward in reversed(blocks):
                 g, *grads = backward(g)
-                for t, gt in zip(block, grads, strict=True):
-                    t.grad = gt
+                _assign_grads(block, grads)
             return g
 
         return x, pullback
 
-    def forward(self, X) -> Tensor:
+    def forward(self, X, dtype=np.float64) -> Tensor:
         """Predict flattened camera parameters for a batch of captures.
 
         X: observations in pixels, (B, n_cameras, n_fiducials, 2); predict
-        takes a single capture. Returns a (B, n_cameras, 21) Tensor whose
-        backward(g) assigns every parameter's .grad for the prediction's
-        gradient g; rotation blocks are orthonormal for any weights.
+        takes a single capture. dtype: the precision of the embedding and the
+        encoder blocks, np.float64 or np.float32; the heads and the
+        prediction are float64 either way. Returns a (B, n_cameras, 21)
+        Tensor whose backward(g) assigns every parameter's float64 .grad for
+        the prediction's gradient g; rotation blocks are orthonormal for any
+        weights.
         """
-        h, embed_backward = self.embed(self.normalize_input(np.asarray(X, dtype=np.float64)))
+        x = self.normalize_input(np.asarray(X, dtype=np.float64)).astype(dtype, copy=False)
+        h, embed_backward = self.embed(x)
         # The identity codes are a constant offset, whose gradient is the
         # identity: added to the embedding's value, they need no backward.
-        h += self.cie
+        h += self.cie.astype(dtype, copy=False)
         h, encode_pullback = self.encode(h)
         heads = self._head_params()
-        pred, heads_backward = F.heads(h, [t.data for t in heads], self._center, self._scale,
-                                       self._reference_R)
+        pred, heads_backward = F.heads(h.astype(np.float64, copy=False), [t.data for t in heads],
+                                       self._center, self._scale, self._reference_R)
 
         def pullback(g):
             gh, *grads = heads_backward(g)
-            for t, gt in zip(heads, grads, strict=True):
-                t.grad = gt
-            w, b = self.params["embed_w"], self.params["embed_b"]
-            w.grad, b.grad = embed_backward(encode_pullback(gh))
+            _assign_grads(heads, grads)
+            embed = (self.params["embed_w"], self.params["embed_b"])
+            _assign_grads(embed, embed_backward(encode_pullback(gh)))
 
         return Tensor(pred, pullback)
 

@@ -109,4 +109,17 @@ class PlateauScheduler:
 
     @staticmethod
     def from_state_dict(d: dict) -> "PlateauScheduler":
-        return PlateauScheduler(**d)
+        """The scheduler a state_dict() describes. Raises ValueError if best
+        is NaN, bad_count is not an int in [0, PLATEAU_PATIENCE) or lr_scale
+        is not finite and >= 0, so a damaged state fails where it is read."""
+        s = PlateauScheduler(**d)
+        if np.isnan(s.best):
+            raise ValueError("scheduler best must not be NaN")
+        if (isinstance(s.bad_count, bool) or not isinstance(s.bad_count, int)
+                or not 0 <= s.bad_count < PLATEAU_PATIENCE):
+            raise ValueError(
+                f"scheduler bad_count must be an int in [0, {PLATEAU_PATIENCE}), "
+                f"got {s.bad_count!r}")
+        if not 0.0 <= s.lr_scale < np.inf:
+            raise ValueError(f"scheduler lr_scale must be finite and >= 0, got {s.lr_scale!r}")
+        return s

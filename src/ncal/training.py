@@ -30,10 +30,14 @@ _DETECT_STREAM = 3
 
 # The training recipe: Adam with one base learning rate per parameter group,
 # floored at LR_MIN once the plateau schedule has scaled it down, and the
-# global gradient norm clipped to CLIP_NORM before every step.
+# global gradient norm clipped to CLIP_NORM before every step. The embedding
+# and the encoder blocks run in COMPUTE_DTYPE on casts of the float64 weights;
+# the heads, the losses, the gradients that clipping and Adam see, the
+# weights and the moments stay float64 (PtModel.forward).
 LEARNING_RATES = {"encoder": 1e-4, "heads": 1e-3}
 LR_MIN = 1e-6
 CLIP_NORM = 1.0
+COMPUTE_DTYPE = np.float32
 
 
 def derive_seed(root_seed: int, stream: int, index: int) -> int:
@@ -97,9 +101,10 @@ def train(
     finished run and returns no records, and a larger one raises ConfigError,
     so a resume under a shortened TrainConfig cannot silently train nothing.
 
-    Each epoch clips the gradients of its phase's compound loss to
-    CLIP_NORM and takes one Adam step at the LEARNING_RATES times the
-    plateau scheduler's scale, floored at LR_MIN.
+    Each epoch runs the model's embedding and encoder in COMPUTE_DTYPE,
+    clips the float64 gradients of its phase's compound loss to CLIP_NORM
+    and takes one Adam step at the LEARNING_RATES times the plateau
+    scheduler's scale, floored at LR_MIN.
 
     Raises NonFiniteLoss (with the offending epoch and batch seed) if the
     loss or the gradient norm ever leaves the finite range; both checks run
@@ -120,7 +125,7 @@ def train(
         batch = synthesize_batch(scene_cfg, cfg.batch_size, batch_seed)
         phase = 1 if epoch < cfg.phase1_epochs else 2
 
-        pred = model.forward(batch.observations)
+        pred = model.forward(batch.observations, COMPUTE_DTYPE)
         total, parts, grad = compound_loss(
             pred.data, batch.gt_params, batch.observations, fiducials, image_size, phase
         )

@@ -28,6 +28,7 @@ LABELS = {
     "loss_reproj behind cameras value",
     "model init O-10/cube27 d_model 512 seed 1",
     "encoder paper width",
+    "encoder paper width float32",
     "heads and loss gradients O-10/cube27 phase 1",
     "heads and loss gradients O-10/cube27 phase 2",
     "losses at ground truth",

@@ -160,6 +160,14 @@ class TestEmbed:
         with pytest.raises(ShapeMismatch):
             m.embed(np.zeros((2, 5, 4, 2)))
 
+    def test_float32_input_computes_in_float32(self):
+        # The float64 weights are cast to the input's dtype, so the output
+        # and both gradients stay float32.
+        rng = np.random.default_rng(9)
+        out, backward = tiny_model().embed(rng.normal(size=(5, 3, 4, 2)).astype(np.float32))
+        grads = backward(rng.normal(size=out.shape).astype(np.float32))
+        assert [a.dtype for a in (out, *grads)] == [np.float32] * 3
+
 
 def loop_reference_block(x, p, i, n_heads):
     """Straight-line (explicit loops) evaluation of one encoder block."""
@@ -267,6 +275,27 @@ class TestEncoderBlock:
         assert len(got) == 18
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_float32_stays_float32(self, monkeypatch):
+        # Every scalar constant of the block is a Python float, so under
+        # NEP 50 no step promotes a float32 array: the output, every array
+        # the forward keeps and every gradient the backward returns.
+        rng = np.random.default_rng(23)
+        params = random_block_params(rng, 64, 128)
+        weights = [params[f"layer0_{nm}"].astype(np.float32) for nm in BLOCK_PARAMS]
+        x = rng.normal(size=(4, 6, 64)).astype(np.float32)
+        kept = []
+        real_backward = F.encoder_block_backward
+
+        def spy(g, saved, weights):
+            kept.extend(saved)
+            return real_backward(g, saved, weights)
+
+        monkeypatch.setattr(F, "encoder_block_backward", spy)
+        out, backward = F.encoder_block(x, weights, 4)
+        grads = backward(rng.normal(size=x.shape).astype(np.float32))
+        assert len(kept) == 9 and len(grads) == 17
+        assert [a.dtype for a in (out, *kept, *grads)] == [np.float32] * 27
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(22)

@@ -176,3 +176,24 @@ class TestPlateauScheduler:
         s.update(1.0)
         s2 = PlateauScheduler.from_state_dict(s.state_dict())
         assert s2 == s
+
+    def test_state_at_its_limits_loads(self):
+        # The initial best (inf), the last bad count before a reduction and
+        # a rate scale of 0 are states a run can reach.
+        d = {"best": float("inf"), "bad_count": PLATEAU_PATIENCE - 1, "lr_scale": 0.0}
+        assert PlateauScheduler.from_state_dict(d) == PlateauScheduler(**d)
+
+    @pytest.mark.parametrize("bad", [
+        {"best": float("nan")},
+        {"bad_count": -3},
+        {"bad_count": PLATEAU_PATIENCE},
+        {"bad_count": 2.0},
+        {"bad_count": True},
+        {"lr_scale": float("nan")},
+        {"lr_scale": float("inf")},
+        {"lr_scale": -0.5},
+    ])
+    def test_invalid_state_rejected(self, bad):
+        d = {**PlateauScheduler().state_dict(), **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PlateauScheduler.from_state_dict(d)

@@ -326,6 +326,98 @@ class TestStep:
                 assert not np.shares_memory(a, b)
 
 
+def step_gradients(phase, dtype):
+    """Every parameter gradient of one small_step_inputs step, with random
+    heads, and the embedding and the encoder in dtype."""
+    model, X, args = small_step_inputs(True, phase)
+    pred = model.forward(X, dtype)
+    pred.backward(compound_loss(pred.data, *args)[2])
+    return {k: t.grad for k, t in model.params.items()}
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestMixedPrecision:
+    @pytest.mark.parametrize("phase", [1, 2])
+    def test_float32_gradients_agree_with_float64(self, phase):
+        # Relative L2 error of the float32 step's gradients against the
+        # float64 step's, over all of them and per parameter. The key biases
+        # are left out of the per-parameter check: adding q . bk to a whole
+        # row of scores leaves its softmax unchanged, so their exact
+        # gradient is zero and both steps return rounding noise.
+        want = step_gradients(phase, np.float64)
+        got = step_gradients(phase, np.float32)
+        assert all(g.dtype == np.float64 for g in got.values())
+        flat = [np.concatenate([d[k].ravel() for k in want]) for d in (got, want)]
+        assert relative_error(*flat) <= 1e-2
+        for k in want:
+            if not k.endswith("_bk"):
+                assert relative_error(got[k], want[k]) <= 1e-2, k
+
+    def test_train_runs_the_encoder_in_float32_and_predict_in_float64(self, monkeypatch):
+        from ncal.nn import functional as F
+
+        real_block = F.encoder_block
+        seen = []
+
+        def spy(x, weights, n_heads):
+            seen.append((x.dtype.name, sorted({w.dtype.name for w in weights})))
+            return real_block(x, weights, n_heads)
+
+        monkeypatch.setattr(F, "encoder_block", spy)
+        scn, model = small_setup(kappa=0.02)
+        train(model, scn, TrainConfig(epochs=1, phase1_epochs=1, batch_size=4, seed=1))
+        assert seen == [("float32", ["float32"])]
+        assert all(t.data.dtype == np.float64 for t in model.params.values())
+        seen.clear()
+        model.predict(synthesize_batch(scn, 3, seed=2).observations)
+        assert seen == [("float64", ["float64"])]
+
+    def test_float32_forward_overflow_raises_at_its_epoch(self):
+        # Weights that float32 holds but whose products it cannot: q and k
+        # overflow to inf and the scores' softmax turns NaN.
+        scn, model = small_setup()
+        for nm in ("ln1_g", "wq", "wk"):
+            model.params[f"layer0_{nm}"].data *= 1e15
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteLoss) as exc:
+            train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4, seed=5))
+        assert exc.value.epoch == 0
+        for k, t in model.params.items():
+            assert t.data.tobytes() == before[k].tobytes(), k
+
+    def test_float32_gradient_overflow_raises_before_the_step(self, monkeypatch):
+        # From epoch 2 the loss gradient is 1e60 times larger: finite in
+        # float64, but inf once cast into the float32 encoder, so the
+        # gradient norm is not finite and Adam never runs.
+        from ncal import training
+
+        real_loss = training.compound_loss
+        calls = []
+
+        def loss_with_huge_gradient(pred, *args):
+            total, parts, grad = real_loss(pred, *args)
+            calls.append(None)
+            return total, parts, grad * (1e60 if len(calls) >= 3 else 1.0)
+
+        monkeypatch.setattr(training, "compound_loss", loss_with_huge_gradient)
+        scn, model = small_setup(kappa=0.02)
+        snapshot = {}
+
+        def keep_weights(epoch, record, model, optimizer, scheduler):
+            snapshot.update({k: t.data.copy() for k, t in model.params.items()})
+
+        cfg = TrainConfig(epochs=4, phase1_epochs=4, batch_size=4, seed=5)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteLoss, match="gradient") as exc:
+            train(model, scn, cfg, epoch_callback=keep_weights)
+        assert exc.value.epoch == 2
+        for k, t in model.params.items():
+            assert t.data.tobytes() == snapshot[k].tobytes(), k
+
+
 class TestEvaluate:
     def test_untrained_model_exact_at_reference_regime(self):
         # kappa = 0 and a fully pinned pose: ground truth equals the factory

@@ -14,11 +14,11 @@ checkpoint bytes and what loading them returns (with the Adam moments, and
 model-only as a deployed model is saved) of a small fixed-seed training run,
 evaluation figures, the reprojection loss and its gradient on a prediction
 that puts fiducials behind cameras, the parameters of a freshly built
-paper-width model, the forward and gradients of a paper-width encoder, a
-model's prediction, loss parts and parameter gradients with non-zero heads
-in both phases, the gradients of the three loss terms at the ground truth
-and next to it, where arccos is steepest, and the reference calibration of
-every built-in rig.
+paper-width model, the forward and gradients of a paper-width encoder in
+float64 and in float32, a model's prediction, loss parts and parameter
+gradients with non-zero heads in both phases, the gradients of the three
+loss terms at the ground truth and next to it, where arccos is steepest,
+and the reference calibration of every built-in rig.
 """
 
 from __future__ import annotations
@@ -165,9 +165,17 @@ def encoder_lines():
         t.data = rng.normal(size=t.data.shape) * (0.04 if t.data.ndim == 2 else 0.2)
         if k.endswith(("ln1_g", "ln2_g")):
             t.data += 1.0
-    out, pullback = model.encode(rng.normal(size=(4, cfg.n_cameras, 512)))
-    gx = pullback(rng.normal(size=out.shape))
+    x = rng.normal(size=(4, cfg.n_cameras, 512))
+    out, pullback = model.encode(x)
+    g = rng.normal(size=out.shape)
+    gx = pullback(g)
     yield "encoder paper width", digest(out, gx, *(model.params[k].grad for k in layers))
+    # The same encoder on the same input cast to float32, the precision
+    # train() runs it in; the pullback casts g and returns float64 gradients.
+    out, pullback = model.encode(x.astype(np.float32))
+    gx = pullback(g)
+    yield "encoder paper width float32", digest(out, gx, *(model.params[k].grad
+                                                            for k in layers))
 
 
 def heads_lines():
