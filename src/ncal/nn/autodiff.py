@@ -6,8 +6,8 @@ blocks and the heads (``nn.functional``), then the loss terms
 with a written-out backward, a pure function from its output's gradient to
 its inputs' gradients. ``PtModel.forward`` composes the stages' backwards,
 in reverse, into one pullback and returns the prediction as a ``Tensor``
-holding it; ``Tensor.backward(g)`` runs that pullback, which assigns every
-parameter's ``.grad``. There is no graph to walk.
+holding it; ``Tensor.backward(g)`` runs that pullback, which writes every
+parameter's gradient into its ``.grad``. There is no graph to walk.
 
 ``Tensor`` is the holder of the prediction and of each parameter: a float64
 array (a parameter's master copy), a float64 gradient slot and, for the
@@ -34,7 +34,7 @@ class Tensor:
     """A float64 array with a gradient slot and, for a prediction, the
     pullback that maps its gradient to the parameters'. The data and the
     gradient are float64 even when the pullback computed in float32: the
-    model casts each gradient back as it assigns it."""
+    model casts each gradient back as it writes it."""
 
     __slots__ = ("data", "grad", "_pullback")
 

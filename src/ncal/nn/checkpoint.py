@@ -25,19 +25,21 @@ the constructor derives from them (the reference rotation matrices, the
 affine output maps, the identity codes) is recomputed on load, never
 stored. Round trips are bitwise exact.
 
-The save streams: each header and each array's bytes go straight to a
-temporary file and through one incremental sha256, with no copy of the file
-in memory, and the finished file is moved over the target. The load makes
-two passes over the open file, with no copy of it in memory: one parses the
-headers and reads each blob straight into the array the model or the
-optimizer state keeps, the other hashes the file by positional reads. For a
-file of 16 MiB or more the hash runs on a second thread while the calling
-thread reads (hashlib releases the interpreter lock); a smaller file is
-hashed after it is read. The model is built only after the digest matches,
-and a load draws no weights. A digest mismatch is reported ahead of any
-parse error or unsupported version, since a damaged file may parse as
-anything; a header that declares more bytes than the file holds is refused
-before anything is allocated.
+The save streams: the headers and each array's bytes, taken in place with
+no copy of the file in memory, go in order to a temporary file and through
+one incremental sha256; the digest is appended and only then is the file
+moved over the target. The load makes two passes over the open file, with
+no copy of it in memory: one parses the headers and reads each blob
+straight into the array the model or the optimizer state keeps, the other
+hashes the file by positional reads. For a body of 16 MiB or more the hash
+runs on a second thread while the calling thread writes (save) or reads
+(load) the same bytes, as hashlib and file I/O both release the interpreter
+lock. A smaller body is hashed on the calling thread: each buffer just
+before it is written, or the whole body after it is read. The model is
+built only after the digest matches, and a load draws no weights. A digest
+mismatch is reported ahead of any parse error or unsupported version, since
+a damaged file may parse as anything; a header that declares more bytes
+than the file holds is refused before anything is allocated.
 
 Version history: version 1 stored the absolute reference rotation as the
 rotation head's center. Version 2 stored the derived constants as frozen
@@ -67,12 +69,14 @@ FORMAT_VERSION = 3
 _DIGEST_SIZE = 32
 _HASH_CHUNK = 1 << 20
 # A body this large is hashed on a second thread while the calling thread
-# reads it. A smaller one hashes in under ~20 ms, so overlapping saves
-# little, while starting the thread costs ~0.4 ms and a second core kept
-# busy (OpenBLAS workers spin for a while after each matmul) makes the
+# writes or reads it. A smaller one hashes in under ~20 ms, so overlapping
+# saves little, while starting the thread costs ~0.4 ms and a second core
+# kept busy (OpenBLAS workers spin for a while after each matmul) makes the
 # thread a net loss. Measured on 2 cores right after a matmul: a 1.7 MB
 # load ~0.9 ms slower with the thread, a 25 MB load even, a 202 MB load a
-# fifth faster.
+# fifth faster. Saves, as benchmark medians on 2 cores: a 67.6 MB file
+# took 0.076 s with the hash beside the write against 0.113 s with one
+# after the other, a 203 MB file 0.23 s against 0.36 s.
 _THREAD_MIN_BYTES = 16 << 20
 
 
@@ -138,28 +142,47 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
             blobs[f"adam_v:{k}"] = v
 
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    digest = hashlib.sha256()
+    # The file in order, without a copy of any array: the leading header,
+    # then each blob's header and the bytes of its array.
+    buffers = [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(cfg_bytes)) + cfg_bytes
+               + struct.pack("<I", len(blobs))]
+    for name, arr in blobs.items():
+        nb = name.encode("utf-8")
+        a = np.ascontiguousarray(arr, dtype="<f8")
+        buffers.append(struct.pack(f"<H{len(nb)}sB{a.ndim}Q", len(nb), nb, a.ndim, *a.shape))
+        buffers.append(memoryview(a.reshape(-1)).cast("B"))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as f:
-
-            def put(data):
-                digest.update(data)
-                f.write(data)
-
-            put(MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(cfg_bytes)) + cfg_bytes
-                + struct.pack("<I", len(blobs)))
-            for name, arr in blobs.items():
-                nb = name.encode("utf-8")
-                a = np.ascontiguousarray(arr, dtype="<f8")
-                put(struct.pack(f"<H{len(nb)}sB{a.ndim}Q", len(nb), nb, a.ndim, *a.shape))
-                put(memoryview(a.reshape(-1)).cast("B"))
-            f.write(digest.digest())
+        # As in the load, leaving the pool's block joins its thread, also
+        # when a write raises.
+        with open(tmp, "wb") as f, ThreadPoolExecutor(max_workers=1) as pool:
+            if sum(map(len, buffers)) >= _THREAD_MIN_BYTES:
+                hashing = pool.submit(_sha256, buffers)
+                for b in buffers:
+                    f.write(b)
+                digest = hashing.result()
+            else:
+                # Each buffer is hashed right before it is written, while it
+                # is still in cache.
+                h = hashlib.sha256()
+                for b in buffers:
+                    h.update(b)
+                    f.write(b)
+                digest = h.digest()
+            f.write(digest)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _sha256(buffers) -> bytes:
+    """The sha256 digest of the concatenated `buffers`."""
+    h = hashlib.sha256()
+    for b in buffers:
+        h.update(b)
+    return h.digest()
 
 
 def _optimizer_state(blobs: dict, params: dict, step) -> AdamState:

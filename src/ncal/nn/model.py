@@ -29,9 +29,9 @@ its written-out backward: the embedding (step 1, ``F.embed``; the constant
 identity codes of step 2 pass the gradient through unchanged), one per
 encoder block (step 3, ``F.encoder_block``) and steps 4 and 5,
 ``F.heads``. A forward pass composes their backwards, in reverse, into one
-pullback that assigns every parameter's gradient. ``predict`` runs the same
-stages and drops each backward as its stage returns, so inference keeps no
-pullback.
+pullback that writes every parameter's gradient into its ``.grad`` array.
+``predict`` runs the same stages and drops each backward as its stage
+returns, so inference keeps no pullback.
 
 The parameters, their gradients and the prediction are float64. ``forward``
 can run the embedding and the encoder blocks in float32 instead (mixed
@@ -39,7 +39,8 @@ precision over float64 master weights, Micikevicius et al., ICLR 2018):
 those stages compute on float32 casts of the weights, and their output
 returns to float64 before the heads, so Gram-Schmidt, the losses and the
 optimizer never see float32. Their gradients are cast back to float64 as
-the pullback assigns them. ``predict`` always computes in float64.
+the pullback writes them into the parameters' float64 ``.grad``.
+``predict`` always computes in float64.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
@@ -169,9 +170,14 @@ def _param_spec(config: PtModelConfig) -> dict:
 
 
 def _assign_grads(params, grads) -> None:
-    """Set each parameter's .grad to its gradient, as float64."""
+    """Write each parameter's gradient into its float64 .grad, cast if
+    need be. The array is allocated only on the first backward (or if .grad
+    was set to another shape or dtype), so every training step reuses the
+    previous step's gradients instead of holding two sets at once."""
     for t, g in zip(params, grads, strict=True):
-        t.grad = g.astype(np.float64, copy=False)
+        if t.grad is None or t.grad.shape != g.shape or t.grad.dtype != np.float64:
+            t.grad = np.empty(g.shape)
+        np.copyto(t.grad, g)
 
 
 class PtModel:
@@ -279,9 +285,10 @@ class PtModel:
         """Run the transformer encoder stack over the camera axis, in x's
         dtype.
 
-        Returns (out, pullback): pullback(g) casts g to x's dtype, assigns
-        each block parameter's float64 .grad for the gradient g of out and
-        returns the gradient of x, in x's dtype.
+        Returns (out, pullback): pullback(g) casts g to x's dtype, writes
+        each block parameter's gradient, for the gradient g of out, into its
+        float64 .grad (in place once .grad exists) and returns the gradient
+        of x, in x's dtype.
         """
         if x.ndim != 3 or x.shape[-1] != self.config.d_model:
             raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
@@ -309,9 +316,10 @@ class PtModel:
         takes a single capture. dtype: the precision of the embedding and the
         encoder blocks, np.float64 or np.float32; the heads and the
         prediction are float64 either way. Returns a (B, n_cameras, 21)
-        Tensor whose backward(g) assigns every parameter's float64 .grad for
-        the prediction's gradient g; rotation blocks are orthonormal for any
-        weights.
+        Tensor whose backward(g) writes every parameter's gradient, for the
+        prediction's gradient g, into its float64 .grad, in place once .grad
+        exists: an array kept from an earlier backward is overwritten.
+        Rotation blocks are orthonormal for any weights.
         """
         x = self.normalize_input(np.asarray(X, dtype=np.float64)).astype(dtype, copy=False)
         h, embed_backward = self.embed(x)

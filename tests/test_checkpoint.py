@@ -11,6 +11,7 @@ import tempfile
 import threading
 from dataclasses import asdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -75,12 +76,16 @@ class TestRoundTrip:
             np.testing.assert_array_equal(state2.m[k], state.m[k])
             np.testing.assert_array_equal(state2.v[k], state.v[k])
 
-    def test_file_bytes_deterministic(self, ckpt, tmp_path):
+    def test_file_bytes_deterministic(self, ckpt, tmp_path, monkeypatch):
         m = randomize(tiny_model())
-        save_checkpoint(ckpt, m)
         other = tmp_path / "again.ckpt"
-        save_checkpoint(other, m)
-        assert ckpt.read_bytes() == other.read_bytes()
+        files = []
+        for _ in each_hash_path(monkeypatch):
+            save_checkpoint(ckpt, m)
+            save_checkpoint(other, m)
+            assert ckpt.read_bytes() == other.read_bytes()
+            files.append(ckpt.read_bytes())
+        assert files[0] == files[1]
 
     @settings(derandomize=True, deadline=None, max_examples=40, database=None)
     @given(
@@ -148,7 +153,7 @@ def _pack_reference(model, optimizer=None, extra=None) -> bytes:
 
 class TestFormat:
     @pytest.mark.parametrize("with_optimizer", [False, True])
-    def test_bytes_match_independent_writer(self, ckpt, with_optimizer):
+    def test_bytes_match_independent_writer(self, ckpt, with_optimizer, monkeypatch):
         m = randomize(tiny_model(seed=4), seed=5)
         state = None
         if with_optimizer:
@@ -157,8 +162,11 @@ class TestFormat:
             for k, t in m.params.items():
                 state.m[k] = rng.normal(size=t.data.shape)
                 state.v[k] = rng.uniform(0, 1, size=t.data.shape)
-        save_checkpoint(ckpt, m, optimizer_state=state, extra={"epoch": 3})
-        assert ckpt.read_bytes() == _pack_reference(m, state, extra={"epoch": 3})
+        want = _pack_reference(m, state, extra={"epoch": 3})
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open():
+                save_checkpoint(ckpt, m, optimizer_state=state, extra={"epoch": 3})
+            assert ckpt.read_bytes() == want
 
     def test_loaded_arrays_are_owned_and_aligned(self, ckpt):
         m = randomize(tiny_model())
@@ -204,10 +212,11 @@ def _field_offsets(data: bytes) -> dict:
             "digest": len(data) - 32, "digest last byte": len(data) - 1}
 
 
-def each_load_path(monkeypatch):
-    """Yields once for each way load_checkpoint checks a file's hash: on the
+def each_hash_path(monkeypatch):
+    """Yields once for each way a checkpoint's hash is computed: on the
     calling thread, as for a small file, then on a second thread while the
-    calling thread reads, as for a large one."""
+    calling thread reads (load_checkpoint) or writes (save_checkpoint) the
+    file, as for a large one."""
     for min_bytes in (checkpoint._THREAD_MIN_BYTES, 0):
         monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", min_bytes)
         yield
@@ -230,7 +239,7 @@ class TestCorruption:
         data = bytearray(_small_checkpoint(ckpt))
         data[_field_offsets(data)[field]] ^= 0xFF
         ckpt.write_bytes(bytes(data))
-        for _ in each_load_path(monkeypatch):
+        for _ in each_hash_path(monkeypatch):
             with nothing_left_open(), pytest.raises(CorruptCheckpoint, match="hash"):
                 load_checkpoint(ckpt)
 
@@ -238,7 +247,7 @@ class TestCorruption:
         # Cut at every length: only a file too short to hold a header and a
         # digest may be reported as something other than a hash mismatch.
         data = _small_checkpoint(ckpt)
-        for _ in each_load_path(monkeypatch):
+        for _ in each_hash_path(monkeypatch):
             with nothing_left_open():
                 for n in range(len(data)):
                     ckpt.write_bytes(data[:n])
@@ -248,7 +257,7 @@ class TestCorruption:
 
     def test_flipped_byte(self, ckpt, monkeypatch):
         data = _small_checkpoint(ckpt)
-        for _ in each_load_path(monkeypatch):
+        for _ in each_hash_path(monkeypatch):
             with nothing_left_open():
                 for i in range(len(data)):
                     flipped = bytearray(data)
@@ -260,7 +269,7 @@ class TestCorruption:
     def test_load_leaves_nothing_open(self, ckpt, monkeypatch):
         m = randomize(tiny_model())
         save_checkpoint(ckpt, m)
-        for _ in each_load_path(monkeypatch):
+        for _ in each_hash_path(monkeypatch):
             with nothing_left_open():
                 loaded, _, _ = load_checkpoint(ckpt)
             for k, a in m.state_arrays().items():
@@ -389,7 +398,7 @@ def test_malformed_checkpoint_is_corrupt(ckpt, case, monkeypatch):
     edits = dict(MALFORMED[case])
     save_checkpoint(ckpt, tiny_model(d_model=16), optimizer_state=edits.pop("optimizer", None))
     _resign(ckpt, **edits)
-    for _ in each_load_path(monkeypatch):
+    for _ in each_hash_path(monkeypatch):
         with nothing_left_open(), pytest.raises(CorruptCheckpoint):
             load_checkpoint(ckpt)
 
@@ -427,10 +436,11 @@ class TestCrashSafety:
         monkeypatch.setattr(
             checkpoint, "open", lambda *a, **k: _HalfWriter(builtins.open(*a, **k)), raising=False
         )
-        with pytest.raises(OSError):
-            save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
-        assert ckpt.read_bytes() == before
-        assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open(), pytest.raises(OSError):
+                save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
+            assert ckpt.read_bytes() == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
 
     @pytest.mark.parametrize("k", [2, 7, 12])
     def test_failed_kth_write_keeps_previous_file(self, ckpt, tmp_path, monkeypatch, k):
@@ -443,16 +453,38 @@ class TestCrashSafety:
             return writers[-1]
 
         monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
-        with pytest.raises(OSError):
+        for _ in each_hash_path(monkeypatch):
+            writers.clear()
+            with nothing_left_open(), pytest.raises(OSError):
+                save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
+            # The header and the first (k - 2) // 2 blobs, each of at least
+            # 64 bytes, were on disk when the write failed.
+            assert writers[0].whole > 64 * ((k - 2) // 2)
+            assert ckpt.read_bytes() == before
+            assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+
+    def test_failed_hash_on_worker_keeps_previous_file(self, ckpt, tmp_path, monkeypatch):
+        save_checkpoint(ckpt, tiny_model(seed=0))
+        before = ckpt.read_bytes()
+        on_worker = []
+
+        class FailingHash:
+            def update(self, data):
+                on_worker.append(threading.current_thread() is not threading.main_thread())
+                raise RuntimeError("hash failed")
+
+        monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", 0)
+        monkeypatch.setattr(checkpoint, "hashlib", SimpleNamespace(sha256=FailingHash))
+        with nothing_left_open(), pytest.raises(RuntimeError, match="hash failed"):
             save_checkpoint(ckpt, randomize(tiny_model(seed=1)))
-        # The header and the first (k - 2) // 2 blobs, each of at least 64
-        # bytes, were on disk when the write failed.
-        assert writers[0].whole > 64 * ((k - 2) // 2)
+        assert on_worker == [True]
         assert ckpt.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
 
-    def test_successful_save_leaves_only_the_file(self, ckpt, tmp_path):
-        save_checkpoint(ckpt, tiny_model())
-        save_checkpoint(ckpt, randomize(tiny_model()))
-        assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
-        load_checkpoint(ckpt)
+    def test_successful_save_leaves_only_the_file(self, ckpt, tmp_path, monkeypatch):
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open():
+                save_checkpoint(ckpt, tiny_model())
+                save_checkpoint(ckpt, randomize(tiny_model()))
+            assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+            load_checkpoint(ckpt)

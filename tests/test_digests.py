@@ -27,6 +27,7 @@ LABELS = {
     "evaluate re_avg",
     "loss_reproj behind cameras value",
     "model init O-10/cube27 d_model 512 seed 1",
+    "checkpoint bytes paper width model-only",
     "encoder paper width",
     "encoder paper width float32",
     "heads and loss gradients O-10/cube27 phase 1",

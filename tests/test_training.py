@@ -292,6 +292,22 @@ class TestStep:
         for k, t in model.params.items():
             assert t.grad.tobytes() == first[k].tobytes(), k
 
+    def test_backward_reuses_each_gradient_array(self):
+        # A second step writes into the first step's float64 arrays rather
+        # than binding new ones; a .grad of another shape or dtype is
+        # replaced, not written into.
+        model, X, args = small_step_inputs(True, 2)
+        pred = model.forward(X, np.float32)
+        pred.backward(compound_loss(pred.data, *args)[2])
+        first = {k: t.grad for k, t in model.params.items()}
+        model.params["embed_b"].grad = np.zeros(1)
+        model.params["head_t_b"].grad = np.zeros_like(model.params["head_t_b"].data, np.float32)
+        pred = model.forward(X, np.float32)
+        pred.backward(compound_loss(pred.data, *args)[2])
+        for k, t in model.params.items():
+            assert t.grad.dtype == np.float64 and t.grad.shape == t.data.shape, k
+            assert (t.grad is first[k]) == (k not in ("embed_b", "head_t_b")), k
+
     def test_backward_reads_weights_as_at_forward(self):
         # The backward rebuilds each block's norm outputs from the gains and
         # biases, and takes products with the weights, captured at the

@@ -14,11 +14,12 @@ checkpoint bytes and what loading them returns (with the Adam moments, and
 model-only as a deployed model is saved) of a small fixed-seed training run,
 evaluation figures, the reprojection loss and its gradient on a prediction
 that puts fiducials behind cameras, the parameters of a freshly built
-paper-width model, the forward and gradients of a paper-width encoder in
-float64 and in float32, a model's prediction, loss parts and parameter
-gradients with non-zero heads in both phases, the gradients of the three
-loss terms at the ground truth and next to it, where arccos is steepest,
-and the reference calibration of every built-in rig.
+paper-width model and the bytes of its model-only checkpoint (large enough
+for the save to hash on a second thread), the forward and gradients of a
+paper-width encoder in float64 and in float32, a model's prediction, loss
+parts and parameter gradients with non-zero heads in both phases, the
+gradients of the three loss terms at the ground truth and next to it, where
+arccos is steepest, and the reference calibration of every built-in rig.
 """
 
 from __future__ import annotations
@@ -148,6 +149,13 @@ def construction_lines():
     model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=1)
     yield (f"model init O-10/cube27 d_model {mcfg.d_model} seed 1",
            arrays_digest(model.state_arrays()))
+    # Its 67.6 MB model-only file, large enough that the save hashes on a
+    # second thread while it writes.
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "paper.ckpt"
+        checkpoint.save_checkpoint(path, model)
+        yield "checkpoint bytes paper width model-only", digest(
+            np.frombuffer(path.read_bytes(), dtype=np.uint8))
 
 
 def encoder_lines():
