@@ -45,10 +45,21 @@ the pullback writes them into the parameters' float64 ``.grad``.
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
 factory values exactly, rotation included.
+
+A new model draws its weights from the seed's generator: the identity-code
+noise first, then every Glorot matrix in parameter order, each exactly what
+``rng.uniform(-limit, limit, shape)`` would draw. All arrays are allocated
+on the calling thread. When the matrices hold at least ``_SPLIT_MIN_DRAWS``
+values, a worker thread fills those past the first array boundary beyond
+half of the draws, from a copy of the generator advanced to their first
+draw, while the calling thread fills the rest, so the weights are the same
+bits either way.
 """
 
 from __future__ import annotations
 
+import copy
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +83,14 @@ IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
 # Output heads and their widths, in the column order of the affine output map.
 HEADS = {"r6": 6, "t": 3, "fc": 2, "pp": 2, "kc": 5}
+
+# Glorot draws from which construction fills on two threads; below it the
+# calling thread fills them all. Measured at O-10 with 4 layers and d_ff =
+# 2 d_model (2 cores, medians of 15 builds), two threads took 2.7 against
+# 1.8 ms at 135 k draws, broke even near 0.5 M and took 10.1 against 11.9 ms
+# at 1.0 M. At the paper's 8.4 M, train_paper setup_s fell from 0.063 to
+# 0.031 s (BENCH_model_init.json).
+_SPLIT_MIN_DRAWS = 1 << 20
 
 # Captures per pass in predict. A pass holds one stage's intermediates at a
 # time, so this bounds the working set of one encoder block (0.42 MB per
@@ -121,51 +140,74 @@ def camera_identity_encoding(n_cameras, d_model, sigma, rng) -> np.ndarray:
     return codes
 
 
-def _glorot(rng, shape):
-    fan_in, fan_out = shape
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
+# How each kind of parameter is allocated; a "glorot" array is filled by
+# _draw_glorot after every parameter is allocated.
+_ALLOCATE = {"glorot": np.empty, "zeros": np.zeros, "ones": np.ones}
 
 
-def _zeros(rng, shape):
-    return np.zeros(shape)
+def _fill_glorot(rng, arrays) -> None:
+    """Fill each (fan_in, fan_out) array in turn with bitwise what
+    rng.uniform(-limit, limit) draws, lo + (hi - lo) * u, without a
+    temporary."""
+    for a in arrays:
+        fan_in, fan_out = a.shape
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        rng.random(out=a)
+        a *= limit - -limit
+        a += -limit
 
 
-def _ones(rng, shape):
-    return np.ones(shape)
+def _draw_glorot(rng, arrays) -> None:
+    """_fill_glorot(rng, arrays), on two threads from _SPLIT_MIN_DRAWS
+    values on: a worker fills the arrays after the first boundary past half
+    the draws from a copy of rng's bit generator advanced past the values
+    before them, one draw each, while the calling thread fills the rest."""
+    ends = np.cumsum([a.size for a in arrays])
+    cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
+    if cut == len(arrays) or ends[-1] < _SPLIT_MIN_DRAWS:
+        _fill_glorot(rng, arrays)
+        return
+    ahead = copy.deepcopy(rng.bit_generator)
+    ahead.advance(int(ends[cut - 1]))
+    # Leaving the block joins the worker, also when either fill raises.
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_fill_glorot, np.random.Generator(ahead), arrays[cut:])
+        _fill_glorot(rng, arrays[:cut])
+        second.result()
 
 
 def _block_spec(config: PtModelConfig) -> dict:
-    """name -> (shape, initializer) of one encoder block's parameters, in
+    """name -> (shape, kind) of one encoder block's parameters, in
     parameter order, which is also the order F.encoder_block takes them."""
     d, ff = config.d_model, config.d_ff
-    spec = {"ln1_g": ((d,), _ones), "ln1_b": ((d,), _zeros)}
+    spec = {"ln1_g": ((d,), "ones"), "ln1_b": ((d,), "zeros")}
     for nm in ("q", "k", "v", "o"):
-        spec[f"w{nm}"] = ((d, d), _glorot)
-        spec[f"b{nm}"] = ((d,), _zeros)
-    spec["ln2_g"] = ((d,), _ones)
-    spec["ln2_b"] = ((d,), _zeros)
-    spec["ff1_w"] = ((d, ff), _glorot)
-    spec["ff1_b"] = ((ff,), _zeros)
-    spec["ff2_w"] = ((ff, d), _glorot)
-    spec["ff2_b"] = ((d,), _zeros)
+        spec[f"w{nm}"] = ((d, d), "glorot")
+        spec[f"b{nm}"] = ((d,), "zeros")
+    spec["ln2_g"] = ((d,), "ones")
+    spec["ln2_b"] = ((d,), "zeros")
+    spec["ff1_w"] = ((d, ff), "glorot")
+    spec["ff1_b"] = ((ff,), "zeros")
+    spec["ff2_w"] = ((ff, d), "glorot")
+    spec["ff2_b"] = ((d,), "zeros")
     return spec
 
 
 def _param_spec(config: PtModelConfig) -> dict:
-    """name -> (shape, initializer) of every trainable parameter.
+    """name -> (shape, kind) of every trainable parameter; kind is a key of
+    _ALLOCATE.
 
     The order is the parameter order: it fixes the sequence of Glorot draws
     from the seed's generator and the blob order of a checkpoint.
     """
     d, nf = config.d_model, config.n_fiducials
-    spec = {"embed_w": ((2 * nf, d), _glorot), "embed_b": ((d,), _zeros)}
+    spec = {"embed_w": ((2 * nf, d), "glorot"), "embed_b": ((d,), "zeros")}
     block = _block_spec(config)
     for i in range(config.n_layers):
         spec.update((f"layer{i}_{nm}", entry) for nm, entry in block.items())
     for nm, width in HEADS.items():
-        spec[f"head_{nm}_w"] = ((d, width), _zeros)
-        spec[f"head_{nm}_b"] = ((width,), _zeros)
+        spec[f"head_{nm}_w"] = ((d, width), "zeros")
+        spec[f"head_{nm}_b"] = ((width,), "zeros")
     return spec
 
 
@@ -190,11 +232,20 @@ class PtModel:
     """
 
     def __init__(self, config: PtModelConfig, reference_params, image_size, radius, seed=0):
+        """Build a model with fresh weights drawn from the seed's generator.
+
+        Every parameter is allocated on the calling thread. The Glorot
+        matrices are then drawn in parameter order, after the identity-code
+        noise, each bitwise rng.uniform(-limit, limit, shape). From
+        _SPLIT_MIN_DRAWS draws on, a worker fills the second part of them
+        from a copy of the generator advanced to its first draw (see
+        _draw_glorot), so the weights do not depend on the split.
+        """
         rng = self._derive(config, reference_params, image_size, radius, seed)
-        self.params = {
-            k: Tensor(init(rng, shape))
-            for k, (shape, init) in _param_spec(config).items()
-        }
+        spec = _param_spec(config)
+        arrays = {k: _ALLOCATE[init](shape) for k, (shape, init) in spec.items()}
+        _draw_glorot(rng, [arrays[k] for k, (_shape, init) in spec.items() if init == "glorot"])
+        self.params = {k: Tensor(a) for k, a in arrays.items()}
 
     @classmethod
     def from_state_arrays(cls, config: PtModelConfig, arrays: dict, image_size, radius, seed=0):

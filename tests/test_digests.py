@@ -26,6 +26,7 @@ LABELS = {
     "checkpoint load model-only",
     "evaluate re_avg",
     "loss_reproj behind cameras value",
+    "model init O-6/cube8 d_model 64 seed 1",
     "model init O-10/cube27 d_model 512 seed 1",
     "checkpoint bytes paper width model-only",
     "encoder paper width",

@@ -1,5 +1,6 @@
 """Tests for the point-based network and its differentiable geometry bridges."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from ncal import geometry
 from ncal.errors import DegenerateRotation, ShapeMismatch
 from ncal.nn import autodiff as ad
 from ncal.nn import functional as F
+from ncal.nn import model as model_module
 from ncal.nn.model import HEADS, PtModel, PtModelConfig, camera_identity_encoding
 from ncal.scene import (
     PoseRanges,
@@ -549,6 +551,67 @@ class TestEncoder:
         m = tiny_model()
         with pytest.raises(ShapeMismatch):
             m.encode(np.zeros((2, 3, 5)))
+
+
+def glorot_oracle(config, seed):
+    """Every Glorot matrix of a fresh model, drawn one after another with
+    Generator.uniform from the seed's stream after the identity-code noise."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    if config.cie_noise_sigma > 0:
+        rng.standard_normal((config.n_cameras, config.d_model))
+    out = {}
+    for k, (shape, kind) in model_module._param_spec(config).items():
+        if kind == "glorot":
+            limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+            out[k] = rng.uniform(-limit, limit, shape)
+    return out
+
+
+class TestInit:
+    @pytest.mark.parametrize("split", [False, True])
+    def test_weights_match_uniform_oracle(self, split, monkeypatch):
+        fills = []
+        fill = model_module._fill_glorot
+
+        def recording_fill(rng, arrays):
+            fills.append((threading.current_thread() is threading.main_thread(), len(arrays)))
+            fill(rng, arrays)
+
+        monkeypatch.setattr(model_module, "_fill_glorot", recording_fill)
+        if split:
+            monkeypatch.setattr(model_module, "_SPLIT_MIN_DRAWS", 0)
+        threads = threading.active_count()
+        m = tiny_model(n_layers=2, seed=4)
+        assert threading.active_count() == threads
+        # 1,088 draws: the first part ends with layer0_ff2_w, the first
+        # boundary past 544, and the worker fills layer 1's six matrices.
+        assert sorted(fills) == ([(False, 6), (True, 7)] if split else [(True, 13)])
+        expected = glorot_oracle(m.config, 4)
+        for k, (shape, kind) in model_module._param_spec(m.config).items():
+            a = m.params[k].data
+            assert a.dtype == np.float64 and a.shape == shape
+            if kind == "glorot":
+                assert a.tobytes() == expected[k].tobytes(), k
+            else:
+                assert np.all(a == (1.0 if kind == "ones" else 0.0)), k
+
+    def test_worker_error_reaches_caller(self, monkeypatch):
+        fill = model_module._fill_glorot
+        on_worker = []
+
+        def failing_fill(rng, arrays):
+            if threading.current_thread() is not threading.main_thread():
+                on_worker.append(len(arrays))
+                raise RuntimeError("fill failed")
+            fill(rng, arrays)
+
+        monkeypatch.setattr(model_module, "_fill_glorot", failing_fill)
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_DRAWS", 0)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="fill failed"):
+            tiny_model(n_layers=2)
+        assert on_worker == [6]
+        assert threading.active_count() == threads
 
 
 class TestForward:

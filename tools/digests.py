@@ -14,8 +14,9 @@ checkpoint bytes and what loading them returns (with the Adam moments, and
 model-only as a deployed model is saved) of a small fixed-seed training run,
 evaluation figures, the reprojection loss and its gradient on a prediction
 that puts fiducials behind cameras, the parameters of a freshly built
-paper-width model and the bytes of its model-only checkpoint (large enough
-for the save to hash on a second thread), the forward and gradients of a
+small model (drawn on one thread) and paper-width model (drawn on two) and
+the bytes of the latter's model-only checkpoint (large enough for the save
+to hash on a second thread), the forward and gradients of a
 paper-width encoder in float64 and in float32, a model's prediction, loss
 parts and parameter gradients with non-zero heads in both phases, the
 gradients of the three loss terms at the ground truth and next to it, where
@@ -141,8 +142,17 @@ def penalty_lines():
 
 
 def construction_lines():
-    # The Glorot draws and the reference of a model at the paper's
-    # architecture (the PtModelConfig defaults), as built, before training.
+    # The Glorot draws and the reference of a small model, few enough draws
+    # that the calling thread makes them all.
+    cfg = config("O-6", "cube8", 0.0)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
+                         n_heads=4, d_ff=128)
+    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
+    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=1)
+    yield (f"model init O-6/cube8 d_model {mcfg.d_model} seed 1",
+           arrays_digest(model.state_arrays()))
+    # The same at the paper's architecture (the PtModelConfig defaults),
+    # enough draws that a second thread makes part of them.
     cfg = config("O-10", "cube27", 0.0)
     mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials)
     ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
