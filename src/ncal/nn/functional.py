@@ -36,14 +36,15 @@ from ..errors import DegenerateRotation, ShapeMismatch
 from . import autodiff as ad
 
 
-def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x @ w + b along the last axis.
+def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """x @ w + b along the last axis, or x @ w when b is None.
 
     Leading axes are flattened around one large matrix product, which is far
     faster than numpy's batched matmul of many small blocks.
     """
     out = x.reshape(-1, x.shape[-1]) @ w
-    out += b
+    if b is not None:
+        out += b
     return out.reshape(x.shape[:-1] + (w.shape[-1],))
 
 
@@ -103,13 +104,16 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
     """One pre-norm transformer encoder block over axis 1 of x, (B, N, D),
     and its backward.
 
-    weights: the block's 16 arrays in parameter order, (ln1 gain, ln1 bias,
-    wq, bq, wk, bk, wv, bv, wo, bo, ln2 gain, ln2 bias, ff1 weight, ff1 bias,
+    weights: the block's 15 arrays in parameter order, (ln1 gain, ln1 bias,
+    wq, bq, wk, wv, bv, wo, bo, ln2 gain, ln2 bias, ff1 weight, ff1 bias,
     ff2 weight, ff2 bias). With dh = D / n_heads and attention per head,
 
-        a = LN1(x),  q, k, v = a @ wq + bq, a @ wk + bk, a @ wv + bv
+        a = LN1(x),  q, k, v = a @ wq + bq, a @ wk, a @ wv + bv
         x1 = x + softmax(q k^T / sqrt(dh)) v @ wo + bo
         out = x1 + relu(LN2(x1) @ ff1_w + ff1_b) @ ff2_w + ff2_b
+
+    The keys have no bias: one would add q . bk to a whole row of scores,
+    which the softmax over the row cancels (Namazifar et al., ICASSP 2023).
 
     The backward keeps the normalized inputs and inverse deviations of both
     norms, q, k, v, the attention weights and the ReLU output, and nothing
@@ -118,11 +122,11 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
     they are bit for bit the forward's. It reads the weights as they were at
     the forward and frees nothing, so it can run more than once.
     """
-    (g1, b1, wq, bq, wk, bk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights
+    (g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights
     if x.ndim != 3 or x.shape[-1] % n_heads != 0:
         raise ShapeMismatch(f"encoder block expects (B, N, d_model), got {x.shape}")
     a, xhat1, inv_std1 = layer_norm(x, g1, b1)
-    q, k, v = linear(a, wq, bq), linear(a, wk, bk), linear(a, wv, bv)
+    q, k, v = linear(a, wq, bq), linear(a, wk), linear(a, wv, bv)
     del a
     scores = _split_heads(q, n_heads) @ _split_heads(k, n_heads).transpose(0, 1, 3, 2)
     scores *= 1.0 / math.sqrt(x.shape[-1] // n_heads)
@@ -147,16 +151,17 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
 def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     """Gradients of encoder_block for the upstream gradient g of its output.
 
-    saved: the arrays the forward kept; weights: the 16 parameter arrays.
-    Returns the gradient of x, then the 16 parameter gradients in parameter
-    order. Each step is the tape primitive's backward for the same step,
+    saved: the arrays the forward kept; weights: the 15 parameter arrays.
+    Returns the gradient of x, then the 15 parameter gradients in parameter
+    order; the bias sum linear_grad returns for the unbiased keys is
+    dropped. Each step is the tape primitive's backward for the same step,
     including where a gradient is the sum of several: x and x1 each get the
     residual path plus their norm's, and a gets (k + v) + q. The rebuilt a,
     o and f, and each head gradient, are dropped once their last product is
     taken.
     """
     xhat1, inv_std1, q, k, v, attn, xhat2, inv_std2, h = saved
-    g1, b1, wq, _, wk, _, wv, _, wo, _, g2, b2, w1, _, w2, _ = weights
+    g1, b1, wq, _, wk, wv, _, wo, _, g2, b2, w1, _, w2, _ = weights
     n_heads = attn.shape[1]
 
     # Feed-forward residual.
@@ -184,7 +189,7 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     ga, gwv, gbv = linear_grad(gv, a, wv)
     del gv
     gk = _merge_heads((np.swapaxes(qh, -1, -2) @ gs).transpose(0, 1, 3, 2))
-    ga_k, gwk, gbk = linear_grad(gk, a, wk)
+    ga_k, gwk, _ = linear_grad(gk, a, wk)
     del gk
     ga += ga_k
     del ga_k
@@ -198,7 +203,7 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
     ga *= g1
     gx = ad.normalize_grad(ga, xhat1, inv_std1)
     gx += gx1
-    return (gx, gg1, gb1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+    return (gx, gg1, gb1, gwq, gbq, gwk, gwv, gbv, gwo, gbo,
             gg2, gb2, gw1, gc1, gw2, gc2)
 
 

@@ -112,8 +112,10 @@ class PtModelConfig:
 
     def __post_init__(self):
         for name in ("n_cameras", "n_fiducials", "d_model", "n_layers", "n_heads", "d_ff"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v <= 0:
+                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+            object.__setattr__(self, name, int(v))  # a checkpoint stores it as JSON
         if self.d_model % self.n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         if not 0.0 <= self.cie_noise_sigma < np.inf:
@@ -178,12 +180,14 @@ def _draw_glorot(rng, arrays) -> None:
 
 def _block_spec(config: PtModelConfig) -> dict:
     """name -> (shape, kind) of one encoder block's parameters, in
-    parameter order, which is also the order F.encoder_block takes them."""
+    parameter order, which is also the order F.encoder_block takes them.
+    The keys have no bias, which the attention softmax would cancel."""
     d, ff = config.d_model, config.d_ff
     spec = {"ln1_g": ((d,), "ones"), "ln1_b": ((d,), "zeros")}
     for nm in ("q", "k", "v", "o"):
         spec[f"w{nm}"] = ((d, d), "glorot")
-        spec[f"b{nm}"] = ((d,), "zeros")
+        if nm != "k":
+            spec[f"b{nm}"] = ((d,), "zeros")
     spec["ln2_g"] = ((d,), "ones")
     spec["ln2_b"] = ((d,), "zeros")
     spec["ff1_w"] = ((d, ff), "glorot")

@@ -58,6 +58,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "phase1_epochs", "batch_size", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+                raise ConfigError(f"{name} must be an integer, got {v!r}")
         if min(self.epochs, self.phase1_epochs, self.seed) < 0 or self.batch_size < 1:
             raise ConfigError("epochs, phase1_epochs and seed must be >= 0 and batch_size >= 1")
         if self.phase1_epochs > self.epochs:
@@ -135,7 +139,8 @@ def train(
 
         pred.backward(grad)
         # Free what this step's pullback keeps now rather than when the next
-        # forward pass rebinds the names: at paper scale it is about 1 GB.
+        # forward pass rebinds the names: at paper scale (O-10/cube27, batch
+        # 512) it is about 360 MB, as tracemalloc counts it.
         del pred, grad
         grads = {k: t.grad for k, t in model.params.items()}
         grad_norm = clip_gradients(grads, CLIP_NORM)

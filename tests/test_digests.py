@@ -48,7 +48,7 @@ def test_prints_one_digest_per_distinct_label(tmp_path):
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) >= 25
+    assert len(lines) == len(LABELS)
     labels = []
     for line in lines:
         m = re.fullmatch(r"[0-9a-f]{64} (\S.*)", line)

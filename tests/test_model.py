@@ -121,6 +121,20 @@ class TestCIE:
         with pytest.raises(ValueError, match="cie_noise_sigma"):
             PtModelConfig(n_cameras=6, n_fiducials=8, d_model=4, n_heads=2, cie_noise_sigma=sigma)
 
+    @pytest.mark.parametrize("bad", [{"d_model": 64.0}, {"n_layers": 1.0}, {"n_heads": True},
+                                     {"d_ff": 0}, {"n_cameras": -1}, {"n_fiducials": 8.5}])
+    def test_bad_count_rejected(self, bad):
+        name = next(iter(bad))
+        with pytest.raises(ValueError, match=name):
+            PtModelConfig(**{"n_cameras": 6, "n_fiducials": 8, "d_model": 64, "n_heads": 2,
+                             **bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        # Stored as Python ints, which a checkpoint's JSON config can hold.
+        cfg = PtModelConfig(np.int64(6), np.int32(8), d_model=np.int64(64), n_layers=np.int8(1))
+        counts = (cfg.n_cameras, cfg.n_fiducials, cfg.d_model, cfg.n_layers)
+        assert counts == (6, 8, 64, 1) and all(type(v) is int for v in counts)
+
     def test_wraparound_without_noise_rejected(self):
         with pytest.raises(ValueError):
             PtModelConfig(n_cameras=6, n_fiducials=8, d_model=4, n_heads=2, cie_noise_sigma=0.0)
@@ -171,8 +185,9 @@ class TestEmbed:
         assert [a.dtype for a in (out, *grads)] == [np.float32] * 3
 
 
-def loop_reference_block(x, p, i, n_heads):
-    """Straight-line (explicit loops) evaluation of one encoder block."""
+def loop_reference_block(x, p, i, n_heads, key_bias=0.0):
+    """Straight-line (explicit loops) evaluation of one encoder block, with
+    key_bias added to its keys."""
     B, N, D = x.shape
     dh = D // n_heads
     eps = 1e-5
@@ -189,7 +204,7 @@ def loop_reference_block(x, p, i, n_heads):
 
     a = ln(x, p[f"layer{i}_ln1_g"].data, p[f"layer{i}_ln1_b"].data)
     q = a @ p[f"layer{i}_wq"].data + p[f"layer{i}_bq"].data
-    k = a @ p[f"layer{i}_wk"].data + p[f"layer{i}_bk"].data
+    k = a @ p[f"layer{i}_wk"].data + key_bias
     v = a @ p[f"layer{i}_wv"].data + p[f"layer{i}_bv"].data
     o = np.zeros_like(q)
     for bi in range(B):
@@ -219,7 +234,7 @@ def tape_block(x, p, i, n_heads):
 
     a = tape.layer_norm(x, p[f"layer{i}_ln1_g"], p[f"layer{i}_ln1_b"])
     q = heads(tape.linear(a, p[f"layer{i}_wq"], p[f"layer{i}_bq"]))
-    k = heads(tape.linear(a, p[f"layer{i}_wk"], p[f"layer{i}_bk"]))
+    k = heads((a.reshape((-1, D)) @ p[f"layer{i}_wk"]).reshape((B, N, D)))
     v = heads(tape.linear(a, p[f"layer{i}_wv"], p[f"layer{i}_bv"]))
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
     attn = tape.softmax(scores, axis=-1)
@@ -232,12 +247,12 @@ def tape_block(x, p, i, n_heads):
     return x + f
 
 
-BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
+BLOCK_PARAMS = ("ln1_g", "ln1_b", "wq", "bq", "wk", "wv", "bv", "wo", "bo",
                 "ln2_g", "ln2_b", "ff1_w", "ff1_b", "ff2_w", "ff2_b")
 
 
 def random_block_params(rng, d_model, d_ff):
-    """The 16 arrays of one block with random weights, gains and biases,
+    """The 15 arrays of one block with random weights, gains and biases,
     keyed as layer 0 of a model."""
     shapes = {"ff1_w": (d_model, d_ff), "ff1_b": (d_ff,), "ff2_w": (d_ff, d_model)}
     out = {}
@@ -250,7 +265,7 @@ def random_block_params(rng, d_model, d_ff):
 
 
 def block_outputs(params, x, upstream, n_heads):
-    """Output, input gradient and the 16 parameter gradients of F.encoder_block."""
+    """Output, input gradient and the 15 parameter gradients of F.encoder_block."""
     out, backward = F.encoder_block(x, [params[f"layer0_{nm}"] for nm in BLOCK_PARAMS], n_heads)
     return [out, *backward(upstream)]
 
@@ -274,7 +289,7 @@ class TestEncoderBlock:
         upstream = rng.normal(size=x.shape)
         got = block_outputs(params, x, upstream, n_heads)
         want = tape_block_outputs(params, x, upstream, n_heads)
-        assert len(got) == 18
+        assert len(got) == 17
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
@@ -296,8 +311,8 @@ class TestEncoderBlock:
         monkeypatch.setattr(F, "encoder_block_backward", spy)
         out, backward = F.encoder_block(x, weights, 4)
         grads = backward(rng.normal(size=x.shape).astype(np.float32))
-        assert len(kept) == 9 and len(grads) == 17
-        assert [a.dtype for a in (out, *kept, *grads)] == [np.float32] * 27
+        assert len(kept) == 9 and len(grads) == 16
+        assert [a.dtype for a in (out, *kept, *grads)] == [np.float32] * 26
 
     def test_gradients_match_central_differences(self):
         rng = np.random.default_rng(22)
@@ -523,20 +538,40 @@ class TestKeptMemory:
         assert peak < bound
 
 
+def random_encoder(rng):
+    """A two-block tiny model with every encoder weight, bias and gain
+    random."""
+    m = tiny_model(n_cameras=3, d_model=8, n_layers=2, n_heads=2)
+    for k, t in m.params.items():
+        if not k.startswith("head_"):
+            t.data = rng.normal(size=t.data.shape) * 0.5
+    return m
+
+
 class TestEncoder:
     def test_matches_loop_reference(self):
         rng = np.random.default_rng(9)
-        m = tiny_model(n_cameras=3, d_model=8, n_layers=2, n_heads=2)
-        # randomize every weight, including biases
-        for k, t in m.params.items():
-            if not k.startswith("head_"):
-                t.data = rng.normal(size=t.data.shape) * 0.5
+        m = random_encoder(rng)
         x = rng.normal(size=(2, 3, 8))
         out, _ = m.encode(x)
         ref = x.copy()
         for i in range(2):
             ref = loop_reference_block(ref, m.params, i, n_heads=2)
         np.testing.assert_allclose(out, ref, atol=1e-10)
+
+    def test_key_bias_cannot_change_the_output(self):
+        # Why the blocks have no key bias: one would add q . bk to a whole
+        # row of scores, which the softmax over that row cancels. The loop
+        # reference with a random key bias equals the bias-free encoder.
+        rng = np.random.default_rng(12)
+        m = random_encoder(rng)
+        x = rng.normal(size=(2, 3, 8))
+        out, _ = m.encode(x)
+        ref = x.copy()
+        for i in range(2):
+            ref = loop_reference_block(ref, m.params, i, n_heads=2,
+                                       key_bias=rng.normal(size=8) * 2.0)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_zeroed_weights_residual_identity(self):
         m = tiny_model(n_layers=1)
