@@ -6,15 +6,17 @@ blocks and the heads (``nn.functional``), then the loss terms
 with a written-out backward, a pure function from its output's gradient to
 its inputs' gradients. ``PtModel.forward`` composes the stages' backwards,
 in reverse, into one pullback and returns the prediction as a ``Tensor``
-holding it; ``Tensor.backward(g)`` runs that pullback, which writes every
-parameter's gradient into its ``.grad``. There is no graph to walk.
+holding it; ``Tensor.backward(g)`` runs that pullback once and returns every
+parameter's gradient as a dict of float64 arrays. The pullback frees each
+stage's saved arrays as the stage's backward finishes, and nothing keeps a
+gradient once the caller drops the dict. There is no graph to walk.
 
-``Tensor`` is the holder of the prediction and of each parameter: a float64
-array (a parameter's master copy), a float64 gradient slot and, for the
-prediction, the pullback. The parameters stay ``Tensor`` rather than plain
-arrays because the benchmark assigns ``model.params[k].data``
-(``bench/workloads.py``) and wraps ``autodiff.Tensor.backward`` by name
-(``bench/tracing.py`` and ``bench/tests/test_helpers.py``).
+``Tensor`` holds a float64 array (a parameter's master copy, or the
+prediction) and, for a prediction, its one-shot pullback. The parameters
+stay ``Tensor`` rather than plain arrays because the benchmark assigns
+``model.params[k].data`` (``bench/workloads.py``) and wraps
+``autodiff.Tensor.backward`` by name (``bench/tracing.py`` and
+``bench/tests/test_helpers.py``).
 
 The kernels are softmax and layer normalization with their gradients, and
 the zero-subgradient rule. Each computes in its input's dtype: float64, or
@@ -31,21 +33,21 @@ LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
-    """A float64 array with a gradient slot and, for a prediction, the
-    pullback that maps its gradient to the parameters'. The data and the
-    gradient are float64 even when the pullback computed in float32: the
-    model casts each gradient back as it writes it."""
+    """A float64 array and, for a prediction, the pullback that maps its
+    gradient to the parameters'. The data is float64 even when the forward
+    computed in float32, and so is every gradient the pullback returns."""
 
-    __slots__ = ("data", "grad", "_pullback")
+    __slots__ = ("data", "_pullback")
 
     def __init__(self, data, pullback=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self._pullback = pullback
 
-    def backward(self, grad) -> None:
-        """Run the pullback on this tensor's gradient `grad`."""
-        self._pullback(grad)
+    def backward(self, grad) -> dict:
+        """Run the pullback on this tensor's gradient `grad` and return its
+        result: for a prediction, name -> float64 gradient of every
+        parameter, in parameter order. It runs once."""
+        return self._pullback(grad)
 
 
 def subgradient(derivative, singular) -> np.ndarray:

@@ -18,8 +18,10 @@ the others: an encoder block's backward recomputes its two norms' outputs
 batched product) instead of keeping them, the recompute-for-memory trade of
 Chen et al. 2016 (*Training Deep Nets with Sublinear Memory Cost*). A
 backward maps its output's gradient to its inputs' gradients, writes into
-nothing and frees nothing, so it can run again; ``PtModel.predict`` drops
-each backward as its stage returns. The arithmetic is that of the same step
+nothing and frees nothing, so it can run again. Freeing is the caller's:
+``PtModel.forward``'s pullback drops each backward, and with it the arrays
+its stage saved, once it has run, and ``PtModel.predict`` drops each
+backward as its stage returns. The arithmetic is that of the same step
 composed from generic tape primitives (kept in the tests as the oracle), op
 for op and in the tape's order of accumulation, so values and gradients are
 bitwise equal to that composition.

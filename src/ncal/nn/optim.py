@@ -27,28 +27,37 @@ class AdamState:
     step: int = 0
 
 
-def adam_step(params: dict, state: AdamState, lr_map: dict, group_of, lr_scale: float = 1.0,
-              lr_min: float = 0.0) -> None:
-    """One Adam update over a dict of name -> Tensor with .grad populated.
+def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_of,
+              lr_scale: float = 1.0, lr_min: float = 0.0) -> None:
+    """One Adam update of a dict of name -> Tensor by grads, a dict of
+    name -> float64 gradient array of the parameter's shape.
 
     lr_map gives the base learning rate per group name; group_of(name)
     resolves a parameter to its group. lr_scale (from the scheduler)
     multiplies every base rate, floored at lr_min. Raises ValueError, with
     the parameters and state untouched, when any resulting rate is not
-    finite or is negative.
+    finite or is negative, when grads names other parameters than params,
+    or when a gradient is not a float64 array of its parameter's shape.
     """
     rates = {group: max(base * lr_scale, lr_min) for group, base in lr_map.items()}
     bad = {group: lr for group, lr in rates.items() if not 0.0 <= lr < np.inf}
     if bad:
         raise ValueError(f"learning rates must be finite and >= 0, got {bad}")
+    if grads.keys() != params.keys():
+        raise ValueError(
+            f"gradients missing for {sorted(params.keys() - grads.keys())}, "
+            f"given for unknown {sorted(grads.keys() - params.keys())}")
+    wrong = [name for name, g in grads.items()
+             if not (isinstance(g, np.ndarray) and g.dtype == np.float64
+                     and g.shape == params[name].data.shape)]
+    if wrong:
+        raise ValueError(f"gradients must be float64 arrays of their parameter's shape: {wrong}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = p.grad
-        if g is None:
-            g = np.zeros_like(p.data)
+        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -63,21 +72,19 @@ def adam_step(params: dict, state: AdamState, lr_map: dict, group_of, lr_scale: 
 def clip_gradients(grads: dict, max_norm: float):
     """Scale the whole gradient set so its global L2 norm is at most max_norm.
 
-    Direction is preserved; max_norm = inf never clips. Returns the pre-clip
-    norm.
+    The squares are summed in grads' order. Direction is preserved;
+    max_norm = inf never clips. Returns the pre-clip norm.
     """
     if not max_norm > 0:
         raise ValueError(f"max_norm must be positive, got {max_norm!r}")
     total = 0.0
     for g in grads.values():
-        if g is not None:
-            total += float(np.sum(g * g))
+        total += float(np.sum(g * g))
     norm = np.sqrt(total)
     if norm > max_norm:
         scale = max_norm / norm
         for g in grads.values():
-            if g is not None:
-                g *= scale
+            g *= scale
     return norm
 
 

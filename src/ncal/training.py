@@ -137,12 +137,12 @@ def train(
         if not np.isfinite(loss_value):
             raise NonFiniteLoss(epoch, batch_seed)
 
-        pred.backward(grad)
-        # Free what this step's pullback keeps now rather than when the next
-        # forward pass rebinds the names: at paper scale (O-10/cube27, batch
-        # 512) it is about 360 MB, as tracemalloc counts it.
+        # The pullback frees what the forward kept stage by stage as it runs
+        # (about 360 MB at paper scale, O-10/cube27 at batch 512, as
+        # tracemalloc counts a float32 forward). The gradients go after the
+        # Adam step, so no gradient set lives into the next step.
+        grads = pred.backward(grad)
         del pred, grad
-        grads = {k: t.grad for k, t in model.params.items()}
         grad_norm = clip_gradients(grads, CLIP_NORM)
         if not np.isfinite(grad_norm):
             raise NonFiniteLoss(
@@ -152,12 +152,14 @@ def train(
             )
         adam_step(
             model.params,
+            grads,
             optimizer,
             LEARNING_RATES,
             model.param_group,
             lr_scale=scheduler.lr_scale,
             lr_min=LR_MIN,
         )
+        del grads
         scheduler.update(loss_value)
 
         record = {

@@ -157,8 +157,8 @@ def parameter(data) -> Tensor:
 
 def on_tape(model):
     """Replace the model's parameters by tape leaves over the same arrays and
-    return the model. The package reads a parameter's .data and assigns its
-    .grad, which a tape leaf has too."""
+    return the model. The package reads a parameter's .data, which a tape
+    leaf has too."""
     model.params = {k: Tensor(t.data, requires_grad=True) for k, t in model.params.items()}
     return model
 
@@ -453,9 +453,16 @@ def forward(model, X) -> Tensor:
 
 
 def encode(model, x) -> Tensor:
-    """The model's encoder stack as one node over x; its pullback assigns
-    the block parameters' gradients itself."""
-    return _stage(x, model.encode)
+    """The model's encoder stack as one node over x and the block
+    parameters, whose gradients its pullback returns with x's."""
+    names = [k for k in model.params if k.startswith("layer")]
+    out, pullback = model.encode(x.data)
+
+    def backward(g):
+        gx, grads = pullback(g)
+        return (gx, *(grads[k] for k in names))
+
+    return _node(out, (x, *(model.params[k] for k in names)), backward)
 
 
 def loss_diff(pred, gt_params) -> Tensor:

@@ -537,6 +537,44 @@ class TestKeptMemory:
             tracemalloc.stop()
         assert peak < bound
 
+    def backward_memory(self, dtype):
+        """Traced bytes of a forward in dtype and its backward: (kept by the
+        forward, peak during the backward, left after it, with the
+        prediction still referenced, less the prediction and the returned
+        gradients, the gradients' bytes)."""
+        m, X, _ = self.inputs()
+        g = np.random.default_rng(32).normal(size=(self.BATCH, 4, 21))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pred = m.forward(X, dtype)
+            kept = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            grads = pred.backward(g)
+            left, peak = (v - before for v in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(a.nbytes for a in grads.values())
+        return kept, peak, left - pred.data.nbytes - grad_bytes, grad_bytes
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_leaves_only_the_gradients(self, dtype):
+        # Each stage's saved arrays and weight casts are freed as its
+        # backward finishes, so nothing the forward kept outlives the
+        # backward, even while the prediction is still referenced: only the
+        # Python objects that hold the gradients, under 64 KiB.
+        kept, _, left, _ = self.backward_memory(dtype)
+        assert kept > 1_000_000 and 0 <= left <= 64 * 1024
+
+    def test_backward_peak_below_kept_plus_one_gradient_set(self):
+        # The backward holds the saved arrays of the stages still to run and
+        # the gradients made so far, not every stage's arrays beside every
+        # gradient. At the precision train() runs the encoder in; in
+        # float64 at this shape one block's backward working set (~0.49 MB)
+        # outweighs the whole gradient set (0.28 MB).
+        kept, peak, _, grad_bytes = self.backward_memory(np.float32)
+        assert peak < kept + grad_bytes
+
 
 def random_encoder(rng):
     """A two-block tiny model with every encoder weight, bias and gain
@@ -773,7 +811,7 @@ class TestForward:
         def loss_value():
             return float((m.forward(X).data * w).sum())
 
-        m.forward(X).backward(w)
+        grads = m.forward(X).backward(w)
         h = 1e-5
         checked = 0
         for name in ("embed_w", "layer0_wq", "layer0_ff1_w", "head_r6_w", "head_t_b"):
@@ -788,7 +826,7 @@ class TestForward:
                 lo = loss_value()
                 t.data[idx] = orig
                 num = (hi - lo) / (2 * h)
-                got = t.grad[idx]
+                got = grads[name][idx]
                 assert got == pytest.approx(num, rel=1e-3, abs=1e-6)
                 checked += 1
         assert checked == 15

@@ -1,5 +1,7 @@
 """Tests for Adam, gradient clipping, and the plateau scheduler."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -19,12 +21,40 @@ def groups(name):
     return "heads" if name.startswith("head") else "encoder"
 
 
+def stepped_twice():
+    """Two parameters after two Adam steps, with their AdamState and a
+    fresh gradient for each."""
+    rng = np.random.default_rng(3)
+    p = {"head_w": tape.parameter(rng.normal(size=3)),
+         "enc_w": tape.parameter(rng.normal(size=(2, 2)))}
+    state = AdamState()
+
+    def fresh():
+        return {k: rng.normal(size=t.data.shape) for k, t in p.items()}
+
+    for _ in range(2):
+        adam_step(p, fresh(), state, {"encoder": 1e-3, "heads": 1e-3}, groups, lr_min=1e-6)
+    return p, state, fresh()
+
+
+@contextlib.contextmanager
+def refused_untouched(p, state):
+    """Require the block to leave the parameters, the moments and the step
+    count bitwise as they were."""
+    data = {k: t.data.tobytes() for k, t in p.items()}
+    moments = {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p}
+    step = state.step
+    yield
+    assert state.step == step
+    assert {k: t.data.tobytes() for k, t in p.items()} == data
+    assert {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p} == moments
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
         p = {"w": tape.parameter([1.0, 2.0])}
-        p["w"].grad = np.zeros(2)
         state = AdamState()
-        adam_step(p, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
+        adam_step(p, {"w": np.zeros(2)}, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
         np.testing.assert_array_equal(p["w"].data, [1.0, 2.0])
         assert state.step == 1
 
@@ -34,15 +64,13 @@ class TestAdam:
         lr = 1e-2
         prev = p["w"].data.copy()
         for _ in range(300):
-            p["w"].grad = np.array([2.5])
-            adam_step(p, state, {"encoder": lr, "heads": lr}, groups)
+            adam_step(p, {"w": np.array([2.5])}, state, {"encoder": lr, "heads": lr}, groups)
         step = prev[0] - p["w"].data[0]
         # after warm-up each step is ~ lr * sign(g)
         last = []
         for _ in range(5):
             before = p["w"].data[0]
-            p["w"].grad = np.array([2.5])
-            adam_step(p, state, {"encoder": lr, "heads": lr}, groups)
+            adam_step(p, {"w": np.array([2.5])}, state, {"encoder": lr, "heads": lr}, groups)
             last.append(before - p["w"].data[0])
         np.testing.assert_allclose(last, lr, rtol=1e-3)
 
@@ -55,25 +83,22 @@ class TestAdam:
         for _ in range(100):
             diff = p["x"].data - target
             losses.append(0.5 * float(diff @ diff))
-            p["x"].grad = diff
-            adam_step(p, state, {"encoder": 0.02, "heads": 0.02}, groups)
+            adam_step(p, {"x": diff}, state, {"encoder": 0.02, "heads": 0.02}, groups)
         # monotone decrease once the moment estimates have warmed up
         tail = losses[10:]
         assert all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
         # and with more budget the bowl is actually solved
         for _ in range(900):
             diff = p["x"].data - target
-            p["x"].grad = diff
-            adam_step(p, state, {"encoder": 0.02, "heads": 0.02}, groups)
+            adam_step(p, {"x": diff}, state, {"encoder": 0.02, "heads": 0.02}, groups)
         final = 0.5 * float((p["x"].data - target) @ (p["x"].data - target))
         assert final < 1e-2 * losses[0]
 
     def test_per_group_learning_rates(self):
         p = {"head_w": tape.parameter([0.0]), "enc_w": tape.parameter([0.0])}
         state = AdamState()
-        for t in p.values():
-            t.grad = np.array([1.0])
-        adam_step(p, state, {"encoder": 1e-4, "heads": 1e-2}, groups)
+        grads = {k: np.array([1.0]) for k in p}
+        adam_step(p, grads, state, {"encoder": 1e-4, "heads": 1e-2}, groups)
         assert abs(p["head_w"].data[0]) > abs(p["enc_w"].data[0]) * 10
 
     @pytest.mark.parametrize("lr_map, lr_scale, lr_min", [
@@ -89,17 +114,29 @@ class TestAdam:
         p = {"head_w": tape.parameter(rng.normal(size=3)),
              "enc_w": tape.parameter(rng.normal(size=(2, 2)))}
         state = AdamState()
-        for _ in range(2):
-            for t in p.values():
-                t.grad = rng.normal(size=t.data.shape)
-            adam_step(p, state, {"encoder": 1e-3, "heads": 1e-3}, groups, lr_min=1e-6)
-        data = {k: t.data.tobytes() for k, t in p.items()}
-        moments = {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p}
-        with pytest.raises(ValueError, match="learning rates must be finite"):
-            adam_step(p, state, lr_map, groups, lr_scale=lr_scale, lr_min=lr_min)
-        assert state.step == 2
-        assert {k: t.data.tobytes() for k, t in p.items()} == data
-        assert {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p} == moments
+        p, state, grads = stepped_twice()
+        with refused_untouched(p, state):
+            with pytest.raises(ValueError, match="learning rates must be finite"):
+                adam_step(p, grads, state, lr_map, groups, lr_scale=lr_scale, lr_min=lr_min)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: g.pop("enc_w"), r"missing for \['enc_w'\]"),
+        (lambda g: g.update(head_b=np.zeros(3)), r"unknown \['head_b'\]"),
+        (lambda g: g.update(enc_w=np.zeros((2, 3))), r"shape: \['enc_w'\]"),
+        (lambda g: g.update(enc_w=np.zeros(4)), r"shape: \['enc_w'\]"),
+        (lambda g: g.update(head_w=np.zeros(3, np.float32)), r"shape: \['head_w'\]"),
+        (lambda g: g.update(head_w=[0.0, 0.0, 0.0]), r"shape: \['head_w'\]"),
+        (lambda g: g.update(head_w=None), r"shape: \['head_w'\]"),
+    ], ids=["missing", "unknown", "wrong shape", "flattened", "float32", "list", "None"])
+    def test_missing_or_malformed_gradient_rejected_untouched(self, edit, message):
+        # A parameter without its gradient would otherwise be stepped by its
+        # decaying momentum alone, and a float32 or mis-shaped gradient
+        # broadcast or cast into the moments.
+        p, state, grads = stepped_twice()
+        edit(grads)
+        with refused_untouched(p, state):
+            with pytest.raises(ValueError, match=message):
+                adam_step(p, grads, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
 
 
 class TestClip:

@@ -1,6 +1,7 @@
 """Training loop: determinism, resume, phases, evaluation, drift detection."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -145,6 +146,31 @@ class TestTrainLoop:
               epoch_callback=count_tensors)
         assert alive == [alive[0]] * 3
 
+    def test_no_gradient_set_alive_at_callback(self, monkeypatch):
+        # Each step's gradients are freed once Adam has used them, so no
+        # gradient set is held while the callback runs or lives into the
+        # next step's forward and backward.
+        from ncal import training
+
+        real_clip = training.clip_gradients
+        handed = []
+
+        def clip_and_watch(grads, max_norm):
+            handed.append([weakref.ref(g) for g in grads.values()])
+            return real_clip(grads, max_norm)
+
+        def count_alive(*_):
+            gc.collect()
+            alive.append(sum(r() is not None for refs in handed for r in refs))
+
+        monkeypatch.setattr(training, "clip_gradients", clip_and_watch)
+        scn, model = small_setup()
+        alive = []
+        train(model, scn, TrainConfig(epochs=3, phase1_epochs=1, batch_size=4, seed=1),
+              epoch_callback=count_alive)
+        assert len(handed) == 3 and all(len(refs) == len(model.params) for refs in handed)
+        assert alive == [0, 0, 0]
+
     def test_non_finite_loss_reports_epoch_and_seed(self):
         scn, model = small_setup()
         model.params["embed_w"].data[0, 0] = np.nan
@@ -261,18 +287,18 @@ def small_step_inputs(random_heads, phase):
 
 def small_train_step(random_heads, phase, taped=False):
     """The step of small_step_inputs through backward: (prediction, total,
-    parts, model) with arrays for the first two; on the generic tape
-    (tests/tape.py) if taped."""
+    parts, name -> parameter gradient) with arrays for the first two; on the
+    generic tape (tests/tape.py) if taped."""
     model, X, args = small_step_inputs(random_heads, phase)
     if taped:
         pred = tape.forward(tape.on_tape(model), X)
         total, parts = tape.compound_loss(pred, *args)
         total.backward()
-        return pred.data, total.data, parts, model
+        return pred.data, total.data, parts, {k: t.grad for k, t in model.params.items()}
     pred = model.forward(X)
     total, parts, grad = compound_loss(pred.data, *args)
-    pred.backward(grad)
-    return pred.data, np.asarray(total), parts, model
+    grads = pred.backward(grad)
+    return pred.data, np.asarray(total), parts, grads
 
 
 class TestStep:
@@ -287,36 +313,26 @@ class TestStep:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2] == want[2]
-        for k, t in got[3].params.items():
-            assert t.grad.tobytes() == want[3].params[k].grad.tobytes(), k
+        # Keyed and ordered like the parameters, the order clip_gradients
+        # sums the squares in.
+        assert list(got[3]) == list(want[3])
+        for k, g in got[3].items():
+            assert g.tobytes() == want[3][k].tobytes(), k
 
-    def test_backward_assigns_gradients(self):
-        # The pullback assigns every parameter's gradient rather than adding
-        # into it, so a second backward leaves each one bitwise as the first.
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_second_backward_raises(self, dtype):
+        # The pullback frees each stage's saved arrays as it runs, so it
+        # cannot run again; neither can the encoder's.
         model, X, args = small_step_inputs(True, 2)
-        pred = model.forward(X)
+        pred = model.forward(X, dtype)
         grad = compound_loss(pred.data, *args)[2]
         pred.backward(grad)
-        first = {k: t.grad.copy() for k, t in model.params.items()}
-        pred.backward(grad)
-        for k, t in model.params.items():
-            assert t.grad.tobytes() == first[k].tobytes(), k
-
-    def test_backward_reuses_each_gradient_array(self):
-        # A second step writes into the first step's float64 arrays rather
-        # than binding new ones; a .grad of another shape or dtype is
-        # replaced, not written into.
-        model, X, args = small_step_inputs(True, 2)
-        pred = model.forward(X, np.float32)
-        pred.backward(compound_loss(pred.data, *args)[2])
-        first = {k: t.grad for k, t in model.params.items()}
-        model.params["embed_b"].grad = np.zeros(1)
-        model.params["head_t_b"].grad = np.zeros_like(model.params["head_t_b"].data, np.float32)
-        pred = model.forward(X, np.float32)
-        pred.backward(compound_loss(pred.data, *args)[2])
-        for k, t in model.params.items():
-            assert t.grad.dtype == np.float64 and t.grad.shape == t.data.shape, k
-            assert (t.grad is first[k]) == (k not in ("embed_b", "head_t_b")), k
+        with pytest.raises(RuntimeError, match="backward runs once"):
+            pred.backward(grad)
+        out, pullback = model.encode(np.zeros((2, 6, 64), dtype))
+        pullback(np.ones(out.shape))
+        with pytest.raises(RuntimeError, match="already run"):
+            pullback(np.ones(out.shape))
 
     def test_backward_reads_weights_as_at_forward(self):
         # The backward rebuilds each block's norm outputs from the gains and
@@ -331,8 +347,7 @@ class TestStep:
                 for nm in ("ln1_g", "ln1_b", "ln2_g", "ln2_b", "wq"):
                     t = model.params[f"layer0_{nm}"]
                     t.data = t.data + 1.0
-            pred.backward(grad)
-            return {k: t.grad for k, t in model.params.items()}
+            return pred.backward(grad)
 
         want = gradients(False)
         got = gradients(True)
@@ -340,16 +355,18 @@ class TestStep:
             assert g.tobytes() == want[k].tobytes(), k
 
     def test_parameter_gradients_share_no_memory(self):
-        # Every parameter gets a gradient of its own shape. clip_gradients
-        # scales the gradients in place, so one array handed to two
-        # parameters would be scaled twice.
-        _, _, _, model = small_train_step(True, 2)
-        for k, t in model.params.items():
-            assert t.grad is not None and t.grad.shape == t.data.shape, k
-        grads = [t.grad for t in model.params.values()]
-        for i, a in enumerate(grads):
-            for b in grads[i + 1:]:
-                assert not np.shares_memory(a, b)
+        # Every parameter gets a float64 gradient of its own shape, from a
+        # float64 or a float32 encoder. clip_gradients scales the gradients
+        # in place, so one array handed to two parameters would be scaled
+        # twice.
+        for dtype in (np.float64, np.float32):
+            grads = step_gradients(2, dtype)
+            for k, t in small_step_inputs(True, 2)[0].params.items():
+                assert grads[k].dtype == np.float64 and grads[k].shape == t.data.shape, k
+            grads = list(grads.values())
+            for i, a in enumerate(grads):
+                for b in grads[i + 1:]:
+                    assert not np.shares_memory(a, b)
 
 
 def step_gradients(phase, dtype):
@@ -357,8 +374,7 @@ def step_gradients(phase, dtype):
     heads, and the embedding and the encoder in dtype."""
     model, X, args = small_step_inputs(True, phase)
     pred = model.forward(X, dtype)
-    pred.backward(compound_loss(pred.data, *args)[2])
-    return {k: t.grad for k, t in model.params.items()}
+    return pred.backward(compound_loss(pred.data, *args)[2])
 
 
 def relative_error(got, want):

@@ -186,14 +186,13 @@ def encoder_lines():
     x = rng.normal(size=(4, cfg.n_cameras, 512))
     out, pullback = model.encode(x)
     g = rng.normal(size=out.shape)
-    gx = pullback(g)
-    yield "encoder paper width", digest(out, gx, *(model.params[k].grad for k in layers))
+    gx, grads = pullback(g)
+    yield "encoder paper width", digest(out, gx, *(grads[k] for k in layers))
     # The same encoder on the same input cast to float32, the precision
     # train() runs it in; the pullback casts g and returns float64 gradients.
     out, pullback = model.encode(x.astype(np.float32))
-    gx = pullback(g)
-    yield "encoder paper width float32", digest(out, gx, *(model.params[k].grad
-                                                            for k in layers))
+    gx, grads = pullback(g)
+    yield "encoder paper width float32", digest(out, gx, *(grads[k] for k in layers))
 
 
 def heads_lines():
@@ -213,10 +212,10 @@ def heads_lines():
         pred = model.forward(b.observations)
         total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
                                                   cfg.obj.fiducials, cfg.rig.image_size, phase)
-        pred.backward(grad)
+        grads = pred.backward(grad)
         yield f"heads and loss gradients O-10/cube27 phase {phase}", digest(
             pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
-            *(model.params[k].grad for k in model.params))
+            *(grads[k] for k in model.params))
 
 
 def ground_truth_lines():
