@@ -18,10 +18,16 @@ the others: an encoder block's backward recomputes its two norms' outputs
 batched product) instead of keeping them, the recompute-for-memory trade of
 Chen et al. 2016 (*Training Deep Nets with Sublinear Memory Cost*). A
 backward maps its output's gradient to its inputs' gradients, writes into
-nothing and frees nothing, so it can run again. Freeing is the caller's:
-``PtModel.forward``'s pullback drops each backward, and with it the arrays
-its stage saved, once it has run, and ``PtModel.predict`` drops each
-backward as its stage returns. The arithmetic is that of the same step
+nothing and frees nothing, so it can run again. ``backward(g, rows)`` takes
+an optional row slice, by default every row: g is then the gradient of
+those rows of the output, and the backward reads the same rows of what its
+stage saved, as views, and returns those rows' input gradient and their
+share of the parameter gradients. Two calls on the halves of a batch can run
+at once, one per thread (``PtModel.forward``'s pullback); they call none of
+the four kernels named above, which the benchmark's tracer wraps. Freeing is
+the caller's: ``PtModel.forward``'s pullback drops each backward, and with it
+the arrays its stage saved, once it has run, and ``PtModel.predict`` drops
+each backward as its stage returns. The arithmetic is that of the same step
 composed from generic tape primitives (kept in the tests as the oracle), op
 for op and in the tape's order of accumulation, so values and gradients are
 bitwise equal to that composition.
@@ -78,8 +84,8 @@ def embed(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """The affine embedding x @ weight + bias of the data x, and its
     backward, which returns the weight and bias gradients only."""
 
-    def backward(g):
-        return linear_grad(g, x, weight, False)[1:]
+    def backward(g, rows=slice(None)):
+        return linear_grad(g, x[rows], weight, False)[1:]
 
     return linear(x, weight, bias), backward
 
@@ -144,8 +150,8 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
 
     saved = (xhat1, inv_std1, q, k, v, attn, xhat2, inv_std2, h)
 
-    def backward(g):
-        return encoder_block_backward(g, saved, weights)
+    def backward(g, rows=slice(None)):
+        return encoder_block_backward(g, tuple(a[rows] for a in saved), weights)
 
     return out, backward
 
@@ -233,16 +239,17 @@ def heads(h: np.ndarray, ws, center, scale, reference_R):
     r9 = (reference_R @ r9.reshape(batch + (3, 3))).reshape(batch + (9,))
     bounds = np.cumsum([0] + [w.shape[-1] for w in ws[0::2]])
 
-    def backward(g):
+    def backward(g, rows=slice(None)):
+        batch = g.shape[:-1]
         gr9 = np.swapaxes(reference_R, -1, -2) @ g[..., 0:9].reshape(batch + (3, 3))
-        ga1, ga2 = rot6d_grad(gr9.reshape(batch + (9,)), saved)
+        ga1, ga2 = rot6d_grad(gr9.reshape(batch + (9,)), tuple(a[rows] for a in saved))
         graw = np.concatenate([ga1, ga2, g[..., 9:]], axis=-1) * scale
         grads = [None] * len(ws)
         gh = None
         for i in reversed(range(len(bounds) - 1)):
             gx, grads[2 * i], grads[2 * i + 1] = linear_grad(
-                graw[..., bounds[i] : bounds[i + 1]], h, ws[2 * i])
-            gh = gx if gh is None else gh + gx
+                graw[..., bounds[i] : bounds[i + 1]], h[rows], ws[2 * i])
+            gh = gx if gh is None else np.add(gh, gx, out=gh)
         return gh, *grads
 
     return np.concatenate([r9, out[..., 6:]], axis=-1), backward

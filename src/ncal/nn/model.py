@@ -37,6 +37,20 @@ stages still to run, not of every stage. ``predict`` runs the same stages
 and drops each backward as its stage returns, so inference keeps no
 pullback.
 
+From ``_SPLIT_MIN_VALUES`` values in one encoder activation on, the
+pullback uses both cores (``parallel.on_both_cores``): each stage's backward
+runs once on rows ``[0, B // 2)`` on the calling thread and once on rows
+``[B // 2, B)`` on a kept worker, over those rows of its output's gradient
+and of the arrays it saved. The calling thread then joins the stage: it
+writes both halves of the input gradient into one array and sums the
+parameter gradients into one float64 buffer, the first half's and then the
+second's, before the stage's arrays go and the next stage starts. The batch
+gradient is the sum of the halves' (Goyal et al. 2017), so only the order of
+the sums over rows differs from the whole-batch path, and which path runs
+depends on the batch size alone. Below the gate the calling thread runs the
+whole batch, which is the path the tests pin bit for bit to the tape
+composition.
+
 The parameters, their gradients and the prediction are float64. ``forward``
 can run the embedding and the encoder blocks in float32 instead (mixed
 precision over float64 master weights, Micikevicius et al., ICLR 2018):
@@ -71,6 +85,7 @@ import numpy as np
 from .. import geometry
 from ..errors import ShapeMismatch
 from . import functional as F
+from . import parallel
 from .autodiff import Tensor
 
 # Affine output ranges around the reference calibration. Checkpoints store
@@ -95,6 +110,15 @@ HEADS = {"r6": 6, "t": 3, "fc": 2, "pp": 2, "kc": 5}
 # at 1.0 M. At the paper's 8.4 M, train_paper setup_s fell from 0.063 to
 # 0.031 s (BENCH_model_init.json).
 _SPLIT_MIN_DRAWS = 1 << 20
+
+# Values in one (batch, n_cameras, d_model) encoder activation from which a
+# pullback runs in two row halves, one on each core; below it the calling
+# thread runs the whole batch. Float32 backward at O-10 with d_model 512 x 4
+# (2 cores, medians of 7 interleaved runs), halves against the whole batch:
+# 1.27x the time at 164 k values, 1.09x at 328 k, even at 655 k, 0.95x at
+# 1.3 M and 0.77x at the paper's 2.6 M. The train_small shape (O-6, d_model
+# 64 x 2) lost at every batch up to 393 k values (1.12x).
+_SPLIT_MIN_VALUES = 1 << 20
 
 # Captures per pass in predict. A pass holds one stage's intermediates at a
 # time, so this bounds the working set of one encoder block (0.42 MB per
@@ -168,13 +192,13 @@ def _draw_glorot(rng, arrays) -> None:
     values on: a worker fills the arrays after the first boundary past half
     the draws from a copy of rng's bit generator advanced past the values
     before them, one draw each, while the calling thread fills the rest."""
-    ends = np.cumsum([a.size for a in arrays])
-    cut = int(np.searchsorted(ends, ends[-1] / 2)) + 1
-    if cut == len(arrays) or ends[-1] < _SPLIT_MIN_DRAWS:
+    sizes = [a.size for a in arrays]
+    cut = parallel.split_point(sizes)
+    if cut == len(arrays) or sum(sizes) < _SPLIT_MIN_DRAWS:
         _fill_glorot(rng, arrays)
         return
     ahead = copy.deepcopy(rng.bit_generator)
-    ahead.advance(int(ends[cut - 1]))
+    ahead.advance(sum(sizes[:cut]))
     # Leaving the block joins the worker, also when either fill raises.
     with ThreadPoolExecutor(max_workers=1) as pool:
         second = pool.submit(_fill_glorot, np.random.Generator(ahead), arrays[cut:])
@@ -219,23 +243,50 @@ def _param_spec(config: PtModelConfig) -> dict:
     return spec
 
 
-def _float64_copies(arrays) -> list:
-    """Float64 copies of arrays, all views of one new buffer.
+def _float64_sums(parts) -> list:
+    """Per gradient, the float64 sum of its parts, all views of one new
+    buffer: parts[0]'s array copied, then each later part's added in turn.
 
-    One buffer per encoder block rather than one array per parameter: at the
+    One buffer per stage rather than one array per parameter: at the
     paper's width the 60 block gradients of a step, 1-4 MB each, left holes
     in the heap once freed that the next step's larger arrays could not
     reuse: train_paper's peak RSS read 744 MB, against 709 MB with one
     16.8 MB buffer per block (glibc malloc, 2 cores).
     """
-    flat = np.empty(sum(a.size for a in arrays))
+    flat = np.empty(sum(a.size for a in parts[0]))
     out, start = [], 0
-    for a in arrays:
-        view = flat[start : start + a.size].reshape(a.shape)
-        np.copyto(view, a)
+    for arrays in zip(*parts):
+        view = flat[start : start + arrays[0].size].reshape(arrays[0].shape)
+        np.copyto(view, arrays[0])
+        for a in arrays[1:]:
+            view += a
         out.append(view)
-        start += a.size
+        start += view.size
     return out
+
+
+def _pull(backward, g, halves, dtype):
+    """Run one stage's backward for the gradient g of its output and join
+    what it returns: (the input gradient in dtype, one array, or None when
+    dtype is None, for a stage that returns parameter gradients only; the
+    parameter gradients in float64, one buffer).
+
+    halves None runs backward(g) on the calling thread. Otherwise each
+    (rows) slice of halves runs on a core of its own, on its rows of g and
+    of the arrays the stage saved, and the join sums the parameter gradients
+    of the first half, then the second's.
+    """
+    if halves is None:
+        parts = [backward(g)]
+    else:
+        parts = parallel.on_both_cores(backward, *((g[rows], rows) for rows in halves))
+    if dtype is None:
+        return None, _float64_sums(parts)
+    gx = parts[0][0]
+    if halves is not None:
+        gx = np.empty(g.shape[:1] + gx.shape[1:], dtype)
+        gx[halves[0]], gx[halves[1]] = (part[0] for part in parts)
+    return gx.astype(dtype, copy=False), _float64_sums([part[1:] for part in parts])
 
 
 class PtModel:
@@ -356,9 +407,11 @@ class PtModel:
         casts g to x's dtype and returns the gradient of x, in x's dtype,
         and a dict of every block parameter's float64 gradient, in parameter
         order, each block's in one buffer. It runs the blocks' backwards last
-        block first and drops each, with the arrays its block saved and its
-        weight casts, before the next starts, so it runs once: a second call
-        raises RuntimeError.
+        block first, each in two row halves on both cores from
+        _SPLIT_MIN_VALUES values of x on, joined before the next block, and
+        drops each, with the arrays its block saved and its weight casts,
+        before the next starts, so it runs once: a second call raises
+        RuntimeError.
         """
         if x.ndim != 3 or x.shape[-1] != self.config.d_model:
             raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
@@ -374,10 +427,11 @@ class PtModel:
             if not backwards:
                 raise RuntimeError("the encoder's pullback has already run")
             g = g.astype(dtype, copy=False)
+            halves = self._halves(g.shape[0])
             grads = dict.fromkeys(k for block in names for k in block)
             for block in reversed(names):
-                g, *block_grads = backwards.pop()(g)
-                grads.update(zip(block, _float64_copies(block_grads)))
+                g, block_grads = _pull(backwards.pop(), g, halves, dtype)
+                grads.update(zip(block, block_grads))
             return g, grads
 
         return x, pullback
@@ -394,8 +448,11 @@ class PtModel:
         like params. The backward runs once: it frees each stage's saved
         arrays as the stage's backward finishes, the heads' (with the
         float64 copy of the encoder output) first and the embedding's last,
-        and a second call raises RuntimeError. Rotation blocks are
-        orthonormal for any weights.
+        and a second call raises RuntimeError. From _SPLIT_MIN_VALUES values
+        in the encoder's (B, n_cameras, d_model) activation on, each stage's
+        backward runs as two half-batch backwards, one on each core, joined
+        before the next stage (see the module docstring). Rotation blocks
+        are orthonormal for any weights.
         """
         x = self.normalize_input(np.asarray(X, dtype=np.float64)).astype(dtype, copy=False)
         h, embed_backward = self.embed(x)
@@ -415,15 +472,14 @@ class PtModel:
             if not stages:
                 raise RuntimeError("a prediction's backward runs once; run forward again")
             grads = dict.fromkeys(self.params)
-            g, *head_grads = stages.pop()(g)
+            halves = self._halves(g.shape[0])
+            # The heads' input gradient comes back in the blocks' dtype, so
+            # that a float64 copy is not held while they run.
+            g, head_grads = _pull(stages.pop(), g, halves, dtype)
             grads.update(zip(heads, head_grads))
-            # Rebound to the blocks' dtype here, not inside the encoder's
-            # pullback, so that a float64 copy is not held while they run.
-            g = g.astype(dtype, copy=False)
             g, block_grads = stages.pop()(g)
             grads.update(block_grads)
-            grads["embed_w"], grads["embed_b"] = (
-                a.astype(np.float64, copy=False) for a in stages.pop()(g))
+            grads["embed_w"], grads["embed_b"] = _pull(stages.pop(), g, halves, None)[1]
             return grads
 
         return Tensor(pred, pullback)
@@ -449,6 +505,14 @@ class PtModel:
             chunks.append(F.heads(h, weights, self._center, self._scale, self._reference_R)[0])
         out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out[0] if X.ndim == 3 else out
+
+    def _halves(self, batch: int):
+        """The (rows) slices of the two halves a pullback of batch captures
+        runs in, the first batch // 2 and the rest, or None below
+        _SPLIT_MIN_VALUES."""
+        if batch < 2 or batch * self.config.n_cameras * self.config.d_model < _SPLIT_MIN_VALUES:
+            return None
+        return slice(0, batch // 2), slice(batch // 2, batch)
 
     def _block_names(self, i: int) -> list:
         """Encoder block i's parameter names in F.encoder_block's order."""

@@ -6,9 +6,18 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import parallel
+
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Parameter values from which adam_step updates them in two parts, one on
+# each core; below it the calling thread updates them all. Medians of 16
+# interleaved steps (2 cores), two parts against one: 1.19 against 1.02 ms
+# at 72 k values, 3.9 against 5.0 ms at 274 k, 106 against 180 ms at the
+# paper's 8.4 M.
+_SPLIT_MIN_VALUES = 1 << 17
 
 # Plateau schedule: the learning-rate scale is multiplied by PLATEAU_FACTOR
 # once the monitored loss has failed to improve on its best value by the
@@ -38,6 +47,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
     the parameters and state untouched, when any resulting rate is not
     finite or is negative, when grads names other parameters than params,
     or when a gradient is not a float64 array of its parameter's shape.
+
+    The calling thread allocates every parameter's new array and rebinds
+    them all once the update is done. From _SPLIT_MIN_VALUES values on, a
+    worker fills the arrays after the first array boundary past half the
+    values, and updates their moments, while the calling thread does the
+    rest (parallel.on_both_cores); the arithmetic per parameter is the same
+    either way, so the result is bitwise the same.
     """
     rates = {group: max(base * lr_scale, lr_min) for group, base in lr_map.items()}
     bad = {group: lr for group, lr in rates.items() if not 0.0 <= lr < np.inf}
@@ -57,16 +73,31 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
-        g = grads[name]
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m, v = state.m[name], state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        p.data = p.data - rates[group_of(name)] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    rate = {name: rates[group_of(name)] for name in params}
+    new = {name: np.empty_like(p.data) for name, p in params.items()}
+
+    def update(names):
+        for name in names:
+            g, m, v = grads[name], state.m[name], state.v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            np.subtract(params[name].data, rate[name] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS),
+                        out=new[name])
+
+    names = list(params)
+    sizes = [a.size for a in new.values()]
+    if sum(sizes) < _SPLIT_MIN_VALUES:
+        update(names)
+    else:
+        cut = parallel.split_point(sizes)
+        parallel.on_both_cores(update, (names[:cut],), (names[cut:],))
+    for name, a in new.items():
+        params[name].data = a
 
 
 def clip_gradients(grads: dict, max_norm: float):

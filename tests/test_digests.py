@@ -39,6 +39,7 @@ LABELS = {
     "reference_params O-6",
     "reference_params U-7",
     "reference_params T-4",
+    "split pullback O-10/cube27 batch 1639 float32 phase 1",
 }
 
 

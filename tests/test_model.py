@@ -566,6 +566,15 @@ class TestKeptMemory:
         kept, _, left, _ = self.backward_memory(dtype)
         assert kept > 1_000_000 and 0 <= left <= 64 * 1024
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_split_backward_leaves_only_the_gradients(self, dtype, split_calls, monkeypatch):
+        # The same with every stage's backward in two row halves, the second
+        # on the worker thread: neither the worker nor a join keeps a half.
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_VALUES", 0)
+        kept, _, left, _ = self.backward_memory(dtype)
+        assert len(split_calls) == self.CONFIG["n_layers"] + 2
+        assert kept > 1_000_000 and 0 <= left <= 64 * 1024
+
     def test_backward_peak_below_kept_plus_one_gradient_set(self):
         # The backward holds the saved arrays of the stages still to run and
         # the gradients made so far, not every stage's arrays beside every

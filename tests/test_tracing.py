@@ -12,7 +12,8 @@ import importlib.util
 from pathlib import Path
 
 from ncal import scene, training
-from ncal.nn import checkpoint
+from ncal.nn import checkpoint, optim
+from ncal.nn import model as model_module
 from ncal.nn.model import PtModel, PtModelConfig
 from ncal.scene import PerturbationSpec, SceneConfig
 
@@ -26,6 +27,18 @@ def load_tracing():
     return module
 
 
+def tiny_setup():
+    """A T-4/cube8 scene at kappa 0.05 and a d_model 16 model on it."""
+    rig, oem = scene.make_rig("T-4")
+    sc = SceneConfig(rig, oem, scene.make_object("cube8"),
+                     perturbation=PerturbationSpec(0.05, 0.05))
+    cfg = PtModelConfig(sc.n_cameras, sc.n_fiducials, d_model=16, n_layers=1, n_heads=2,
+                        d_ff=32)
+    model = PtModel(cfg, scene.reference_params(rig, oem, sc.radius), rig.image_size,
+                    sc.radius, seed=1)
+    return sc, model
+
+
 def test_every_wrapped_name_is_recorded(tmp_path, monkeypatch):
     tracing = load_tracing()
     wrapped = []
@@ -36,13 +49,7 @@ def test_every_wrapped_name_is_recorded(tmp_path, monkeypatch):
         return wrap(tracer, name, fn, on_result)
 
     monkeypatch.setattr(tracing, "_wrap", recording_wrap)
-    rig, oem = scene.make_rig("T-4")
-    sc = SceneConfig(rig, oem, scene.make_object("cube8"),
-                     perturbation=PerturbationSpec(0.05, 0.05))
-    cfg = PtModelConfig(sc.n_cameras, sc.n_fiducials, d_model=16, n_layers=1, n_heads=2,
-                        d_ff=32)
-    model = PtModel(cfg, scene.reference_params(rig, oem, sc.radius), rig.image_size,
-                    sc.radius, seed=1)
+    sc, model = tiny_setup()
     tracer = tracing.Tracer()
     installed = tracing.install(tracer)
     try:
@@ -69,3 +76,31 @@ def test_every_wrapped_name_is_recorded(tmp_path, monkeypatch):
         while parent >= 0:
             assert tracer.spans[parent][tracing.NAME] != "autodiff.backward"
             parent = tracer.spans[parent][tracing.PARENT]
+
+
+def test_split_step_closes_every_span_in_order(split_calls, monkeypatch):
+    # With the pullback and the Adam update on both cores, the worker thread
+    # calls no wrapped name: a span it opened would share the calling
+    # thread's one stack and close out of order.
+    tracing = load_tracing()
+    monkeypatch.setattr(model_module, "_SPLIT_MIN_VALUES", 0)
+    monkeypatch.setattr(optim, "_SPLIT_MIN_VALUES", 0)
+    sc, model = tiny_setup()
+    tracer = tracing.Tracer()
+    installed = tracing.install(tracer)
+    try:
+        result = training.train(model, sc, training.TrainConfig(epochs=2, phase1_epochs=1,
+                                                                batch_size=6, seed=1))
+    finally:
+        installed.remove()
+    # Per epoch: the heads, one block and the embedding, then Adam.
+    assert len(split_calls) == 2 * 4
+    assert tracer._stack == []
+    spans = tracer.spans
+    START, END, PARENT = tracing.START, tracing.END, tracing.PARENT
+    for s in spans:
+        assert s[END] is not None and s[START] <= s[END]
+        if s[PARENT] >= 0:
+            assert spans[s[PARENT]][START] <= s[START] <= s[END] <= spans[s[PARENT]][END]
+    backward = [s for s in spans if s[tracing.NAME] == "autodiff.backward"]
+    assert len(backward) == len(result.records) == 2

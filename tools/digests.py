@@ -20,7 +20,9 @@ to hash on a second thread), the forward and gradients of a
 paper-width encoder in float64 and in float32, a model's prediction, loss
 parts and parameter gradients with non-zero heads in both phases, the
 gradients of the three loss terms at the ground truth and next to it, where
-arccos is steepest, and the reference calibration of every built-in rig.
+arccos is steepest, the reference calibration of every built-in rig, and,
+last, a float32 step's prediction, loss parts and parameter gradients at a
+batch whose pullback runs in two halves, one on each core.
 """
 
 from __future__ import annotations
@@ -218,6 +220,32 @@ def heads_lines():
             *(grads[k] for k in model.params))
 
 
+def split_lines():
+    # A batch above the pullback's gate, so that every stage's backward runs
+    # in two row halves, one on each core, joined per stage; the encoder in
+    # float32, as train() runs it.
+    cfg = config("O-10", "cube27", 0.05)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
+                         n_heads=4, d_ff=128)
+    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
+    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
+    rng = np.random.default_rng(7)
+    for k, t in model.params.items():
+        if k.startswith("head_"):
+            t.data = 0.05 * rng.standard_normal(t.data.shape)
+    batch = 1639
+    if model._halves(batch) is None:
+        raise SystemExit(f"batch {batch} is below the pullback's gate")
+    b = scene.synthesize_batch(cfg, batch, 8)
+    pred = model.forward(b.observations, np.float32)
+    total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
+                                              cfg.obj.fiducials, cfg.rig.image_size, 1)
+    grads = pred.backward(grad)
+    yield f"split pullback O-10/cube27 batch {batch} float32 phase 1", digest(
+        pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
+        *(grads[k] for k in model.params))
+
+
 def ground_truth_lines():
     # At pred = gt the parameter and reprojection residuals are exactly zero;
     # scaling the rotations by 1 - 4 eps puts (trace - 1) / 2 a few ULP
@@ -244,7 +272,7 @@ def reference_lines():
 
 def main() -> None:
     for lines in (synthesis_lines, training_lines, penalty_lines, construction_lines,
-                  encoder_lines, heads_lines, ground_truth_lines, reference_lines):
+                  encoder_lines, heads_lines, ground_truth_lines, reference_lines, split_lines):
         for label, h in lines():
             print(h, label)
 
