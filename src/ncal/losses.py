@@ -8,8 +8,10 @@ Three terms drive the network toward the ground-truth calibration:
 - a geodesic rotation loss (mean rotation angle between predicted and
   ground-truth matrices),
 - a reprojection RMSE between fiducial projections under the predicted
-  parameters and the observed pixels, whose backward contracts the upstream
-  gradient with the analytic projection Jacobian. Its squared errors,
+  parameters and the observed pixels. Its forward keeps the residuals only;
+  its backward contracts the upstream gradient with the analytic projection
+  Jacobian, which it builds one block of captures at a time, so that a
+  phase-2 step never holds the whole batch's Jacobian. Its squared errors,
   behind-camera penalty included, come from ``_squared_errors``, which the
   evaluation metric ``reprojection_rmse`` shares.
 
@@ -44,6 +46,14 @@ PARAM_SCALE = np.ones(geometry.N_PARAMS)
 PARAM_SCALE[geometry.ROT_SLICE] = LAM_SCALE
 PARAM_SCALE[geometry.DIST_SLICE] = LAM_SCALE
 PARAM_SCALE.flags.writeable = False
+
+# Bytes of projection Jacobian that the reprojection backward builds at a
+# time, one block of captures: 11 captures at O-10/cube27. Sweep of that
+# backward at O-10/cube27, batch 512 (2 cores, medians of 7): blocks of 1
+# capture took 122 ms, of 4 64 ms, of 8-16 (0.7-1.5 MB) 57 ms, of 32 68 ms
+# and of 64 81 ms, against 134 ms for the whole batch's 46 MB at once. At
+# O-6/cube8 a batch of 64 (1.0 MB) stays one block.
+JACOBIAN_BLOCK_BYTES = 1 << 20
 
 # A fiducial that falls behind a predicted camera contributes a fixed error
 # of this many image diagonals instead of aborting the step.
@@ -106,10 +116,18 @@ def loss_reproj(pred: np.ndarray, observations: np.ndarray, fiducials, image_siz
     """Pixel RMSE between projections under predicted parameters and the
     observed (ground-truth) projections, and its backward.
 
-    Points behind a predicted camera contribute the fixed penalty of
-    ``_squared_errors`` with zero gradient.
+    pred: (..., 21) cameras whose leading axes are the batch's; fiducials:
+    (F, 3), or (..., F, 3) with pred's leading axes. Points behind a
+    predicted camera contribute the fixed penalty of ``_squared_errors``
+    with zero gradient.
+
+    The forward keeps the residuals only. The backward builds the analytic
+    projection Jacobian (``geometry.project_jacobian_array``) over
+    pred's first axis in blocks of about JACOBIAN_BLOCK_BYTES and contracts
+    each into its rows of one gradient array, so it never holds the whole
+    batch's Jacobian. It reads pred and fiducials as they are when it runs.
     """
-    pix, valid, jac = geometry.project_jacobian_array(pred, fiducials)
+    pix, valid = geometry.project_array(pred, fiducials)
     sq, diff = _squared_errors(pix, valid, observations, image_size)
     n = sq.size
     ms = np.asarray(sq.sum() * (1.0 / n))
@@ -119,7 +137,19 @@ def loss_reproj(pred: np.ndarray, observations: np.ndarray, fiducials, image_siz
         # the (..., F, 2, 21) Jacobian over (F, 2); its rows are zero for
         # points behind their camera, so those points pass no gradient.
         gp = g * ad.subgradient(lambda: 0.5 * ms**-0.5, ms == 0.0) * (1.0 / n) * diff
-        return np.einsum("...fc,...fcp->...p", gp + gp, jac)
+        gp += gp
+        grad = np.empty(gp.shape[:-2] + (geometry.N_PARAMS,))
+        if grad.ndim == 1:  # one camera, no batch axis
+            blocks = [slice(None)]
+        else:
+            step = max(1, JACOBIAN_BLOCK_BYTES // (gp[0].size * geometry.N_PARAMS * 8))
+            blocks = [slice(lo, lo + step) for lo in range(0, len(grad), step)]
+        pts = np.asarray(fiducials, dtype=float)
+        per_row = pts.ndim == np.ndim(pred) + 1 and len(pts) > 1
+        for rows in blocks:
+            jac = geometry.project_jacobian_array(pred[rows], pts[rows] if per_row else pts)[2]
+            np.einsum("...fc,...fcp->...p", gp[rows], jac, out=grad[rows])
+        return grad
 
     return ms**0.5, backward
 

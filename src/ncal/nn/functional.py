@@ -18,16 +18,18 @@ the others: an encoder block's backward recomputes its two norms' outputs
 batched product) instead of keeping them, the recompute-for-memory trade of
 Chen et al. 2016 (*Training Deep Nets with Sublinear Memory Cost*). A
 backward maps its output's gradient to its inputs' gradients, writes into
-nothing and frees nothing, so it can run again. ``backward(g, rows)`` takes
-an optional row slice, by default every row: g is then the gradient of
-those rows of the output, and the backward reads the same rows of what its
-stage saved, as views, and returns those rows' input gradient and their
-share of the parameter gradients. Two calls on the halves of a batch can run
-at once, one per thread (``PtModel.forward``'s pullback); they call none of
-the four kernels named above, which the benchmark's tracer wraps. Freeing is
-the caller's: ``PtModel.forward``'s pullback drops each backward, and with it
-the arrays its stage saved, once it has run, and ``PtModel.predict`` drops
-each backward as its stage returns. The arithmetic is that of the same step
+nothing and frees nothing, so it can run again. The encoder block's keeps no
+weights: its caller passes them again, ``backward(g, weights, rows)``. Every
+backward takes an optional row slice, ``rows``, by default every row: g is
+then the gradient of those rows of the output, and the backward reads the
+same rows of what its stage saved, as views, and returns those rows' input
+gradient and their share of the parameter gradients. Two calls on the
+halves of a batch can run at once, one per thread (``PtModel.forward``'s
+pullback); they call none of the four kernels named above, which the
+benchmark's tracer wraps. Freeing is the caller's: ``PtModel.forward``'s
+pullback drops each backward, and with it the arrays its stage saved, once
+it has run, and ``PtModel.predict`` drops each backward as its stage
+returns. The arithmetic is that of the same step
 composed from generic tape primitives (kept in the tests as the oracle), op
 for op and in the tape's order of accumulation, so values and gradients are
 bitwise equal to that composition.
@@ -58,7 +60,7 @@ def linear(x: np.ndarray, w: np.ndarray, b: np.ndarray | None = None) -> np.ndar
 
 def linear_grad(g: np.ndarray, x: np.ndarray, w: np.ndarray, want_x=True):
     """Gradients of linear(x, w, b) for the upstream gradient g: (gx, gw, gb);
-    gx is None unless want_x."""
+    gx is None unless want_x, and w is read only for gx."""
     gflat = g.reshape(-1, g.shape[-1])
     xflat = x.reshape(-1, x.shape[-1])
     gx = (gflat @ np.swapaxes(w, -1, -2)).reshape(x.shape) if want_x else None
@@ -85,7 +87,7 @@ def embed(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     backward, which returns the weight and bias gradients only."""
 
     def backward(g, rows=slice(None)):
-        return linear_grad(g, x[rows], weight, False)[1:]
+        return linear_grad(g, x[rows], None, False)[1:]
 
     return linear(x, weight, bias), backward
 
@@ -125,10 +127,13 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
 
     The backward keeps the normalized inputs and inverse deviations of both
     norms, q, k, v, the attention weights and the ReLU output, and nothing
-    else. It rebuilds LN1's output a, the merged head outputs o and LN2's
-    output f from those, each through the expression the forward used, so
-    they are bit for bit the forward's. It reads the weights as they were at
-    the forward and frees nothing, so it can run more than once.
+    else: not the weights, which the caller passes again,
+    ``backward(g, weights, rows)``, so that a float32 forward need not keep
+    its weight casts until the backward. It rebuilds LN1's output a, the
+    merged head outputs o and LN2's output f from those and the weights,
+    each through the expression the forward used, so they are bit for bit
+    the forward's when the weights are. It frees nothing, so it can run more
+    than once.
     """
     (g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights
     if x.ndim != 3 or x.shape[-1] % n_heads != 0:
@@ -150,7 +155,7 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
 
     saved = (xhat1, inv_std1, q, k, v, attn, xhat2, inv_std2, h)
 
-    def backward(g, rows=slice(None)):
+    def backward(g, weights, rows=slice(None)):
         return encoder_block_backward(g, tuple(a[rows] for a in saved), weights)
 
     return out, backward

@@ -57,7 +57,12 @@ precision over float64 master weights, Micikevicius et al., ICLR 2018):
 those stages compute on float32 casts of the weights, and their output
 returns to float64 before the heads, so Gram-Schmidt, the losses and the
 optimizer never see float32. Their gradients are cast back to float64 as the
-pullback collects them, and each stage's weight casts go with its backward.
+pullback collects them. No weight cast outlives its stage's forward, so none
+is held across the loss, where a training step's memory peaked: the pullback
+casts each block's float64 arrays, the ones its forward read, again before
+the block's backward (3 ms per block at the paper's width, recomputed rather
+than kept, as the blocks' norm outputs are), and the embedding's backward
+needs no weights. The heads keep their float64 copy of the encoder output.
 ``predict`` always computes in float64.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
@@ -265,21 +270,21 @@ def _float64_sums(parts) -> list:
     return out
 
 
-def _pull(backward, g, halves, dtype):
-    """Run one stage's backward for the gradient g of its output and join
-    what it returns: (the input gradient in dtype, one array, or None when
-    dtype is None, for a stage that returns parameter gradients only; the
-    parameter gradients in float64, one buffer).
+def _pull(backward, g, halves, dtype, *args):
+    """Run one stage's backward for the gradient g of its output, and args,
+    and join what it returns: (the input gradient in dtype, one array, or
+    None when dtype is None, for a stage that returns parameter gradients
+    only; the parameter gradients in float64, one buffer).
 
-    halves None runs backward(g) on the calling thread. Otherwise each
-    (rows) slice of halves runs on a core of its own, on its rows of g and
-    of the arrays the stage saved, and the join sums the parameter gradients
-    of the first half, then the second's.
+    halves None runs backward(g, *args) on the calling thread. Otherwise
+    each (rows) slice of halves runs on a core of its own, on its rows of g
+    and of the arrays the stage saved, and the join sums the parameter
+    gradients of the first half, then the second's.
     """
     if halves is None:
-        parts = [backward(g)]
+        parts = [backward(g, *args)]
     else:
-        parts = parallel.on_both_cores(backward, *((g[rows], rows) for rows in halves))
+        parts = parallel.on_both_cores(backward, *((g[rows], *args, rows) for rows in halves))
     if dtype is None:
         return None, _float64_sums(parts)
     gx = parts[0][0]
@@ -409,9 +414,13 @@ class PtModel:
         order, each block's in one buffer. It runs the blocks' backwards last
         block first, each in two row halves on both cores from
         _SPLIT_MIN_VALUES values of x on, joined before the next block, and
-        drops each, with the arrays its block saved and its weight casts,
-        before the next starts, so it runs once: a second call raises
-        RuntimeError.
+        drops each, with the arrays its block saved, before the next starts,
+        so it runs once: a second call raises RuntimeError.
+
+        The forward keeps no weight cast: a block's casts go with its
+        forward, and the pullback casts the float64 arrays the forward read
+        again, once per block on the calling thread before its halves start,
+        so rebinding a parameter's data in between changes no gradient.
         """
         if x.ndim != 3 or x.shape[-1] != self.config.d_model:
             raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
@@ -419,9 +428,10 @@ class PtModel:
         names = [self._block_names(i) for i in range(self.config.n_layers)]
         backwards = []
         for block in names:
-            weights = [self.params[k].data.astype(dtype, copy=False) for k in block]
-            x, backward = F.encoder_block(x, weights, self.config.n_heads)
-            backwards.append(backward)
+            weights = [self.params[k].data for k in block]
+            x, backward = F.encoder_block(x, [w.astype(dtype, copy=False) for w in weights],
+                                          self.config.n_heads)
+            backwards.append((backward, weights))
 
         def pullback(g):
             if not backwards:
@@ -430,7 +440,10 @@ class PtModel:
             halves = self._halves(g.shape[0])
             grads = dict.fromkeys(k for block in names for k in block)
             for block in reversed(names):
-                g, block_grads = _pull(backwards.pop(), g, halves, dtype)
+                backward, weights = backwards.pop()
+                casts = [w.astype(dtype, copy=False) for w in weights]
+                g, block_grads = _pull(backward, g, halves, dtype, casts)
+                del backward, casts
                 grads.update(zip(block, block_grads))
             return g, grads
 

@@ -138,9 +138,10 @@ def train(
             raise NonFiniteLoss(epoch, batch_seed)
 
         # The pullback frees what the forward kept stage by stage as it runs
-        # (about 360 MB at paper scale, O-10/cube27 at batch 512, as
-        # tracemalloc counts a float32 forward). The gradients go after the
-        # Adam step, so no gradient set lives into the next step.
+        # (about 324 MB at paper scale, O-10/cube27 at batch 512, as
+        # tracemalloc counts a float32 forward, which keeps no weight cast).
+        # The gradients go after the Adam step, so no gradient set lives
+        # into the next step.
         grads = pred.backward(grad)
         del pred, grad
         grad_norm = clip_gradients(grads, CLIP_NORM)

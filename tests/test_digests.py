@@ -1,4 +1,4 @@
-"""Smoke test of tools/digests.py, the bitwise-equality check between commits."""
+"""Smoke tests of tools/digests.py, the bitwise-equality check between commits."""
 
 import re
 import subprocess
@@ -40,6 +40,7 @@ LABELS = {
     "reference_params U-7",
     "reference_params T-4",
     "split pullback O-10/cube27 batch 1639 float32 phase 1",
+    "blocked jacobian O-10/cube27 batch 40 float32 phase 2",
 }
 
 
@@ -57,3 +58,32 @@ def test_prints_one_digest_per_distinct_label(tmp_path):
         labels.append(m.group(1))
     assert len(set(labels)) == len(labels)
     assert {re.sub(r"=[-+.\w]+$", "", label) for label in labels} == LABELS
+
+
+def test_write_then_check_names_each_moved_label(tmp_path):
+    # --write prints the lines and writes them under a stamped header;
+    # --check against that file then names exactly the labels whose line
+    # differs or is missing, and fails. Labels only: the values hold for
+    # one machine's BLAS kernels, so tier-1 does not pin them.
+    path = tmp_path / "DIGESTS.txt"
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--write", str(path)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, body = [], []
+    for line in path.read_text().splitlines():
+        (header if line.startswith("# ") else body).append(line)
+    assert body == proc.stdout.splitlines() and len(body) == len(LABELS)
+    assert re.search(r"python \S+, numpy \S+, blas .+, nproc \d+", header[-1])
+    # Change the first hex digit of one line's hash and drop another line.
+    first = body[0]
+    body[0] = ("1" if first[0] == "0" else "0") + first[1:]
+    dropped = body.pop()
+    path.write_text("\n".join(header + body) + "\n")
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--check", str(path)], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    named = [line[len("moved: "):] for line in proc.stdout.splitlines()
+             if line.startswith("moved: ")]
+    strip = re.compile(r"=[-+.\w]+$")
+    assert named == [strip.sub("", line.split(" ", 1)[1]) for line in (first, dropped)]
+    assert set(named) <= LABELS

@@ -1,5 +1,7 @@
 """Loss-term tests against independent scalar oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,86 @@ class TestLossReproj:
             runs.append((float(val), backward(1.0)))
         assert runs[0][0] == runs[1][0]
         np.testing.assert_array_equal(runs[0][1], runs[1][1])
+
+
+def jacobian_block_captures(cfg):
+    """Captures per block of loss_reproj's backward at cfg's rig and object."""
+    per_capture = cfg.n_cameras * cfg.n_fiducials * 2 * geometry.N_PARAMS * 8
+    return losses.JACOBIAN_BLOCK_BYTES // per_capture
+
+
+@pytest.fixture(scope="module")
+def big_batch(batch):
+    """Five blocks of captures and 5 more, from batch's scene."""
+    _, cfg = batch
+    return synthesize_batch(cfg, 5 * jacobian_block_captures(cfg) + 5, seed=321)
+
+
+def whole_batch_reproj(pred, observations, fiducials, image_size, g):
+    """loss_reproj's value and gradient for the upstream gradient g, from the
+    whole batch's Jacobian at once."""
+    pix, valid, jac = geometry.project_jacobian_array(pred, fiducials)
+    sq, diff = losses._squared_errors(pix, valid, observations, image_size)
+    n = sq.size
+    ms = np.asarray(sq.sum() * (1.0 / n))
+    gp = g * (0.5 * ms**-0.5) * (1.0 / n) * diff
+    return ms**0.5, np.einsum("...fc,...fcp->...p", gp + gp, jac)
+
+
+class TestBlockedJacobian:
+    """loss_reproj's backward builds the Jacobian a block of captures at a
+    time, bit for bit the whole batch's contraction."""
+
+    @pytest.mark.parametrize("blocks", ["1 capture", "one block - 1", "one block",
+                                        "one block + 1", "several blocks"])
+    @pytest.mark.parametrize("per_capture_fiducials", [False, True])
+    def test_equals_whole_batch_contraction(self, batch, big_batch, blocks,
+                                            per_capture_fiducials):
+        _, cfg = batch
+        per_block = jacobian_block_captures(cfg)
+        assert per_block > 1
+        n = {"1 capture": 1, "one block - 1": per_block - 1, "one block": per_block,
+             "one block + 1": per_block + 1, "several blocks": len(big_batch.gt_params)}[blocks]
+        pred = partly_behind(big_batch.gt_params[:n])
+        obs, size = big_batch.observations[:n], cfg.rig.image_size
+        fid = cfg.obj.fiducials
+        if per_capture_fiducials:
+            fid = np.repeat(fid[None, None], n, axis=0)
+        _, valid = geometry.project_array(pred, fid)
+        assert not valid.all()
+        val, backward = loss_reproj(pred, obs, fid, size)
+        want_val, want = whole_batch_reproj(pred, obs, fid, size, LAM2)
+        got = backward(LAM2)
+        assert np.asarray(val).tobytes() == np.asarray(want_val).tobytes()
+        assert got.shape == pred.shape and got.tobytes() == want.tobytes()
+
+    def test_one_camera_without_a_batch_axis(self, batch):
+        # Camera 0 of sample 0 in partly_behind sees half the fiducials.
+        b, cfg = batch
+        pred = partly_behind(b.gt_params)[0, 0]
+        args = (b.observations[0, 0], cfg.obj.fiducials, cfg.rig.image_size)
+        val, backward = loss_reproj(pred, *args)
+        want_val, want = whole_batch_reproj(pred, *args, 1.0)
+        assert np.asarray(val).tobytes() == np.asarray(want_val).tobytes()
+        assert backward(1.0).tobytes() == want.tobytes() and want.shape == (21,)
+
+    def test_phase2_peak_below_the_whole_jacobian(self, batch, big_batch):
+        # The backward holds one block's Jacobian at a time, never the
+        # whole batch's.
+        _, cfg = batch
+        pred = partly_behind(big_batch.gt_params)
+        args = (big_batch.gt_params, big_batch.observations, cfg.obj.fiducials,
+                cfg.rig.image_size, 2)
+        whole = pred.size // geometry.N_PARAMS * cfg.n_fiducials * 2 * geometry.N_PARAMS * 8
+        assert len(pred) >= 4 * jacobian_block_captures(cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            compound_loss(pred, *args)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert 0 < peak < whole
 
 
 class TestCompound:

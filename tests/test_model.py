@@ -266,8 +266,9 @@ def random_block_params(rng, d_model, d_ff):
 
 def block_outputs(params, x, upstream, n_heads):
     """Output, input gradient and the 15 parameter gradients of F.encoder_block."""
-    out, backward = F.encoder_block(x, [params[f"layer0_{nm}"] for nm in BLOCK_PARAMS], n_heads)
-    return [out, *backward(upstream)]
+    weights = [params[f"layer0_{nm}"] for nm in BLOCK_PARAMS]
+    out, backward = F.encoder_block(x, weights, n_heads)
+    return [out, *backward(upstream, weights)]
 
 
 def tape_block_outputs(params, x, upstream, n_heads):
@@ -310,7 +311,7 @@ class TestEncoderBlock:
 
         monkeypatch.setattr(F, "encoder_block_backward", spy)
         out, backward = F.encoder_block(x, weights, 4)
-        grads = backward(rng.normal(size=x.shape).astype(np.float32))
+        grads = backward(rng.normal(size=x.shape).astype(np.float32), weights)
         assert len(kept) == 9 and len(grads) == 16
         assert [a.dtype for a in (out, *kept, *grads)] == [np.float32] * 26
 
@@ -486,19 +487,21 @@ class TestKernelCalls:
                           "rot6d_to_matrix_t": 1}
 
 
-def documented_kept_bytes(cfg, batch):
-    """Bytes of the arrays a forward of `batch` captures keeps for its
-    backward, from the shapes: per encoder block the set F.encoder_block
-    lists, which is the normalized inputs of both norms (2 x D per camera),
-    q, k and v (3 x D), the ReLU output (d_ff), the two inverse deviations
-    (2) and the attention weights (n_heads x N); the embedding's normalized
-    input (2 x n_fiducials); the heads' input (D), their 18 outputs and the
-    14 Gram-Schmidt intermediates; plus 64 KiB for the Python objects that
-    hold them."""
+def documented_kept_bytes(cfg, batch, dtype=np.float64):
+    """Bytes of the arrays a forward of `batch` captures, with the embedding
+    and the encoder in dtype, keeps for its backward, from the shapes: per
+    encoder block the set F.encoder_block lists, which is the normalized
+    inputs of both norms (2 x D per camera), q, k and v (3 x D), the ReLU
+    output (d_ff), the two inverse deviations (2) and the attention weights
+    (n_heads x N); the embedding's normalized input (2 x n_fiducials); all
+    in dtype; in float64, the heads' input (D), their 18 outputs and the 14
+    Gram-Schmidt intermediates; plus 64 KiB for the Python objects that hold
+    them. No weight cast is among them."""
     n, d = cfg.n_cameras, cfg.d_model
     block = n * (5 * d + cfg.d_ff + 2) + cfg.n_heads * n * n
-    floats = cfg.n_layers * block + n * (2 * cfg.n_fiducials) + n * (d + 18 + 14)
-    return 8 * batch * floats + 64 * 1024
+    encoder = cfg.n_layers * block + n * (2 * cfg.n_fiducials)
+    heads = n * (d + 18 + 14)
+    return batch * (np.dtype(dtype).itemsize * encoder + 8 * heads) + 64 * 1024
 
 
 class TestKeptMemory:
@@ -523,6 +526,23 @@ class TestKeptMemory:
         finally:
             tracemalloc.stop()
         assert 0 < kept <= bound
+
+    def test_float32_forward_keeps_no_weight_cast(self):
+        # A float32 forward keeps its float32 activations and the heads'
+        # float64 input, not the blocks' float32 weight casts, which the
+        # pullback makes again. At this width one block's casts (131 KB)
+        # exceed the bound's 64 KiB slack on their own.
+        m = tiny_model(n_cameras=4, n_fiducials=8, d_model=64, n_layers=2, n_heads=4, d_ff=128)
+        assert 4 * sum(m.params[k].data.size for k in m._block_names(0)) > 64 * 1024
+        X = np.random.default_rng(33).uniform(100, 900, size=(self.BATCH, 4, 8, 2))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            pred = m.forward(X, np.float32)
+            kept = tracemalloc.get_traced_memory()[0] - before - pred.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert 0 < kept <= documented_kept_bytes(m.config, self.BATCH, np.float32)
 
     def test_predict_peak_below_what_a_forward_keeps(self):
         # predict drops each stage's backward as the stage returns, so its

@@ -338,10 +338,11 @@ class TestStep:
         # The backward rebuilds each block's norm outputs from the gains and
         # biases, and takes products with the weights, captured at the
         # forward: rebinding them in between (as adam_step does) changes no
-        # gradient.
-        def gradients(rebind):
+        # gradient. In float32 the pullback casts again the float64 arrays
+        # the forward read, not the rebound ones.
+        def gradients(rebind, dtype):
             model, X, args = small_step_inputs(True, 2)
-            pred = model.forward(X)
+            pred = model.forward(X, dtype)
             grad = compound_loss(pred.data, *args)[2]
             if rebind:
                 for nm in ("ln1_g", "ln1_b", "ln2_g", "ln2_b", "wq"):
@@ -349,10 +350,11 @@ class TestStep:
                     t.data = t.data + 1.0
             return pred.backward(grad)
 
-        want = gradients(False)
-        got = gradients(True)
-        for k, g in got.items():
-            assert g.tobytes() == want[k].tobytes(), k
+        for dtype in (np.float64, np.float32):
+            want = gradients(False, dtype)
+            got = gradients(True, dtype)
+            for k, g in got.items():
+                assert g.tobytes() == want[k].tobytes(), (dtype, k)
 
     def test_parameter_gradients_share_no_memory(self):
         # Every parameter gets a float64 gradient of its own shape, from a

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Print sha256 digests of ncal's deterministic outputs, one per line.
 
-    python3 tools/digests.py
+    python3 tools/digests.py                  # print the lines
+    python3 tools/digests.py --write [PATH]   # print them and write PATH
+    python3 tools/digests.py --check [PATH]   # compare a run against PATH
 
 Run from any directory; the package is imported from the checkout's src/.
 Two checkouts whose outputs are bitwise equal print identical lines, so a
-refactor is checked by running this at both commits and comparing the text.
+refactor is checked by comparing the text. ``--write`` writes the lines to
+PATH (by default DIGESTS.txt at the checkout's root) under a header that
+stamps Python, numpy, the BLAS and the core count, which the values hold
+for. ``--check`` runs the script and names every label whose line differs
+from PATH's, or that one of them lacks, and exits 1 if any does. A change
+that moves lines commits the file it writes, so its diff shows which.
 
 Covered: synthesis bytes and attempt counts (including a configuration that
 rejects poses, one that stalls, and factory intrinsics with zero distortion,
@@ -20,15 +27,21 @@ to hash on a second thread), the forward and gradients of a
 paper-width encoder in float64 and in float32, a model's prediction, loss
 parts and parameter gradients with non-zero heads in both phases, the
 gradients of the three loss terms at the ground truth and next to it, where
-arccos is steepest, the reference calibration of every built-in rig, and,
-last, a float32 step's prediction, loss parts and parameter gradients at a
-batch whose pullback runs in two halves, one on each core.
+arccos is steepest, the reference calibration of every built-in rig, a
+float32 step's prediction, loss parts and parameter gradients at a batch
+whose pullback runs in two halves, one on each core, and, last, the same
+for a float32 phase-2 step whose reprojection backward builds its Jacobian
+in several blocks, with one camera that sees every fiducial behind it.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import os
+import platform
+import re
 import sys
 import tempfile
 from dataclasses import replace
@@ -36,7 +49,8 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from ncal import losses, scene, training  # noqa: E402
 from ncal.errors import SynthesisStalled  # noqa: E402
@@ -246,6 +260,38 @@ def split_lines():
         *(grads[k] for k in model.params))
 
 
+def blocked_jacobian_lines():
+    # A float32 phase-2 step at O-10/cube27, 40 captures: at 1 MiB of
+    # Jacobian per block (11 captures of 10 cameras x 27 fiducials) the
+    # reprojection backward runs three whole blocks and a partial one. The
+    # model's reference turns camera 1 around, so it sees every fiducial
+    # behind it in every capture. Heads at 1e-3, as a deployed model starts
+    # near its reference, keep the phase-2 gradient inside float32's range.
+    cfg = config("O-10", "cube27", 0.05)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
+                         n_heads=4, d_ff=128)
+    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
+    flip = np.diag([1.0, -1.0, -1.0])
+    ref[1, :9] = (flip @ ref[1, :9].reshape(3, 3)).reshape(9)
+    ref[1, 9:12] = flip @ ref[1, 9:12]
+    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
+    rng = np.random.default_rng(9)
+    for k, t in model.params.items():
+        if k.startswith("head_"):
+            t.data = 1e-3 * rng.standard_normal(t.data.shape)
+    batch = 40
+    b = scene.synthesize_batch(cfg, batch, 10)
+    pred = model.forward(b.observations, np.float32)
+    total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
+                                              cfg.obj.fiducials, cfg.rig.image_size, 2)
+    grads = pred.backward(grad)
+    if not all(np.isfinite(g).all() for g in grads.values()):
+        raise SystemExit("the blocked-Jacobian step's gradients are not finite")
+    yield f"blocked jacobian O-10/cube27 batch {batch} float32 phase 2", digest(
+        pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
+        *(grads[k] for k in model.params))
+
+
 def ground_truth_lines():
     # At pred = gt the parameter and reprojection residuals are exactly zero;
     # scaling the rotations by 1 - 4 eps puts (trace - 1) / 2 a few ULP
@@ -270,12 +316,63 @@ def reference_lines():
         yield f"reference_params {kind}", digest(scene.reference_params(rig, oem))
 
 
-def main() -> None:
-    for lines in (synthesis_lines, training_lines, penalty_lines, construction_lines,
-                  encoder_lines, heads_lines, ground_truth_lines, reference_lines, split_lines):
-        for label, h in lines():
-            print(h, label)
+SECTIONS = (synthesis_lines, training_lines, penalty_lines, construction_lines, encoder_lines,
+            heads_lines, ground_truth_lines, reference_lines, split_lines,
+            blocked_jacobian_lines)
+
+
+def lines() -> list:
+    """Every digest line, "<sha256> <label>", in the order they print."""
+    return [f"{h} {label}" for section in SECTIONS for label, h in section()]
+
+
+def stamp() -> list:
+    """The header of a written file: what the values were computed on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return [
+        "# sha256 and label of each tools/digests.py line; compare with --check",
+        f"# python {platform.python_version()}, numpy {np.__version__}, "
+        f"blas {blas.get('name')} {blas.get('version')}, nproc {len(os.sched_getaffinity(0))}",
+    ]
+
+
+def key(line: str) -> str:
+    """A line's label less a trailing "=value", a figure its check computed,
+    so that a moved figure names the label it moved under."""
+    return re.sub(r"=[-+.\w]+$", "", line.split(" ", 1)[1])
+
+
+def moved(expected: list, got: list) -> list:
+    """The keys of the lines that differ between two lists of digest lines,
+    or that only one of them has, in the order they first appear."""
+    want = {key(line): line for line in expected}
+    have = {key(line): line for line in got}
+    return [k for k in dict.fromkeys([*have, *want]) if want.get(k) != have.get(k)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    mode = parser.add_mutually_exclusive_group()
+    default = ROOT / "DIGESTS.txt"
+    mode.add_argument("--write", nargs="?", const=default, type=Path, metavar="PATH",
+                      help=f"also write the lines to PATH (default {default.name})")
+    mode.add_argument("--check", nargs="?", const=default, type=Path, metavar="PATH",
+                      help=f"name the lines that differ from PATH's (default {default.name})")
+    args = parser.parse_args(argv)
+    if args.check is not None:
+        expected = [line for line in args.check.read_text().splitlines()
+                    if line and not line.startswith("#")]
+        changed = moved(expected, lines())
+        for k in changed:
+            print(f"moved: {k}")
+        print(f"{len(changed)} of {len(expected)} lines moved against {args.check}")
+        return 1 if changed else 0
+    out = lines()
+    print("\n".join(out))
+    if args.write is not None:
+        args.write.write_text("\n".join(stamp() + out) + "\n")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
