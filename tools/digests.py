@@ -14,24 +14,33 @@ for. ``--check`` runs the script and names every label whose line differs
 from PATH's, or that one of them lacks, and exits 1 if any does. A change
 that moves lines commits the file it writes, so its diff shows which.
 
-Covered: synthesis bytes and attempt counts (including a configuration that
-rejects poses, one that stalls, and factory intrinsics with zero distortion,
-which are perturbed additively), the records, final weights, Adam moments,
-checkpoint bytes and what loading them returns (with the Adam moments, and
-model-only as a deployed model is saved) of a small fixed-seed training run,
-evaluation figures, the reprojection loss and its gradient on a prediction
-that puts fiducials behind cameras, the parameters of a freshly built
-small model (drawn on one thread) and paper-width model (drawn on two) and
-the bytes of the latter's model-only checkpoint (large enough for the save
-to hash on a second thread), the forward and gradients of a
-paper-width encoder in float64 and in float32, a model's prediction, loss
-parts and parameter gradients with non-zero heads in both phases, the
-gradients of the three loss terms at the ground truth and next to it, where
-arccos is steepest, the reference calibration of every built-in rig, a
-float32 step's prediction, loss parts and parameter gradients at a batch
-whose pullback runs in two halves, one on each core, and, last, the same
-for a float32 phase-2 step whose reprojection backward builds its Jacobian
-in several blocks, with one camera that sees every fiducial behind it.
+Covered, in the order the lines print:
+
+- synthesis bytes and attempt counts, including a configuration that
+  rejects poses, one that stalls, and factory intrinsics with zero
+  distortion, which are perturbed additively;
+- a small fixed-seed training run: its records, final weights, Adam
+  moments, checkpoint bytes and what loading them returns, with the Adam
+  moments and model-only, as a deployed model is saved; then its
+  evaluation figures;
+- the reprojection loss and its gradient on a prediction that puts
+  fiducials behind cameras;
+- the parameters of a freshly built small model (drawn on one thread) and
+  paper-width model (drawn on two), and the bytes of the latter's
+  model-only checkpoint, large enough for the save to hash on a second
+  thread;
+- the forward and gradients of a paper-width encoder in float64 and in
+  float32;
+- training steps of a d_model 64 x 2 model with random non-zero heads
+  (``random_heads_model``), each digested as its prediction, loss parts and
+  parameter gradients (``step_digest``): both phases in float64;
+- the gradients of the three loss terms at the ground truth and next to it,
+  where arccos is steepest, and the reference calibration of every built-in
+  rig;
+- last, two float32 steps of that model: one at a batch whose pullback runs
+  in two halves, one on each core, and a phase-2 step whose reprojection
+  backward builds its Jacobian in several blocks, with one camera that sees
+  every fiducial behind it.
 """
 
 from __future__ import annotations
@@ -211,27 +220,43 @@ def encoder_lines():
     yield "encoder paper width float32", digest(out, gx, *(grads[k] for k in layers))
 
 
-def heads_lines():
-    # Random non-zero heads, so the affine map, Gram-Schmidt and the
-    # reference rotation product all carry gradient.
-    cfg = config("O-10", "cube27", 0.05)
+def random_heads_model(cfg, ref, scale, seed) -> PtModel:
+    """A d_model 64 x 2 model on cfg's rig and the reference ref, built from
+    seed 6, whose heads are scale * N(0, 1) from seed's generator: non-zero,
+    so that the affine map, Gram-Schmidt and the reference rotation product
+    all carry gradient."""
     mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
                          n_heads=4, d_ff=128)
-    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
     model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
-    rng = np.random.default_rng(7)
+    rng = np.random.default_rng(seed)
     for k, t in model.params.items():
         if k.startswith("head_"):
-            t.data = 0.05 * rng.standard_normal(t.data.shape)
+            t.data = scale * rng.standard_normal(t.data.shape)
+    return model
+
+
+def step_digest(model, cfg, batch, phase, dtype=np.float64) -> str:
+    """The digest of one training step on batch: the prediction with the
+    embedding and encoder in dtype, the compound loss of phase, its parts,
+    and every parameter gradient in parameter order, which must be finite."""
+    pred = model.forward(batch.observations, dtype)
+    total, parts, grad = losses.compound_loss(pred.data, batch.gt_params, batch.observations,
+                                              cfg.obj.fiducials, cfg.rig.image_size, phase)
+    grads = pred.backward(grad)
+    if not all(np.isfinite(g).all() for g in grads.values()):
+        raise SystemExit(f"a phase {phase} step's gradients are not finite")
+    return digest(pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
+                  *(grads[k] for k in model.params))
+
+
+def heads_lines():
+    cfg = config("O-10", "cube27", 0.05)
+    model = random_heads_model(cfg, scene.reference_params(cfg.rig, cfg.oem, cfg.radius),
+                               0.05, 7)
     b = scene.synthesize_batch(cfg, 32, 8)
     for phase in (1, 2):
-        pred = model.forward(b.observations)
-        total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
-                                                  cfg.obj.fiducials, cfg.rig.image_size, phase)
-        grads = pred.backward(grad)
-        yield f"heads and loss gradients O-10/cube27 phase {phase}", digest(
-            pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
-            *(grads[k] for k in model.params))
+        yield (f"heads and loss gradients O-10/cube27 phase {phase}",
+               step_digest(model, cfg, b, phase))
 
 
 def split_lines():
@@ -239,25 +264,14 @@ def split_lines():
     # in two row halves, one on each core, joined per stage; the encoder in
     # float32, as train() runs it.
     cfg = config("O-10", "cube27", 0.05)
-    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
-                         n_heads=4, d_ff=128)
-    ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
-    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
-    rng = np.random.default_rng(7)
-    for k, t in model.params.items():
-        if k.startswith("head_"):
-            t.data = 0.05 * rng.standard_normal(t.data.shape)
+    model = random_heads_model(cfg, scene.reference_params(cfg.rig, cfg.oem, cfg.radius),
+                               0.05, 7)
     batch = 1639
     if model._halves(batch) is None:
         raise SystemExit(f"batch {batch} is below the pullback's gate")
     b = scene.synthesize_batch(cfg, batch, 8)
-    pred = model.forward(b.observations, np.float32)
-    total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
-                                              cfg.obj.fiducials, cfg.rig.image_size, 1)
-    grads = pred.backward(grad)
-    yield f"split pullback O-10/cube27 batch {batch} float32 phase 1", digest(
-        pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
-        *(grads[k] for k in model.params))
+    yield (f"split pullback O-10/cube27 batch {batch} float32 phase 1",
+           step_digest(model, cfg, b, 1, np.float32))
 
 
 def blocked_jacobian_lines():
@@ -268,28 +282,15 @@ def blocked_jacobian_lines():
     # behind it in every capture. Heads at 1e-3, as a deployed model starts
     # near its reference, keep the phase-2 gradient inside float32's range.
     cfg = config("O-10", "cube27", 0.05)
-    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
-                         n_heads=4, d_ff=128)
     ref = scene.reference_params(cfg.rig, cfg.oem, cfg.radius)
     flip = np.diag([1.0, -1.0, -1.0])
     ref[1, :9] = (flip @ ref[1, :9].reshape(3, 3)).reshape(9)
     ref[1, 9:12] = flip @ ref[1, 9:12]
-    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
-    rng = np.random.default_rng(9)
-    for k, t in model.params.items():
-        if k.startswith("head_"):
-            t.data = 1e-3 * rng.standard_normal(t.data.shape)
+    model = random_heads_model(cfg, ref, 1e-3, 9)
     batch = 40
     b = scene.synthesize_batch(cfg, batch, 10)
-    pred = model.forward(b.observations, np.float32)
-    total, parts, grad = losses.compound_loss(pred.data, b.gt_params, b.observations,
-                                              cfg.obj.fiducials, cfg.rig.image_size, 2)
-    grads = pred.backward(grad)
-    if not all(np.isfinite(g).all() for g in grads.values()):
-        raise SystemExit("the blocked-Jacobian step's gradients are not finite")
-    yield f"blocked jacobian O-10/cube27 batch {batch} float32 phase 2", digest(
-        pred.data, np.asarray(total), json.dumps(parts, sort_keys=True),
-        *(grads[k] for k in model.params))
+    yield (f"blocked jacobian O-10/cube27 batch {batch} float32 phase 2",
+           step_digest(model, cfg, b, 2, np.float32))
 
 
 def ground_truth_lines():
