@@ -3,7 +3,7 @@
 Layout (little-endian):
 
     magic   b"NCAL"
-    u32     format version (currently 4)
+    u32     format version (currently 5)
     u64     config length, followed by that many bytes of UTF-8 JSON
     u32     blob count
     blobs   u16 name length, name bytes, u8 ndim, ndim x u64 dims,
@@ -14,11 +14,12 @@ The config block is ``json.dumps(config, sort_keys=True)`` of a dict with
 the keys "model" (the PtModelConfig fields), "image_size", "radius",
 "model_seed", "has_optimizer", "adam_step" and "extra", a dict for training
 state (epoch, scheduler state). Blob names are unique. The blobs are the
-model's trainable parameters in parameter order (15 per encoder block:
-its keys have no bias), its (n_cameras, 21) ``reference`` calibration,
-then optionally the Adam moments: one ``adam_m:<parameter>`` blob per
-first moment, then the matching ``adam_v:<parameter>`` blobs in the same
-order.
+model's trainable parameters in parameter order (``embed_w`` and
+``embed_b``, 15 per encoder block, whose keys have no bias, then the
+head's ``head_w`` and ``head_b``), its (n_cameras, 21) ``reference``
+calibration, then optionally the Adam moments: one ``adam_m:<parameter>``
+blob per first moment, then the matching ``adam_v:<parameter>`` blobs in
+the same order.
 
 A model is stored as its constructor's inputs plus its trainable
 parameters: config, image size, radius, seed and ``reference``. Everything
@@ -47,7 +48,9 @@ rotation head's center. Version 2 stored the derived constants as frozen
 blobs: ``reference_R``, ``cie`` and the per-head ``center_*`` and
 ``scale_*`` maps. Version 3 stores ``reference`` alone. Version 4 drops
 each encoder block's key bias ``layer<i>_bk``, which no output depended on.
-Files of other versions are refused with UnsupportedVersion.
+Version 5 stores the five heads ``head_{r6,t,fc,pp,kc}_{w,b}`` as one head,
+``head_w`` (d_model, 18) and ``head_b`` (18,), whose column blocks they
+were. Files of other versions are refused with UnsupportedVersion.
 """
 
 from __future__ import annotations
@@ -67,7 +70,7 @@ from .model import PtModel, PtModelConfig
 from .optim import AdamState
 
 MAGIC = b"NCAL"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _DIGEST_SIZE = 32
 _HASH_CHUNK = 1 << 20
 # A body this large is hashed on a second thread while the calling thread

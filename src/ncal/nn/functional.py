@@ -2,15 +2,16 @@
 returns it with its written-out backward, ``(out, backward)``.
 
 ``embed`` is the embedding, ``encoder_block`` one transformer encoder
-block, and ``heads`` the five output heads with the bridge to the camera
-model: an affine output map, the Gram-Schmidt expansion of the 6D rotation
-(``rot6d_to_matrix_t``) and the product with the reference rotations. Their
-affine maps are the array kernel ``linear``, the block's norms
-``layer_norm`` and its attention weights ``autodiff.softmax``, each looked
-up through its module at every call. The embedding and the encoder block
-compute in the dtype of their input and weights, float64 or float32: their
-scalar constants are Python floats, which NumPy's promotion rules (NEP 50)
-never let widen an array. The heads run in float64.
+block, and ``heads`` the output head, one linear map to all 18 outputs
+per camera, with the bridge to the camera model: an affine output map, the
+Gram-Schmidt expansion of the 6D rotation (``rot6d_to_matrix_t``) and the
+product with the reference rotations. Their affine maps are the array
+kernel ``linear``, the block's norms ``layer_norm`` and its attention
+weights ``autodiff.softmax``, each looked up through its module at every
+call. The embedding and the encoder block compute in the dtype of their
+input and weights, float64 or float32: their scalar constants are Python
+floats, which NumPy's promotion rules (NEP 50) never let widen an array.
+The heads run in float64 on any input dtype.
 
 Each stage keeps only the arrays its backward needs and cannot rebuild from
 the others: an encoder block's backward recomputes its two norms' outputs
@@ -220,42 +221,35 @@ def encoder_block_backward(g: np.ndarray, saved: tuple, weights: list):
             gg2, gb2, gw1, gc1, gw2, gc2)
 
 
-def heads(h: np.ndarray, ws, center, scale, reference_R):
-    """The output heads on the encoder output h, (B, N, D), and their
-    backward, which returns the gradient of h, then the heads' parameter
-    gradients in parameter order.
+def heads(h: np.ndarray, w: np.ndarray, b: np.ndarray, center, scale, reference_R):
+    """The output head on the encoder output h, (B, N, D), and its backward,
+    which returns the gradient of h, in float64, then those of w and b.
 
-    ws: the heads' (weight, bias) arrays in output-column order, 18
-    columns per camera in all (r6, t, fc, pp, kc). With raw their outputs
-    side by side and the constant maps center and scale, (N, 18), and
-    reference rotations reference_R, (N, 3, 3),
+    w, b: the head's (D, 18) weight and (18,) bias, one column per output,
+    in the column order r6, t, fc, pp, kc. With the constant maps center
+    and scale, (N, 18), and reference rotations reference_R, (N, 3, 3),
 
+        raw = h @ w + b
         out = center + scale * raw
         R = reference_R @ GramSchmidt(out[..., 0:6])
         pred = (R row-major, out[..., 6:])                      (B, N, 21)
 
-    The backward adds the heads' input gradients last head first, the order
-    of the tape composition, which keeps the sum bitwise equal to it.
+    h keeps its dtype and is cast to float64 for the product, and again,
+    per row slice, for the weight gradient; the cast values are the same,
+    so a float32 h gives the result of its float64 copy.
     """
-    raw = np.concatenate([linear(h, w, b) for w, b in zip(ws[0::2], ws[1::2])], axis=-1)
+    raw = linear(h.astype(np.float64, copy=False), w, b)
     out = center + scale * raw
     r9, saved = rot6d_to_matrix_t(out[..., 0:6])
     batch = out.shape[:-1]
     r9 = (reference_R @ r9.reshape(batch + (3, 3))).reshape(batch + (9,))
-    bounds = np.cumsum([0] + [w.shape[-1] for w in ws[0::2]])
 
     def backward(g, rows=slice(None)):
         batch = g.shape[:-1]
         gr9 = np.swapaxes(reference_R, -1, -2) @ g[..., 0:9].reshape(batch + (3, 3))
         ga1, ga2 = rot6d_grad(gr9.reshape(batch + (9,)), tuple(a[rows] for a in saved))
         graw = np.concatenate([ga1, ga2, g[..., 9:]], axis=-1) * scale
-        grads = [None] * len(ws)
-        gh = None
-        for i in reversed(range(len(bounds) - 1)):
-            gx, grads[2 * i], grads[2 * i + 1] = linear_grad(
-                graw[..., bounds[i] : bounds[i + 1]], h[rows], ws[2 * i])
-            gh = gx if gh is None else np.add(gh, gx, out=gh)
-        return gh, *grads
+        return linear_grad(graw, h[rows].astype(np.float64, copy=False), w)
 
     return np.concatenate([r9, out[..., 6:]], axis=-1), backward
 

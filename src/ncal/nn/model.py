@@ -9,12 +9,12 @@ cameras and regresses the full 21-parameter calibration of every camera:
    added so attention can tell the cameras apart,
 3. a pre-norm transformer encoder mixes information across the camera axis
    (no masking: every camera attends to every camera),
-4. five linear heads emit rotation (6D), translation, focal lengths,
-   principal point, and distortion; their 18 outputs per camera live in a
-   normalized space and go through one affine map, center + scale * raw,
-   whose centers are the rig's reference calibration; the rotation head is
-   centered on the identity 6D vector (1, 0, 0, 0, 1, 0) and predicts a
-   residual rotation,
+4. one linear head, (d_model, 18), emits per camera the rotation (6D),
+   translation, focal lengths, principal point and distortion, in that
+   column order; its 18 outputs live in a normalized space and go through
+   one affine map, center + scale * raw, whose centers are the rig's
+   reference calibration; the rotation columns are centered on the
+   identity 6D vector (1, 0, 0, 0, 1, 0) and predict a residual rotation,
 5. the residual 6D rotation is expanded to an orthonormal matrix R_delta by
    Gram-Schmidt and composed onto the stored world-to-camera reference
    rotation as R_ref @ R_delta, giving a (cameras x 21) output whose
@@ -62,8 +62,10 @@ is held across the loss, where a training step's memory peaked: the pullback
 casts each block's float64 arrays, the ones its forward read, again before
 the block's backward (3 ms per block at the paper's width, recomputed rather
 than kept, as the blocks' norm outputs are), and the embedding's backward
-needs no weights. The heads keep their float64 copy of the encoder output.
-``predict`` always computes in float64.
+needs no weights. The heads keep the encoder output in its own dtype and
+cast it to float64 for their product, and again, row slice by row slice,
+for their weight gradient, so no float64 copy of it is held across the
+loss. ``predict`` always computes in float64.
 
 Gram-Schmidt of the identity 6D vector is exactly the identity matrix and a
 product with the identity is exact, so a zero-initialized head predicts the
@@ -104,9 +106,6 @@ DISTORTION_SCALE = 0.2
 
 # Center of the residual rotation head: the 6D vector of the identity.
 IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
-
-# Output heads and their widths, in the column order of the affine output map.
-HEADS = {"r6": 6, "t": 3, "fc": 2, "pp": 2, "kc": 5}
 
 # Glorot draws from which construction fills on two threads; below it the
 # calling thread fills them all. Measured at O-10 with 4 layers and d_ff =
@@ -242,9 +241,9 @@ def _param_spec(config: PtModelConfig) -> dict:
     block = _block_spec(config)
     for i in range(config.n_layers):
         spec.update((f"layer{i}_{nm}", entry) for nm, entry in block.items())
-    for nm, width in HEADS.items():
-        spec[f"head_{nm}_w"] = ((d, width), "zeros")
-        spec[f"head_{nm}_b"] = ((width,), "zeros")
+    # One column per output of the affine output map.
+    spec["head_w"] = ((d, 18), "zeros")
+    spec["head_b"] = ((18,), "zeros")
     return spec
 
 
@@ -361,8 +360,8 @@ class PtModel:
             raise ValueError("reference rotations must be proper rotations")
         self._reference = ref.copy()
         self._reference_R = R.copy()
-        # One affine output map over the 18 head outputs per camera, columns
-        # in head order: r6, t, fc, pp, kc.
+        # One affine output map over the head's 18 outputs per camera, in
+        # column order: r6, t, fc, pp, kc.
         w, h = self.image_size
         n = config.n_cameras
         self._center = np.concatenate([np.tile(IDENTITY_R6, (n, 1)), ref[:, 9:21]], axis=1)
@@ -381,7 +380,7 @@ class PtModel:
         return self._reference.copy()
 
     def param_group(self, name: str) -> str:
-        """Learning-rate group: prediction heads vs everything else."""
+        """Learning-rate group: the prediction head vs everything else."""
         return "heads" if name.startswith("head_") else "encoder"
 
     def normalize_input(self, X: np.ndarray) -> np.ndarray:
@@ -460,10 +459,10 @@ class PtModel:
         a new dict of every parameter's float64 gradient, keyed and ordered
         like params. The backward runs once: it frees each stage's saved
         arrays as the stage's backward finishes, the heads' (with the
-        float64 copy of the encoder output) first and the embedding's last,
-        and a second call raises RuntimeError. From _SPLIT_MIN_VALUES values
-        in the encoder's (B, n_cameras, d_model) activation on, each stage's
-        backward runs as two half-batch backwards, one on each core, joined
+        encoder output) first and the embedding's last, and a second call
+        raises RuntimeError. From _SPLIT_MIN_VALUES values in the encoder's
+        (B, n_cameras, d_model) activation on, each stage's backward runs
+        as two half-batch backwards, one on each core, joined
         before the next stage (see the module docstring). Rotation blocks
         are orthonormal for any weights.
         """
@@ -473,9 +472,8 @@ class PtModel:
         # identity: added to the embedding's value, they need no backward.
         h += self.cie.astype(dtype, copy=False)
         h, encode_pullback = self.encode(h)
-        heads = self._head_names()
-        pred, heads_backward = F.heads(h.astype(np.float64, copy=False),
-                                       [self.params[k].data for k in heads],
+        pred, heads_backward = F.heads(h, self.params["head_w"].data,
+                                       self.params["head_b"].data,
                                        self._center, self._scale, self._reference_R)
         # Popped from the end as each runs, so that each stage's saved arrays
         # are freed before the next stage's backward starts.
@@ -488,8 +486,7 @@ class PtModel:
             halves = self._halves(g.shape[0])
             # The heads' input gradient comes back in the blocks' dtype, so
             # that a float64 copy is not held while they run.
-            g, head_grads = _pull(stages.pop(), g, halves, dtype)
-            grads.update(zip(heads, head_grads))
+            g, (grads["head_w"], grads["head_b"]) = _pull(stages.pop(), g, halves, dtype)
             g, block_grads = stages.pop()(g)
             grads.update(block_grads)
             grads["embed_w"], grads["embed_b"] = _pull(stages.pop(), g, halves, None)[1]
@@ -514,8 +511,8 @@ class PtModel:
             for i in range(self.config.n_layers):
                 weights = [self.params[k].data for k in self._block_names(i)]
                 h = F.encoder_block(h, weights, self.config.n_heads)[0]
-            weights = [self.params[k].data for k in self._head_names()]
-            chunks.append(F.heads(h, weights, self._center, self._scale, self._reference_R)[0])
+            chunks.append(F.heads(h, self.params["head_w"].data, self.params["head_b"].data,
+                                  self._center, self._scale, self._reference_R)[0])
         out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out[0] if X.ndim == 3 else out
 
@@ -530,10 +527,6 @@ class PtModel:
     def _block_names(self, i: int) -> list:
         """Encoder block i's parameter names in F.encoder_block's order."""
         return [f"layer{i}_{nm}" for nm in _block_spec(self.config)]
-
-    def _head_names(self) -> list:
-        """The heads' parameter names in F.heads' order."""
-        return [f"head_{nm}_{p}" for nm in HEADS for p in ("w", "b")]
 
     def state_arrays(self) -> dict:
         """All persistent arrays: the trainable parameters plus the reference.

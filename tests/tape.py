@@ -30,7 +30,6 @@ from ncal.losses import LAM1, LAM2, PARAM_SCALE
 from ncal.nn import autodiff as ad
 from ncal.nn import functional as F
 from ncal.nn.autodiff import subgradient
-from ncal.nn.model import HEADS
 
 
 class GraphCycle(NcalError):
@@ -428,13 +427,10 @@ def geodesic_angles_t(pred_r9, gt_r9) -> Tensor:
 
 
 def heads(model, h) -> Tensor:
-    """The model's heads on the encoder output h: five linear heads, the
-    affine output map, Gram-Schmidt and the reference rotation product."""
-    h = _lift(h)
-    raw = concat([
-        linear(h, model.params[f"head_{nm}_w"], model.params[f"head_{nm}_b"])
-        for nm in HEADS
-    ], axis=-1)
+    """The model's head on the encoder output h: one linear map to the 18
+    outputs, the affine output map, Gram-Schmidt and the reference rotation
+    product."""
+    raw = linear(_lift(h), model.params["head_w"], model.params["head_b"])
     out = constant(model._center) + constant(model._scale) * raw
     batch = out.data.shape[:-1]
     r_delta = rot6d_to_matrix_t(out[..., 0:6]).reshape(batch + (3, 3))

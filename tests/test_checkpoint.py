@@ -139,7 +139,7 @@ def _pack_reference(model, optimizer=None, extra=None) -> bytes:
         blobs += [(f"adam_v:{k}", a) for k, a in optimizer.v.items()]
     cfg = json.dumps(config, sort_keys=True).encode("utf-8")
     body = bytearray(b"NCAL")
-    body += struct.pack("<I", 4)
+    body += struct.pack("<I", 5)
     body += struct.pack("<Q", len(cfg)) + cfg
     body += struct.pack("<I", len(blobs))
     for name, a in blobs:
@@ -296,10 +296,11 @@ class TestCorruption:
         # Version 1 stored the absolute reference rotation as the rotation
         # head's center; version 2 stored derived constants that version 3
         # recomputes; version 3 stored each block's key bias, which version
-        # 4 dropped. None may load with the current meaning.
+        # 4 dropped; version 4 stored five heads, which version 5 stores as
+        # one. None may load with the current meaning.
         save_checkpoint(ckpt, tiny_model())
         data = bytearray(ckpt.read_bytes())[:-32]
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             data[4:8] = struct.pack("<I", version)
             body = bytes(data)
             ckpt.write_bytes(body + hashlib.sha256(body).digest())

@@ -231,10 +231,10 @@ class TestSplitAdam:
             assert state.m[k].tobytes() == serial_state.m[k].tobytes(), k
             assert state.v[k].tobytes() == serial_state.v[k].tobytes(), k
 
-    @pytest.mark.parametrize("failing", ["embed_w", "head_kc_b"])
+    @pytest.mark.parametrize("failing", ["embed_w", "head_b"])
     def test_blas_threads_restored_when_a_half_raises(self, failing, two_blas_threads,
                                                        monkeypatch):
-        # embed_w is updated on the calling thread, head_kc_b, the last
+        # embed_w is updated on the calling thread, head_b, the last
         # parameter, on the worker.
         class Poisoned(np.ndarray):
             def __array_ufunc__(self, *args, **kwargs):

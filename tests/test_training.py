@@ -79,7 +79,7 @@ class TestTrainLoop:
         # A zero-initialized model is exactly optimal on this regime (loss 0),
         # so start it off the optimum: translation biases of 0.05 in the
         # normalized head space are 0.15 m at rho = 1.5.
-        model.params["head_t_b"].data[:] = 0.05
+        model.params["head_b"].data[6:9] = 0.05
         cfg = TrainConfig(epochs=30, phase1_epochs=30, batch_size=8, seed=2)
         result = train(model, scn, cfg)
         losses = [r["loss"] for r in result.records]
@@ -189,7 +189,7 @@ class TestTrainLoop:
         result = train(model, scn, cfg)
         assert [r["loss"] for r in result.records] == [0.0] * 30
         assert all(r["loss_reproj"] == 0.0 for r in result.records[20:])
-        assert len(model.params) == 27
+        assert len(model.params) == 19
         for k, t in model.params.items():
             assert np.isfinite(t.data).all()
             np.testing.assert_array_equal(t.data, before[k])
@@ -563,7 +563,7 @@ class TestDetection:
     def test_threshold_calibration_rejects_non_finite_distances(self):
         # A NaN focal-length bias makes every clean-set distance NaN.
         scn, model = small_setup()
-        model.params["head_fc_b"].data[:] = np.nan
+        model.params["head_b"].data[9:11] = np.nan
         with pytest.raises(ValueError, match="not finite"):
             calibrate_detection_threshold(model, scn, n_samples=4, seed=1)
 
@@ -579,7 +579,7 @@ class TestDetection:
     def test_threshold_margin_one_accepted(self):
         # A focal-length bias puts every clean distance above 0.
         scn, model = small_setup(kappa=0.0)
-        model.params["head_fc_b"].data[:] = 0.01
+        model.params["head_b"].data[9:11] = 0.01
         thr = calibrate_detection_threshold(model, scn, n_samples=8, seed=1, margin=1.0)
         thr2 = calibrate_detection_threshold(model, scn, n_samples=8, seed=1, margin=2.0)
         assert 0.0 < thr < np.inf and thr2 == 2.0 * thr
