@@ -27,21 +27,21 @@ the constructor derives from them (the reference rotation matrices, the
 affine output maps, the identity codes) is recomputed on load, never
 stored. Round trips are bitwise exact.
 
-The save streams: the headers and each array's bytes, taken in place with
-no copy of the file in memory, go in order to a temporary file and through
-one incremental sha256; the digest is appended and only then is the file
-moved over the target. The load makes two passes over the open file, with
-no copy of it in memory: one parses the headers and reads each blob
-straight into the array the model or the optimizer state keeps, the other
-hashes the file by positional reads. For a body of 16 MiB or more the hash
-runs on a second thread while the calling thread writes (save) or reads
-(load) the same bytes, as hashlib and file I/O both release the interpreter
-lock. A smaller body is hashed on the calling thread: each buffer just
-before it is written, or the whole body after it is read. The model is
-built only after the digest matches, and a load draws no weights. A digest
-mismatch is reported ahead of any parse error or unsupported version, since
-a damaged file may parse as anything; a header that declares more bytes
-than the file holds is refused before anything is allocated.
+The save streams: the headers and each array's bytes, taken in place with no
+copy of the file in memory, go in order to a temporary file and through one
+incremental sha256; the digest is appended and only then is the file moved
+over the target. The load makes two passes over the open file, with no copy
+of it in memory: one parses the headers and reads each blob straight into
+the array the model or the optimizer state keeps, the other hashes the file
+by positional reads. For a body of 16 MiB or more the hash runs on the kept
+worker (``parallel.on_both_cores``) while the calling thread writes (save)
+or reads (load) the same bytes, as hashlib and file I/O both release the
+interpreter lock. A smaller body is hashed on the calling thread: each
+buffer just before it is written, or the whole body after it is read. The
+model is built only after the digest matches, and a load draws no weights. A
+digest mismatch is reported ahead of any parse error or unsupported version,
+since a damaged file may parse as anything; a header that declares more
+bytes than the file holds is refused before anything is allocated.
 
 Version history: version 1 stored the absolute reference rotation as the
 rotation head's center. Version 2 stored the derived constants as frozen
@@ -60,12 +60,12 @@ import json
 import math
 import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 import numpy as np
 
 from ..errors import CorruptCheckpoint, ShapeMismatch, UnsupportedVersion
+from . import parallel
 from .model import PtModel, PtModelConfig
 from .optim import AdamState
 
@@ -73,15 +73,13 @@ MAGIC = b"NCAL"
 FORMAT_VERSION = 5
 _DIGEST_SIZE = 32
 _HASH_CHUNK = 1 << 20
-# A body this large is hashed on a second thread while the calling thread
+# A body this large is hashed on the kept worker while the calling thread
 # writes or reads it. A smaller one hashes in under ~20 ms, so overlapping
-# saves little, while starting the thread costs ~0.4 ms and a second core
-# kept busy (OpenBLAS workers spin for a while after each matmul) makes the
-# thread a net loss. Measured on 2 cores right after a matmul: a 1.7 MB
-# load ~0.9 ms slower with the thread, a 25 MB load even, a 202 MB load a
-# fifth faster. Saves, as benchmark medians on 2 cores: a 67.6 MB file
-# took 0.076 s with the hash beside the write against 0.113 s with one
-# after the other, a 203 MB file 0.23 s against 0.36 s.
+# saves little, and a second core kept busy (OpenBLAS workers spin for a
+# while after each matmul) makes it a loss: on 2 cores, medians of 40 after
+# five 300 x 300 matmuls, a 1.66 MB save took 4.4 ms inline against 4.8 ms
+# with the kept worker, its load 3.5 against 3.8 ms. A 67.6 MB save took
+# 0.076 s with the hash beside the write against 0.113 s after it.
 _THREAD_MIN_BYTES = 16 << 20
 
 
@@ -158,22 +156,11 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
         buffers.append(memoryview(a.reshape(-1)).cast("B"))
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        # As in the load, leaving the pool's block joins its thread, also
-        # when a write raises.
-        with open(tmp, "wb") as f, ThreadPoolExecutor(max_workers=1) as pool:
+        with open(tmp, "wb") as f:
             if sum(map(len, buffers)) >= _THREAD_MIN_BYTES:
-                hashing = pool.submit(_sha256, buffers)
-                for b in buffers:
-                    f.write(b)
-                digest = hashing.result()
+                digest = parallel.on_both_cores((_write, f, buffers), (_sha256, buffers))[1]
             else:
-                # Each buffer is hashed right before it is written, while it
-                # is still in cache.
-                h = hashlib.sha256()
-                for b in buffers:
-                    h.update(b)
-                    f.write(b)
-                digest = h.digest()
+                digest = _sha256(buffers, f)
             f.write(digest)
         os.replace(tmp, path)
     except BaseException:
@@ -182,11 +169,19 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
         raise
 
 
-def _sha256(buffers) -> bytes:
-    """The sha256 digest of the concatenated `buffers`."""
+def _write(f, buffers) -> None:
+    for b in buffers:
+        f.write(b)
+
+
+def _sha256(buffers, f=None) -> bytes:
+    """The sha256 digest of the concatenated `buffers`, each written to f,
+    if one is given, right after it is hashed, while it is still in cache."""
     h = hashlib.sha256()
     for b in buffers:
         h.update(b)
+        if f is not None:
+            f.write(b)
     return h.digest()
 
 
@@ -257,11 +252,19 @@ def _parse(r: _Reader) -> tuple:
     return config, blobs
 
 
+def _try_parse(f, end: int) -> tuple:
+    """(_parse of bytes [0, end) of f, None), or (None, the error it raised)."""
+    try:
+        return _parse(_Reader(f, end)), None
+    except (CorruptCheckpoint, UnsupportedVersion) as e:
+        return None, e
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns (model, optimizer_state_or_None, extra dict).
 
     The blobs are read straight into the arrays the model and the optimizer
-    state keep, while a second thread hashes a large file (a small one is
+    state keep, while the kept worker hashes a large file (a small one is
     hashed after the read); the model is built only once the digest
     matches. A file whose digest does not match raises
     CorruptCheckpoint("content hash mismatch"), whatever else is wrong with
@@ -277,25 +280,22 @@ def load_checkpoint(path):
     non-negative integer; UnsupportedVersion on a correctly hashed file of a
     format version this build cannot read.
     """
-    error = None
     with open(path, "rb") as f:
         fd = f.fileno()
         end = os.fstat(fd).st_size - _DIGEST_SIZE
         if end < len(MAGIC) + 4:
             raise CorruptCheckpoint("file too short to be a checkpoint")
-        # The pool starts a thread only on submit, and leaving the block
-        # joins it, before the file closes.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            hashing = pool.submit(_digest_matches, fd, end) if end >= _THREAD_MIN_BYTES else None
-            try:
-                config, blobs = _parse(_Reader(f, end))
-            except (CorruptCheckpoint, UnsupportedVersion) as e:
-                error = e
-        digest_ok = hashing.result() if hashing is not None else _digest_matches(fd, end)
+        if end >= _THREAD_MIN_BYTES:
+            (parsed, error), digest_ok = parallel.on_both_cores((_try_parse, f, end),
+                                                                (_digest_matches, fd, end))
+        else:
+            parsed, error = _try_parse(f, end)
+            digest_ok = _digest_matches(fd, end)
     if not digest_ok:
         raise CorruptCheckpoint("content hash mismatch") from error
     if error is not None:
         raise error
+    config, blobs = parsed
 
     try:
         model = PtModel.from_state_arrays(

@@ -40,7 +40,7 @@ pullback.
 From ``_SPLIT_MIN_VALUES`` values in one encoder activation on, the
 pullback uses both cores (``parallel.on_both_cores``): each stage's backward
 runs once on rows ``[0, B // 2)`` on the calling thread and once on rows
-``[B // 2, B)`` on a kept worker, over those rows of its output's gradient
+``[B // 2, B)`` on the kept worker, over those rows of its output's gradient
 and of the arrays it saved. The calling thread then joins the stage: it
 writes both halves of the input gradient into one array and sums the
 parameter gradients into one float64 buffer, the first half's and then the
@@ -75,7 +75,7 @@ A new model draws its weights from the seed's generator: the identity-code
 noise first, then every Glorot matrix in parameter order, each exactly what
 ``rng.uniform(-limit, limit, shape)`` would draw. All arrays are allocated
 on the calling thread. When the matrices hold at least ``_SPLIT_MIN_DRAWS``
-values, a worker thread fills those past the first array boundary beyond
+values, the kept worker fills those past the first array boundary beyond
 half of the draws, from a copy of the generator advanced to their first
 draw, while the calling thread fills the rest, so the weights are the same
 bits either way.
@@ -84,7 +84,6 @@ bits either way.
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,12 +106,12 @@ DISTORTION_SCALE = 0.2
 # Center of the residual rotation head: the 6D vector of the identity.
 IDENTITY_R6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
 
-# Glorot draws from which construction fills on two threads; below it the
-# calling thread fills them all. Measured at O-10 with 4 layers and d_ff =
-# 2 d_model (2 cores, medians of 15 builds), two threads took 2.7 against
-# 1.8 ms at 135 k draws, broke even near 0.5 M and took 10.1 against 11.9 ms
-# at 1.0 M. At the paper's 8.4 M, train_paper setup_s fell from 0.063 to
-# 0.031 s (BENCH_model_init.json).
+# Glorot draws from which construction fills on both cores; below it the
+# calling thread fills them all. The fill alone at O-10 with 4 layers and
+# d_ff = 2 d_model (2 cores, medians of 40 after five 300 x 300 matmuls)
+# took 1.10 ms on both cores against 0.79 ms on one at 135 k draws and 36.5
+# against 43.5 ms at the paper's 8.4 M, where train_paper setup_s fell from
+# 0.063 to 0.031 s with a thread per build (BENCH_model_init.json).
 _SPLIT_MIN_DRAWS = 1 << 20
 
 # Values in one (batch, n_cameras, d_model) encoder activation from which a
@@ -192,8 +191,8 @@ def _fill_glorot(rng, arrays) -> None:
 
 
 def _draw_glorot(rng, arrays) -> None:
-    """_fill_glorot(rng, arrays), on two threads from _SPLIT_MIN_DRAWS
-    values on: a worker fills the arrays after the first boundary past half
+    """_fill_glorot(rng, arrays), on both cores from _SPLIT_MIN_DRAWS values
+    on: the kept worker fills the arrays after the first boundary past half
     the draws from a copy of rng's bit generator advanced past the values
     before them, one draw each, while the calling thread fills the rest."""
     sizes = [a.size for a in arrays]
@@ -203,11 +202,8 @@ def _draw_glorot(rng, arrays) -> None:
         return
     ahead = copy.deepcopy(rng.bit_generator)
     ahead.advance(sum(sizes[:cut]))
-    # Leaving the block joins the worker, also when either fill raises.
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        second = pool.submit(_fill_glorot, np.random.Generator(ahead), arrays[cut:])
-        _fill_glorot(rng, arrays[:cut])
-        second.result()
+    parallel.on_both_cores((_fill_glorot, rng, arrays[:cut]),
+                           (_fill_glorot, np.random.Generator(ahead), arrays[cut:]))
 
 
 def _block_spec(config: PtModelConfig) -> dict:
@@ -283,7 +279,7 @@ def _pull(backward, g, halves, dtype, *args):
     if halves is None:
         parts = [backward(g, *args)]
     else:
-        parts = parallel.on_both_cores(backward, *((g[rows], *args, rows) for rows in halves))
+        parts = parallel.on_both_cores(*((backward, g[rows], *args, rows) for rows in halves))
     if dtype is None:
         return None, _float64_sums(parts)
     gx = parts[0][0]
@@ -308,8 +304,8 @@ class PtModel:
         Every parameter is allocated on the calling thread. The Glorot
         matrices are then drawn in parameter order, after the identity-code
         noise, each bitwise rng.uniform(-limit, limit, shape). From
-        _SPLIT_MIN_DRAWS draws on, a worker fills the second part of them
-        from a copy of the generator advanced to its first draw (see
+        _SPLIT_MIN_DRAWS draws on, the kept worker fills the second part of
+        them from a copy of the generator advanced to its first draw (see
         _draw_glorot), so the weights do not depend on the split.
         """
         rng = self._derive(config, reference_params, image_size, radius, seed)

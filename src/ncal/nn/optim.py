@@ -49,8 +49,8 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
     or when a gradient is not a float64 array of its parameter's shape.
 
     The calling thread allocates every parameter's new array and rebinds
-    them all once the update is done. From _SPLIT_MIN_VALUES values on, a
-    worker fills the arrays after the first array boundary past half the
+    them all once the update is done. From _SPLIT_MIN_VALUES values on, the
+    kept worker fills the arrays after the first array boundary past half the
     values, and updates their moments, while the calling thread does the
     rest (parallel.on_both_cores); the arithmetic per parameter is the same
     either way, so the result is bitwise the same.
@@ -95,7 +95,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
         update(names)
     else:
         cut = parallel.split_point(sizes)
-        parallel.on_both_cores(update, (names[:cut],), (names[cut:],))
+        parallel.on_both_cores((update, names[:cut]), (update, names[cut:]))
     for name, a in new.items():
         params[name].data = a
 

@@ -1,11 +1,13 @@
 """One call on each core: the calling thread and one kept worker thread.
 
-Between BLAS calls numpy runs on one core. ``on_both_cores`` runs a function
-on two independent inputs at once, the first on the calling thread and the
-second on a worker kept for the life of the process, with OpenBLAS at one
-thread while both run, so that each call has a core to itself. The training
-step uses it for the row halves of the backward (``PtModel.forward``) and the
-two halves of the Adam update (``optim.adam_step``).
+Between BLAS calls numpy runs on one core. ``on_both_cores`` runs two
+independent calls at once, the first on the calling thread and the second on
+a worker started at import and kept for the life of the process, the only
+thread the package starts, with OpenBLAS at one thread while both run. Its
+jobs, each on the calling thread alone below its gate: a stage's backward in
+row halves (``model._SPLIT_MIN_VALUES``), the Adam update and the Glorot fill
+in two parts (``optim._SPLIT_MIN_VALUES``, ``model._SPLIT_MIN_DRAWS``), and a
+checkpoint's write or parse beside its hash (``checkpoint._THREAD_MIN_BYTES``).
 
 The OpenBLAS thread count is process-wide in numpy's bundled OpenBLAS, even
 through ``openblas_set_num_threads_local``: a worker that set it changed what
@@ -25,7 +27,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ncal-half")
+_WORKER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="ncal-worker")
+_WORKER.submit(int).result()  # starts its thread, so no later call adds one
 # Held by one caller of on_both_cores at a time: the thread count is read,
 # set and restored as one step, so that callers on several threads cannot
 # restore each other's counts out of order.
@@ -67,30 +70,31 @@ def split_point(sizes) -> int:
 
 
 def _run(job: list) -> None:
-    # The worker takes fn and its arguments out of `job` and puts the result
-    # back, so that nothing it ran is still referenced by the pool once the
-    # calling thread has the result.
-    fn, args = job.pop()
+    # The worker takes the call out of `job` and puts the result back, so
+    # that nothing it ran is still referenced by the pool once the calling
+    # thread has the result.
+    fn, *args = job.pop()
     job.append(fn(*args))
 
 
-def on_both_cores(fn, first: tuple, second: tuple):
-    """(fn(*first), fn(*second)), the first on the calling thread and the
-    second on the kept worker, with OpenBLAS at one thread while both run.
+def on_both_cores(first: tuple, second: tuple):
+    """The results of two calls, each a (fn, *args) tuple: the first run on
+    the calling thread and the second on the kept worker, with OpenBLAS at
+    one thread while both run.
 
     Both calls have finished when this returns or raises, and the thread
     count is back to what it was either way. An error in either call
     reaches the caller, the calling thread's first. Callers on several
-    threads take turns; fn must not call on_both_cores itself.
+    threads take turns; neither call may call on_both_cores itself.
     """
     with _TURN:
         old = blas_threads()
         _set_blas_threads(1)
         try:
-            job = [(fn, second)]
+            job = [second]
             future = _WORKER.submit(_run, job)
             try:
-                result = fn(*first)
+                result = first[0](*first[1:])
             finally:
                 wait([future])
             future.result()

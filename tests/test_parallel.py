@@ -10,7 +10,7 @@ import pytest
 from ncal.losses import compound_loss
 from ncal.nn import functional as F
 from ncal.nn import model as model_module
-from ncal.nn import optim, parallel
+from ncal.nn import checkpoint, optim, parallel
 from ncal.nn.model import PtModel, PtModelConfig
 from ncal.nn.optim import AdamState, adam_step
 from ncal.scene import PerturbationSpec, SceneConfig, make_object, make_rig, reference_params
@@ -62,6 +62,16 @@ def split_above(monkeypatch, batch, cfg):
     monkeypatch.setattr(model_module, "_SPLIT_MIN_VALUES", batch * cfg.n_cameras * cfg.d_model)
 
 
+def recorded(names, fn):
+    """fn, appending the name of the thread of each call to names."""
+
+    def call(*args):
+        names.append(threading.current_thread().name)
+        return fn(*args)
+
+    return call
+
+
 class TestOnBothCores:
     def test_second_call_runs_on_the_worker_at_one_blas_thread(self, two_blas_threads):
         seen = []
@@ -71,23 +81,73 @@ class TestOnBothCores:
                          parallel.blas_threads()))
             return tag
 
-        assert parallel.on_both_cores(record, ("a",), ("b",)) == ("a", "b")
-        assert sorted(seen) == [("a", True, 1), ("b", False, 1)]
-        assert parallel.blas_threads() == two_blas_threads
+        def record_upper(tag):
+            return record(tag).upper()
 
-    @pytest.mark.parametrize("failing", ["a", "b"])
+        # The same function twice, then another one in the second call.
+        for second, want in ((record, ("a", "b")), (record_upper, ("a", "B"))):
+            seen.clear()
+            assert parallel.on_both_cores((record, "a"), (second, "b")) == want
+            assert sorted(seen) == [("a", True, 1), ("b", False, 1)]
+            assert parallel.blas_threads() == two_blas_threads
+
+    # "ab": both calls fail, in two functions; the calling thread's error wins.
+    @pytest.mark.parametrize("failing", ["a", "b", "ab"])
     def test_error_in_either_call_restores_the_count(self, failing, two_blas_threads):
         done = []
 
         def maybe_fail(tag):
-            if tag == failing:
+            if tag in failing:
                 raise ValueError(f"half {tag} failed")
             done.append(tag)
 
-        with pytest.raises(ValueError, match=f"half {failing} failed"):
-            parallel.on_both_cores(maybe_fail, ("a",), ("b",))
-        assert done == ["b" if failing == "a" else "a"]
+        def fail_otherwise(tag):
+            raise KeyError(tag)
+
+        second = fail_otherwise if failing == "ab" else maybe_fail
+        with pytest.raises(ValueError, match=f"half {failing[0]} failed"):
+            parallel.on_both_cores((maybe_fail, "a"), (second, "b"))
+        assert done == [tag for tag in "ab" if tag not in failing]
         assert parallel.blas_threads() == two_blas_threads
+
+    def test_every_two_core_job_runs_on_the_kept_worker(self, tmp_path, monkeypatch):
+        # The Glorot fill, the save and load hashes, a split pullback and a
+        # split Adam step, each past its gate: the second call of each runs
+        # on the worker that on_both_cores keeps, and no thread is started.
+        threads = threading.active_count()
+        main = threading.current_thread().name
+        worker = parallel.on_both_cores((int,), (lambda: threading.current_thread().name,))[1]
+        names = {job: [] for job in ("fill", "save", "load", "pullback", "adam")}
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_DRAWS", 0)
+        monkeypatch.setattr(model_module, "_fill_glorot",
+                            recorded(names["fill"], model_module._fill_glorot))
+        model = random_model()
+        monkeypatch.setattr(checkpoint, "_THREAD_MIN_BYTES", 0)
+        monkeypatch.setattr(checkpoint, "_sha256", recorded(names["save"], checkpoint._sha256))
+        monkeypatch.setattr(checkpoint, "_digest_matches",
+                            recorded(names["load"], checkpoint._digest_matches))
+        checkpoint.save_checkpoint(tmp_path / "m.ncal", model)
+        checkpoint.load_checkpoint(tmp_path / "m.ncal")
+        X, args = step_inputs(8)
+        split_above(monkeypatch, 8, model.config)
+        monkeypatch.setattr(F, "encoder_block_backward",
+                            recorded(names["pullback"], F.encoder_block_backward))
+        grads = gradients(model, X, args, np.float64)
+
+        class Recorded(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                names["adam"].append(threading.current_thread().name)
+                return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+        # head_b, the last parameter, is updated by the second call.
+        grads["head_b"] = grads["head_b"].view(Recorded)
+        monkeypatch.setattr(optim, "_SPLIT_MIN_VALUES", 0)
+        adam_step(model.params, grads, AdamState(), GROUPS, model.param_group)
+        assert worker not in (main, None)
+        assert {job: sorted(set(seen)) for job, seen in names.items()} == {
+            "fill": sorted([main, worker]), "save": [worker], "load": [worker],
+            "pullback": sorted([main, worker]), "adam": [worker]}
+        assert threading.active_count() == threads
 
 
     def test_concurrent_callers_restore_the_count(self, two_blas_threads):
@@ -101,7 +161,7 @@ class TestOnBothCores:
 
         def caller(i):
             for _ in range(25):
-                done.append(parallel.on_both_cores(double, (i,), (-i,)) == (2 * i, -2 * i))
+                done.append(parallel.on_both_cores((double, i), (double, -i)) == (2 * i, -2 * i))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
