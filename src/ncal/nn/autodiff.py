@@ -13,10 +13,10 @@ gradient once the caller drops the dict. There is no graph to walk.
 
 ``Tensor`` holds a float64 array (a parameter's master copy, or the
 prediction) and, for a prediction, its one-shot pullback. The parameters
-stay ``Tensor`` rather than plain arrays because the benchmark assigns
+stay ``Tensor`` rather than plain arrays only because the benchmark assigns
 ``model.params[k].data`` (``bench/workloads.py``) and wraps
 ``autodiff.Tensor.backward`` by name (``bench/tracing.py`` and
-``bench/tests/test_helpers.py``).
+``bench/tests/test_helpers.py``); ``optim.adam_step`` takes the arrays.
 
 The kernels are softmax and layer normalization with their gradients, and
 the zero-subgradient rule. Each computes in its input's dtype: float64, or

@@ -320,7 +320,8 @@ class PtModel:
 
         The constructor's derived constants come from arrays["reference"] and
         the seed as in __init__; the trainable parameters are the float64
-        arrays themselves, not copies. Other keys of `arrays` are ignored.
+        arrays themselves, not copies, so training updates them in place.
+        Other keys of `arrays` are ignored.
         """
         self = cls.__new__(cls)
         self._derive(config, arrays["reference"], image_size, radius, seed)

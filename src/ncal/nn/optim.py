@@ -38,22 +38,23 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_of,
               lr_scale: float = 1.0, lr_min: float = 0.0) -> None:
-    """One Adam update of a dict of name -> Tensor by grads, a dict of
-    name -> float64 gradient array of the parameter's shape.
+    """One Adam update, in place, of params (name -> float64 array) by grads
+    (name -> float64 gradient array of the parameter's shape).
 
     lr_map gives the base learning rate per group name; group_of(name)
     resolves a parameter to its group. lr_scale (from the scheduler)
     multiplies every base rate, floored at lr_min. Raises ValueError, with
     the parameters and state untouched, when any resulting rate is not
     finite or is negative, when grads names other parameters than params,
-    or when a gradient is not a float64 array of its parameter's shape.
+    or when a parameter and its gradient are not float64 arrays of one shape.
 
-    The calling thread allocates every parameter's new array and rebinds
-    them all once the update is done. From _SPLIT_MIN_VALUES values on, the
-    kept worker fills the arrays after the first array boundary past half the
-    values, and updates their moments, while the calling thread does the
-    rest (parallel.on_both_cores); the arithmetic per parameter is the same
-    either way, so the result is bitwise the same.
+    Each parameter and its moments are written in their own arrays. From
+    _SPLIT_MIN_VALUES values on, the kept worker updates the parameters
+    after the first array boundary past half the values while the calling
+    thread updates the rest (parallel.on_both_cores); the arithmetic per
+    parameter is the same either way, so the result is bitwise the same. If
+    the update raises partway, on either path, the parameters it had reached
+    stay updated with their moments.
     """
     rates = {group: max(base * lr_scale, lr_min) for group, base in lr_map.items()}
     bad = {group: lr for group, lr in rates.items() if not 0.0 <= lr < np.inf}
@@ -64,20 +65,19 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
             f"gradients missing for {sorted(params.keys() - grads.keys())}, "
             f"given for unknown {sorted(grads.keys() - params.keys())}")
     wrong = [name for name, g in grads.items()
-             if not (isinstance(g, np.ndarray) and g.dtype == np.float64
-                     and g.shape == params[name].data.shape)]
+             if not all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                        for a in (params[name], g)) or params[name].shape != g.shape]
     if wrong:
-        raise ValueError(f"gradients must be float64 arrays of their parameter's shape: {wrong}")
+        raise ValueError(f"parameters and gradients must be float64 arrays of one shape: {wrong}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - ADAM_BETA1**t
     bc2 = 1.0 - ADAM_BETA2**t
     for name, p in params.items():
         if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
+            state.m[name] = np.zeros_like(p)
+            state.v[name] = np.zeros_like(p)
     rate = {name: rates[group_of(name)] for name in params}
-    new = {name: np.empty_like(p.data) for name, p in params.items()}
 
     def update(names):
         for name in names:
@@ -86,18 +86,15 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
             m += (1.0 - ADAM_BETA1) * g
             v *= ADAM_BETA2
             v += (1.0 - ADAM_BETA2) * (g * g)
-            np.subtract(params[name].data, rate[name] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS),
-                        out=new[name])
+            params[name] -= rate[name] * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     names = list(params)
-    sizes = [a.size for a in new.values()]
+    sizes = [p.size for p in params.values()]
     if sum(sizes) < _SPLIT_MIN_VALUES:
         update(names)
     else:
         cut = parallel.split_point(sizes)
         parallel.on_both_cores((update, names[:cut]), (update, names[cut:]))
-    for name, a in new.items():
-        params[name].data = a
 
 
 def clip_gradients(grads: dict, max_norm: float):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteLoss
+from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from .geometry import INTRINSICS_SLICE
 from .losses import PARAM_SCALE, compound_loss, reprojection_rmse
 from .nn.model import PtModel
@@ -151,15 +151,10 @@ def train(
                 batch_seed,
                 f"non-finite gradient norm {grad_norm} at epoch {epoch} (batch seed {batch_seed})",
             )
-        adam_step(
-            model.params,
-            grads,
-            optimizer,
-            LEARNING_RATES,
-            model.param_group,
-            lr_scale=scheduler.lr_scale,
-            lr_min=LR_MIN,
-        )
+        # Built every step, so a callback that rebinds a parameter's .data
+        # has its array updated next.
+        adam_step({k: t.data for k, t in model.params.items()}, grads, optimizer,
+                  LEARNING_RATES, model.param_group, lr_scale=scheduler.lr_scale, lr_min=LR_MIN)
         del grads
         scheduler.update(loss_value)
 
@@ -240,7 +235,8 @@ def detect_decalibration(
     """Flag cameras whose predicted calibration drifted from the reference.
 
     observations: (N_C, N_fid, 2) capture from the live system.
-    reference: (N_C, 21) factory calibration to compare against.
+    reference: (N_C, 21) factory calibration to compare against; any other
+    shape raises ShapeMismatch, before the model predicts.
     threshold: >= 0; an infinite one flags only non-finite distances.
     Returns {"distances": per-camera values, "drifted": bool per camera,
     "any_drift": bool}. A camera whose distance is not finite (a NaN or inf
@@ -248,6 +244,9 @@ def detect_decalibration(
     """
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold!r}")
+    if np.shape(reference) != (model.config.n_cameras, 21):
+        raise ShapeMismatch(f"reference must be ({model.config.n_cameras}, 21), "
+                            f"got {np.shape(reference)}")
     pred = model.predict(observations)
     dist = parameter_distances(pred, reference)
     drifted = ~(np.isfinite(dist) & (dist <= threshold))

@@ -41,6 +41,7 @@ LABELS = {
     "reference_params T-4",
     "split pullback O-10/cube27 batch 1639 float32 phase 1",
     "blocked jacobian O-10/cube27 batch 40 float32 phase 2",
+    "split adam O-10/cube27 d_model 128 values 274066 two steps",
 }
 
 

@@ -1,11 +1,16 @@
 """Tests for Adam, gradient clipping, and the plateau scheduler."""
 
 import contextlib
+import pickle
 
 import numpy as np
 import pytest
 
+from ncal.nn.autodiff import Tensor
 from ncal.nn.optim import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     PLATEAU_FACTOR,
     PLATEAU_PATIENCE,
     AdamState,
@@ -13,8 +18,6 @@ from ncal.nn.optim import (
     adam_step,
     clip_gradients,
 )
-
-import tape
 
 
 def groups(name):
@@ -25,12 +28,11 @@ def stepped_twice():
     """Two parameters after two Adam steps, with their AdamState and a
     fresh gradient for each."""
     rng = np.random.default_rng(3)
-    p = {"head_w": tape.parameter(rng.normal(size=3)),
-         "enc_w": tape.parameter(rng.normal(size=(2, 2)))}
+    p = {"head_w": rng.normal(size=3), "enc_w": rng.normal(size=(2, 2))}
     state = AdamState()
 
     def fresh():
-        return {k: rng.normal(size=t.data.shape) for k, t in p.items()}
+        return {k: rng.normal(size=a.shape) for k, a in p.items()}
 
     for _ in range(2):
         adam_step(p, fresh(), state, {"encoder": 1e-3, "heads": 1e-3}, groups, lr_min=1e-6)
@@ -40,48 +42,49 @@ def stepped_twice():
 @contextlib.contextmanager
 def refused_untouched(p, state):
     """Require the block to leave the parameters, the moments and the step
-    count bitwise as they were."""
-    data = {k: t.data.tobytes() for k, t in p.items()}
+    count bitwise as they were. A parameter is compared pickled, so one that
+    is not an array (a Tensor, None) is compared too."""
+    data = {k: pickle.dumps(a) for k, a in p.items()}
     moments = {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p}
     step = state.step
     yield
     assert state.step == step
-    assert {k: t.data.tobytes() for k, t in p.items()} == data
+    assert {k: pickle.dumps(a) for k, a in p.items()} == data
     assert {k: (state.m[k].tobytes(), state.v[k].tobytes()) for k in p} == moments
 
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        p = {"w": tape.parameter([1.0, 2.0])}
+        p = {"w": np.array([1.0, 2.0])}
         state = AdamState()
         adam_step(p, {"w": np.zeros(2)}, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
-        np.testing.assert_array_equal(p["w"].data, [1.0, 2.0])
+        np.testing.assert_array_equal(p["w"], [1.0, 2.0])
         assert state.step == 1
 
     def test_constant_gradient_step_approaches_lr_sign(self):
-        p = {"w": tape.parameter([0.0])}
+        p = {"w": np.array([0.0])}
         state = AdamState()
         lr = 1e-2
-        prev = p["w"].data.copy()
+        prev = p["w"].copy()
         for _ in range(300):
             adam_step(p, {"w": np.array([2.5])}, state, {"encoder": lr, "heads": lr}, groups)
-        step = prev[0] - p["w"].data[0]
+        step = prev[0] - p["w"][0]
         # after warm-up each step is ~ lr * sign(g)
         last = []
         for _ in range(5):
-            before = p["w"].data[0]
+            before = p["w"][0]
             adam_step(p, {"w": np.array([2.5])}, state, {"encoder": lr, "heads": lr}, groups)
-            last.append(before - p["w"].data[0])
+            last.append(before - p["w"][0])
         np.testing.assert_allclose(last, lr, rtol=1e-3)
 
     def test_quadratic_bowl_converges(self):
         # minimize 0.5 * ||x - target||^2
         target = np.array([3.0, -2.0, 1.0])
-        p = {"x": tape.parameter(np.zeros(3))}
+        p = {"x": np.zeros(3)}
         state = AdamState()
         losses = []
         for _ in range(100):
-            diff = p["x"].data - target
+            diff = p["x"] - target
             losses.append(0.5 * float(diff @ diff))
             adam_step(p, {"x": diff}, state, {"encoder": 0.02, "heads": 0.02}, groups)
         # monotone decrease once the moment estimates have warmed up
@@ -89,17 +92,17 @@ class TestAdam:
         assert all(b <= a + 1e-9 for a, b in zip(tail, tail[1:]))
         # and with more budget the bowl is actually solved
         for _ in range(900):
-            diff = p["x"].data - target
+            diff = p["x"] - target
             adam_step(p, {"x": diff}, state, {"encoder": 0.02, "heads": 0.02}, groups)
-        final = 0.5 * float((p["x"].data - target) @ (p["x"].data - target))
+        final = 0.5 * float((p["x"] - target) @ (p["x"] - target))
         assert final < 1e-2 * losses[0]
 
     def test_per_group_learning_rates(self):
-        p = {"head_w": tape.parameter([0.0]), "enc_w": tape.parameter([0.0])}
+        p = {"head_w": np.array([0.0]), "enc_w": np.array([0.0])}
         state = AdamState()
         grads = {k: np.array([1.0]) for k in p}
         adam_step(p, grads, state, {"encoder": 1e-4, "heads": 1e-2}, groups)
-        assert abs(p["head_w"].data[0]) > abs(p["enc_w"].data[0]) * 10
+        assert abs(p["head_w"][0]) > abs(p["enc_w"][0]) * 10
 
     @pytest.mark.parametrize("lr_map, lr_scale, lr_min", [
         ({"encoder": 1e-3, "heads": 1e-3}, np.nan, 1e-6),
@@ -110,33 +113,50 @@ class TestAdam:
     def test_non_finite_or_negative_rate_rejected_untouched(self, lr_map, lr_scale, lr_min):
         # A scheduler state read back with lr_scale NaN would otherwise write
         # NaN into every weight: max(nan * lr, lr_min) is NaN.
-        rng = np.random.default_rng(3)
-        p = {"head_w": tape.parameter(rng.normal(size=3)),
-             "enc_w": tape.parameter(rng.normal(size=(2, 2)))}
-        state = AdamState()
         p, state, grads = stepped_twice()
         with refused_untouched(p, state):
             with pytest.raises(ValueError, match="learning rates must be finite"):
                 adam_step(p, grads, state, lr_map, groups, lr_scale=lr_scale, lr_min=lr_min)
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda g: g.pop("enc_w"), r"missing for \['enc_w'\]"),
-        (lambda g: g.update(head_b=np.zeros(3)), r"unknown \['head_b'\]"),
-        (lambda g: g.update(enc_w=np.zeros((2, 3))), r"shape: \['enc_w'\]"),
-        (lambda g: g.update(enc_w=np.zeros(4)), r"shape: \['enc_w'\]"),
-        (lambda g: g.update(head_w=np.zeros(3, np.float32)), r"shape: \['head_w'\]"),
-        (lambda g: g.update(head_w=[0.0, 0.0, 0.0]), r"shape: \['head_w'\]"),
-        (lambda g: g.update(head_w=None), r"shape: \['head_w'\]"),
-    ], ids=["missing", "unknown", "wrong shape", "flattened", "float32", "list", "None"])
+        (lambda p, g: g.pop("enc_w"), r"missing for \['enc_w'\]"),
+        (lambda p, g: g.update(head_b=np.zeros(3)), r"unknown \['head_b'\]"),
+        (lambda p, g: g.update(enc_w=np.zeros((2, 3))), r"shape: \['enc_w'\]"),
+        (lambda p, g: g.update(enc_w=np.zeros(4)), r"shape: \['enc_w'\]"),
+        (lambda p, g: g.update(head_w=np.zeros(3, np.float32)), r"shape: \['head_w'\]"),
+        (lambda p, g: g.update(head_w=[0.0, 0.0, 0.0]), r"shape: \['head_w'\]"),
+        (lambda p, g: g.update(head_w=None), r"shape: \['head_w'\]"),
+        (lambda p, g: p.update(head_w=p["head_w"].astype(np.float32)), r"shape: \['head_w'\]"),
+        (lambda p, g: p.update(enc_w=p["enc_w"].reshape(4)), r"shape: \['enc_w'\]"),
+        (lambda p, g: p.update(head_w=Tensor(p["head_w"])), r"shape: \['head_w'\]"),
+        (lambda p, g: p.update(head_w=None), r"shape: \['head_w'\]"),
+    ], ids=["missing", "unknown", "wrong shape", "flattened", "float32", "list", "None",
+            "float32 parameter", "flattened parameter", "Tensor parameter", "None parameter"])
     def test_missing_or_malformed_gradient_rejected_untouched(self, edit, message):
         # A parameter without its gradient would otherwise be stepped by its
-        # decaying momentum alone, and a float32 or mis-shaped gradient
-        # broadcast or cast into the moments.
+        # decaying momentum alone, a float32 or mis-shaped gradient
+        # broadcast or cast into the moments, and a float32 parameter
+        # updated in float32. A parameter that is not an array, such as a
+        # Tensor still passed as model.params, is refused as well.
         p, state, grads = stepped_twice()
-        edit(grads)
+        edit(p, grads)
         with refused_untouched(p, state):
             with pytest.raises(ValueError, match=message):
                 adam_step(p, grads, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
+
+    def test_updates_each_parameter_in_its_own_array(self):
+        # The textbook update out of place on copies, from the moments the
+        # step leaves, equals bitwise what the step wrote in place.
+        p, state, grads = stepped_twice()
+        before = {k: (a, a.copy()) for k, a in p.items()}
+        adam_step(p, grads, state, {"encoder": 1e-3, "heads": 1e-2}, groups)
+        bc1, bc2 = 1.0 - ADAM_BETA1**3, 1.0 - ADAM_BETA2**3
+        for k, (a, old) in before.items():
+            assert p[k] is a, k
+            rate = 1e-2 if k.startswith("head") else 1e-3
+            m, v = state.m[k], state.v[k]
+            want = old - rate * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            assert a.tobytes() == want.tobytes(), k
 
 
 class TestClip:

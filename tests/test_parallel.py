@@ -142,7 +142,8 @@ class TestOnBothCores:
         # head_b, the last parameter, is updated by the second call.
         grads["head_b"] = grads["head_b"].view(Recorded)
         monkeypatch.setattr(optim, "_SPLIT_MIN_VALUES", 0)
-        adam_step(model.params, grads, AdamState(), GROUPS, model.param_group)
+        adam_step({k: t.data for k, t in model.params.items()}, grads, AdamState(), GROUPS,
+                  model.param_group)
         assert worker not in (main, None)
         assert {job: sorted(set(seen)) for job, seen in names.items()} == {
             "fill": sorted([main, worker]), "save": [worker], "load": [worker],
@@ -274,7 +275,8 @@ class TestSplitAdam:
         try:
             for _ in range(steps):
                 grads = {k: rng.normal(size=t.data.shape) for k, t in model.params.items()}
-                adam_step(model.params, grads, state, GROUPS, model.param_group, lr_min=1e-6)
+                adam_step({k: t.data for k, t in model.params.items()}, grads, state, GROUPS,
+                          model.param_group, lr_min=1e-6)
         finally:
             optim._SPLIT_MIN_VALUES = old
         return model, state
@@ -301,12 +303,15 @@ class TestSplitAdam:
                 raise FloatingPointError("poisoned gradient")
 
         model = random_model()
-        grads = {k: np.zeros_like(t.data) for k, t in model.params.items()}
+        grads = {k: np.ones_like(t.data) for k, t in model.params.items()}
         grads[failing] = grads[failing].view(Poisoned)
         monkeypatch.setattr(optim, "_SPLIT_MIN_VALUES", 0)
-        before = {k: t.data for k, t in model.params.items()}
+        params = {k: t.data for k, t in model.params.items()}
+        unchanged = params[failing].copy()
         with pytest.raises(FloatingPointError, match="poisoned gradient"):
-            adam_step(model.params, grads, AdamState(), GROUPS, model.param_group)
+            adam_step(params, grads, AdamState(), GROUPS, model.param_group)
         assert parallel.blas_threads() == two_blas_threads
-        # No parameter is rebound unless both halves finished.
-        assert all(model.params[k].data is a for k, a in before.items())
+        # Every parameter is still updated in its own array, and the one
+        # whose gradient raised is not written.
+        assert all(model.params[k].data is a for k, a in params.items())
+        assert params[failing].tobytes() == unchanged.tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import tape
-from ncal.errors import ConfigError, NonFiniteLoss
+from ncal.errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from ncal.losses import compound_loss
 from ncal.nn.checkpoint import load_checkpoint, save_checkpoint
 from ncal.nn.autodiff import Tensor
@@ -337,9 +337,9 @@ class TestStep:
     def test_backward_reads_weights_as_at_forward(self):
         # The backward rebuilds each block's norm outputs from the gains and
         # biases, and takes products with the weights, captured at the
-        # forward: rebinding them in between (as adam_step does) changes no
-        # gradient. In float32 the pullback casts again the float64 arrays
-        # the forward read, not the rebound ones.
+        # forward: rebinding them in between (as an epoch callback may)
+        # changes no gradient. In float32 the pullback casts again the
+        # float64 arrays the forward read, not the rebound ones.
         def gradients(rebind, dtype):
             model, X, args = small_step_inputs(True, 2)
             pred = model.forward(X, dtype)
@@ -559,6 +559,17 @@ class TestDetection:
         obs = synthesize_batch(scn, 1, seed=0).observations[0]
         with pytest.raises(ValueError, match="threshold"):
             detect_decalibration(model, obs, model.reference_params, threshold)
+
+    @pytest.mark.parametrize("cut", [np.s_[0], np.s_[:1], np.s_[:, :12]],
+                             ids=["(21,)", "(1, 21)", "(4, 12)"])
+    def test_misshaped_reference_rejected_before_predicting(self, cut, monkeypatch):
+        # A (21,) or (1, 21) reference would broadcast against every camera
+        # and read as no drift; a (4, 12) one fail inside numpy.
+        scn, model = small_setup()
+        obs = synthesize_batch(scn, 1, seed=0).observations[0]
+        monkeypatch.setattr(model, "predict", lambda _: pytest.fail("predicted"))
+        with pytest.raises(ShapeMismatch, match=r"reference must be \(4, 21\)"):
+            detect_decalibration(model, obs, model.reference_params[cut], threshold=1.0)
 
     def test_threshold_calibration_rejects_non_finite_distances(self):
         # A NaN focal-length bias makes every clean-set distance NaN.

@@ -37,10 +37,12 @@ Covered, in the order the lines print:
 - the gradients of the three loss terms at the ground truth and next to it,
   where arccos is steepest, and the reference calibration of every built-in
   rig;
-- last, two float32 steps of that model: one at a batch whose pullback runs
+- two float32 steps of that model: one at a batch whose pullback runs
   in two halves, one on each core, and a phase-2 step whose reprojection
   backward builds its Jacobian in several blocks, with one camera that sees
-  every fiducial behind it.
+  every fiducial behind it;
+- last, two Adam steps of a model large enough that the update runs in two
+  parts, one on each core: the parameters and both moments.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from ncal import losses, scene, training  # noqa: E402
 from ncal.errors import SynthesisStalled  # noqa: E402
-from ncal.nn import checkpoint  # noqa: E402
+from ncal.nn import checkpoint, optim  # noqa: E402
 from ncal.nn.model import PtModel, PtModelConfig  # noqa: E402
 from ncal.scene import PerturbationSpec, PoseRanges, SceneConfig  # noqa: E402
 
@@ -293,6 +295,29 @@ def blocked_jacobian_lines():
            step_digest(model, cfg, b, 2, np.float32))
 
 
+def split_adam_lines():
+    # Two steps by fixed random gradients at d_model 128 x 2, d_ff 256 on
+    # O-10/cube27: 274,066 values, above the gate from which adam_step
+    # updates them in two parts, one on each core.
+    cfg = config("O-10", "cube27", 0.0)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=128, n_layers=2,
+                         n_heads=4, d_ff=256)
+    model = PtModel(mcfg, scene.reference_params(cfg.rig, cfg.oem, cfg.radius),
+                    cfg.rig.image_size, cfg.radius, seed=1)
+    params = {k: t.data for k, t in model.params.items()}
+    values = sum(a.size for a in params.values())
+    if values < optim._SPLIT_MIN_VALUES:
+        raise SystemExit(f"{values} values are below adam_step's gate")
+    rng = np.random.default_rng(12)
+    state = optim.AdamState()
+    for _ in range(2):
+        grads = {k: rng.standard_normal(a.shape) for k, a in params.items()}
+        optim.adam_step(params, grads, state, training.LEARNING_RATES, model.param_group,
+                        lr_min=training.LR_MIN)
+    yield (f"split adam O-10/cube27 d_model 128 values {values} two steps",
+           digest(arrays_digest(params), arrays_digest(state.m), arrays_digest(state.v)))
+
+
 def ground_truth_lines():
     # At pred = gt the parameter and reprojection residuals are exactly zero;
     # scaling the rotations by 1 - 4 eps puts (trace - 1) / 2 a few ULP
@@ -319,7 +344,7 @@ def reference_lines():
 
 SECTIONS = (synthesis_lines, training_lines, penalty_lines, construction_lines, encoder_lines,
             heads_lines, ground_truth_lines, reference_lines, split_lines,
-            blocked_jacobian_lines)
+            blocked_jacobian_lines, split_adam_lines)
 
 
 def lines() -> list:
