@@ -25,12 +25,12 @@ backward takes an optional row slice, ``rows``, by default every row: g is
 then the gradient of those rows of the output, and the backward reads the
 same rows of what its stage saved, as views, and returns those rows' input
 gradient and their share of the parameter gradients. Two calls on the
-halves of a batch can run at once, one per thread (``PtModel.forward``'s
-pullback); they call none of the four kernels named above, which the
-benchmark's tracer wraps. Freeing is the caller's: ``PtModel.forward``'s
-pullback drops each backward, and with it the arrays its stage saved, once
-it has run, and ``PtModel.predict`` drops each backward as its stage
-returns. The arithmetic is that of the same step
+halves of a batch can run at once, one per thread (``model._backward``);
+they call none of the four kernels named above, which the benchmark's
+tracer wraps. Freeing is the caller's: ``model._backward`` drops each
+backward, and with it the arrays its stage saved, once it has run, and
+``PtModel.predict`` runs the stages with no list to keep them in, so each
+backward goes as its stage returns. The arithmetic is that of the same step
 composed from generic tape primitives (kept in the tests as the oracle), op
 for op and in the tape's order of accumulation, so values and gradients are
 bitwise equal to that composition.
@@ -85,10 +85,11 @@ def _scale_shift(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.nda
 
 def embed(x: np.ndarray, weight: np.ndarray, bias: np.ndarray):
     """The affine embedding x @ weight + bias of the data x, and its
-    backward, which returns the weight and bias gradients only."""
+    backward, which returns linear_grad's (None, gw, gb): x is data, so it
+    gets no gradient."""
 
     def backward(g, rows=slice(None)):
-        return linear_grad(g, x[rows], None, False)[1:]
+        return linear_grad(g, x[rows], None, False)
 
     return linear(x, weight, bias), backward
 

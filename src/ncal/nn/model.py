@@ -28,14 +28,13 @@ Each stage is a function in ``nn.functional`` that returns its output and
 its written-out backward: the embedding (step 1, ``F.embed``; the constant
 identity codes of step 2 pass the gradient through unchanged), one per
 encoder block (step 3, ``F.encoder_block``) and steps 4 and 5,
-``F.heads``. A forward pass composes their backwards, in reverse, into one
-pullback that returns every parameter's gradient in a new dict. The pullback
-runs once: it runs the heads' backward, then the blocks' last block first,
-then the embedding's, and drops each backward, with the arrays it saved,
-before the next one starts, so a backward holds the saved arrays of the
-stages still to run, not of every stage. ``predict`` runs the same stages
-and drops each backward as its stage returns, so inference keeps no
-pullback.
+``F.heads``. One runner, ``PtModel._run``, calls them for both ``forward``
+and ``predict``. For ``forward`` it lists each stage's parameter names and
+backward, and the pullback, ``_backward``, runs them once, last first, and
+drops each, with the arrays it saved, before the next one starts, so a
+backward holds the saved arrays of the stages still to run, not of every
+stage. For ``predict`` it keeps no list, so each backward goes as its stage
+returns and inference keeps no pullback.
 
 From ``_SPLIT_MIN_VALUES`` values in one encoder activation on, the
 pullback uses both cores (``parallel.on_both_cores``): each stage's backward
@@ -268,8 +267,8 @@ def _float64_sums(parts) -> list:
 def _pull(backward, g, halves, dtype, *args):
     """Run one stage's backward for the gradient g of its output, and args,
     and join what it returns: (the input gradient in dtype, one array, or
-    None when dtype is None, for a stage that returns parameter gradients
-    only; the parameter gradients in float64, one buffer).
+    None for the embedding, whose input is data; the parameter gradients in
+    float64, one buffer).
 
     halves None runs backward(g, *args) on the calling thread. Otherwise
     each (rows) slice of halves runs on a core of its own, on its rows of g
@@ -280,13 +279,41 @@ def _pull(backward, g, halves, dtype, *args):
         parts = [backward(g, *args)]
     else:
         parts = parallel.on_both_cores(*((backward, g[rows], *args, rows) for rows in halves))
-    if dtype is None:
-        return None, _float64_sums(parts)
     gx = parts[0][0]
-    if halves is not None:
-        gx = np.empty(g.shape[:1] + gx.shape[1:], dtype)
-        gx[halves[0]], gx[halves[1]] = (part[0] for part in parts)
-    return gx.astype(dtype, copy=False), _float64_sums([part[1:] for part in parts])
+    if gx is not None:
+        if halves is not None:
+            gx = np.empty(g.shape[:1] + gx.shape[1:], dtype)
+            gx[halves[0]], gx[halves[1]] = (part[0] for part in parts)
+        gx = gx.astype(dtype, copy=False)
+    return gx, _float64_sums([part[1:] for part in parts])
+
+
+def _kept(stages, names, stage, weights=None):
+    """The output of stage, an (out, backward); the backward goes on stages
+    as (names, backward, weights), or, when stages is None, is dropped here
+    with the arrays its stage saved, before the next stage starts."""
+    out, backward = stage
+    if stages is not None:
+        stages.append((names, backward, weights))
+    return out
+
+
+def _backward(stages, g, halves, dtype):
+    """The pullback: pop and run the backwards PtModel._run put on stages,
+    last first, from the gradient g of the last stage's output, each with
+    its halves and dropped before the next starts. Returns (the first
+    stage's input gradient in dtype, or None for the embedding; a new dict
+    of every listed parameter's float64 gradient, in stage order). Every
+    input gradient, the heads' too, comes back in dtype, so that no float64
+    copy is held while the blocks run; a block's weights are cast again."""
+    grads = dict.fromkeys(k for names, *_ in stages for k in names)
+    while stages:
+        names, backward, weights = stages.pop()
+        args = () if weights is None else ([w.astype(dtype, copy=False) for w in weights],)
+        g, stage_grads = _pull(backward, g, halves, dtype, *args)
+        del backward, args
+        grads.update(zip(names, stage_grads))
+    return g, grads
 
 
 class PtModel:
@@ -400,50 +427,36 @@ class PtModel:
         w, b = self.params["embed_w"].data, self.params["embed_b"].data
         return F.embed(flat, w.astype(X.dtype, copy=False), b.astype(X.dtype, copy=False))
 
-    def encode(self, x: np.ndarray):
+    def encode(self, x: np.ndarray, stages=None) -> np.ndarray:
         """Run the transformer encoder stack over the camera axis, in x's
-        dtype.
-
-        Returns (out, pullback). pullback(g), for the gradient g of out,
-        casts g to x's dtype and returns the gradient of x, in x's dtype,
-        and a dict of every block parameter's float64 gradient, in parameter
-        order, each block's in one buffer. It runs the blocks' backwards last
-        block first, each in two row halves on both cores from
-        _SPLIT_MIN_VALUES values of x on, joined before the next block, and
-        drops each, with the arrays its block saved, before the next starts,
-        so it runs once: a second call raises RuntimeError.
-
-        The forward keeps no weight cast: a block's casts go with its
-        forward, and the pullback casts the float64 arrays the forward read
-        again, once per block on the calling thread before its halves start,
-        so rebinding a parameter's data in between changes no gradient.
-        """
+        dtype, and return its output. Each block's backward goes on stages
+        (see _kept) with the float64 weights its forward read, which
+        _backward casts again, so that no weight cast outlives the forward
+        and rebinding a parameter's data in between changes no gradient."""
         if x.ndim != 3 or x.shape[-1] != self.config.d_model:
             raise ShapeMismatch(f"encoder expects (B, N_C, d_model), got {x.shape}")
-        dtype = x.dtype
-        names = [self._block_names(i) for i in range(self.config.n_layers)]
-        backwards = []
-        for block in names:
-            weights = [self.params[k].data for k in block]
-            x, backward = F.encoder_block(x, [w.astype(dtype, copy=False) for w in weights],
-                                          self.config.n_heads)
-            backwards.append((backward, weights))
+        for i in range(self.config.n_layers):
+            names = self._block_names(i)
+            weights = [self.params[k].data for k in names]
+            x = _kept(stages, names, F.encoder_block(
+                x, [w.astype(x.dtype, copy=False) for w in weights], self.config.n_heads), weights)
+        return x
 
-        def pullback(g):
-            if not backwards:
-                raise RuntimeError("the encoder's pullback has already run")
-            g = g.astype(dtype, copy=False)
-            halves = self._halves(g.shape[0])
-            grads = dict.fromkeys(k for block in names for k in block)
-            for block in reversed(names):
-                backward, weights = backwards.pop()
-                casts = [w.astype(dtype, copy=False) for w in weights]
-                g, block_grads = _pull(backward, g, halves, dtype, casts)
-                del backward, casts
-                grads.update(zip(block, block_grads))
-            return g, grads
-
-        return x, pullback
+    def _run(self, X, dtype, stages=None) -> np.ndarray:
+        """The (B, n_cameras, 21) float64 prediction for the float64 batch X,
+        with the embedding and the encoder blocks in dtype: normalize, embed,
+        add the identity codes, encode, heads. Each stage's backward goes on
+        stages (see _kept)."""
+        # The identity codes are a constant offset, whose gradient is the
+        # identity: added to the embedding's value, they need no backward.
+        # The encoder's input is a temporary, so nothing here holds it
+        # while its later blocks run.
+        codes = self.cie.astype(dtype, copy=False)
+        h = self.encode(_kept(stages, ["embed_w", "embed_b"], self.embed(
+            self.normalize_input(X).astype(dtype, copy=False))) + codes, stages)
+        return _kept(stages, ["head_w", "head_b"],
+                     F.heads(h, self.params["head_w"].data, self.params["head_b"].data,
+                             self._center, self._scale, self._reference_R))
 
     def forward(self, X, dtype=np.float64) -> Tensor:
         """Predict flattened camera parameters for a batch of captures.
@@ -452,64 +465,37 @@ class PtModel:
         takes a single capture. dtype: the precision of the embedding and the
         encoder blocks, np.float64 or np.float32; the heads and the
         prediction are float64 either way. Returns a (B, n_cameras, 21)
-        Tensor whose backward(g) returns, for the prediction's gradient g,
-        a new dict of every parameter's float64 gradient, keyed and ordered
-        like params. The backward runs once: it frees each stage's saved
+        Tensor whose backward(g), _backward over the stages, returns for the
+        prediction's gradient g a new dict of every parameter's float64
+        gradient, keyed and ordered like params. It frees each stage's saved
         arrays as the stage's backward finishes, the heads' (with the
-        encoder output) first and the embedding's last, and a second call
-        raises RuntimeError. From _SPLIT_MIN_VALUES values in the encoder's
-        (B, n_cameras, d_model) activation on, each stage's backward runs
-        as two half-batch backwards, one on each core, joined
-        before the next stage (see the module docstring). Rotation blocks
-        are orthonormal for any weights.
+        encoder output) first, so a second call raises RuntimeError. From
+        _SPLIT_MIN_VALUES values in the encoder's (B, n_cameras, d_model)
+        activation on, each stage's backward runs as two half-batch
+        backwards, one on each core (see the module docstring). Rotation
+        blocks are orthonormal for any weights.
         """
-        x = self.normalize_input(np.asarray(X, dtype=np.float64)).astype(dtype, copy=False)
-        h, embed_backward = self.embed(x)
-        # The identity codes are a constant offset, whose gradient is the
-        # identity: added to the embedding's value, they need no backward.
-        h += self.cie.astype(dtype, copy=False)
-        h, encode_pullback = self.encode(h)
-        pred, heads_backward = F.heads(h, self.params["head_w"].data,
-                                       self.params["head_b"].data,
-                                       self._center, self._scale, self._reference_R)
-        # Popped from the end as each runs, so that each stage's saved arrays
-        # are freed before the next stage's backward starts.
-        stages = [embed_backward, encode_pullback, heads_backward]
+        stages = []
+        pred = self._run(np.asarray(X, dtype=np.float64), dtype, stages)
 
         def pullback(g):
             if not stages:
                 raise RuntimeError("a prediction's backward runs once; run forward again")
-            grads = dict.fromkeys(self.params)
-            halves = self._halves(g.shape[0])
-            # The heads' input gradient comes back in the blocks' dtype, so
-            # that a float64 copy is not held while they run.
-            g, (grads["head_w"], grads["head_b"]) = _pull(stages.pop(), g, halves, dtype)
-            g, block_grads = stages.pop()(g)
-            grads.update(block_grads)
-            grads["embed_w"], grads["embed_b"] = _pull(stages.pop(), g, halves, None)[1]
-            return grads
+            return _backward(stages, g, self._halves(g.shape[0]), dtype)[1]
 
         return Tensor(pred, pullback)
 
     def predict(self, X) -> np.ndarray:
-        """The prediction of forward as a plain array, from the same stages
-        over PREDICT_CHUNK captures at a time. Each stage's backward is
-        dropped as the stage returns, so a pass holds the intermediates of
-        one stage at a time. A single capture, (n_cameras, n_fiducials, 2),
-        gets the batch axis here, and its (n_cameras, 21) result loses it
-        again."""
+        """The prediction of forward as a plain array, from _run over
+        PREDICT_CHUNK captures at a time with no stage list, so a pass holds
+        the intermediates of one stage at a time. A single capture,
+        (n_cameras, n_fiducials, 2), gets the batch axis here, and its
+        (n_cameras, 21) result loses it again."""
         X = np.asarray(X, dtype=np.float64)
         batch = X[None] if X.ndim == 3 else X
-        chunks = []
         # At least one pass, so an empty batch still meets embed's shape checks.
-        for lo in range(0, max(len(batch), 1), PREDICT_CHUNK):
-            h = self.embed(self.normalize_input(batch[lo : lo + PREDICT_CHUNK]))[0]
-            h += self.cie
-            for i in range(self.config.n_layers):
-                weights = [self.params[k].data for k in self._block_names(i)]
-                h = F.encoder_block(h, weights, self.config.n_heads)[0]
-            chunks.append(F.heads(h, self.params["head_w"].data, self.params["head_b"].data,
-                                  self._center, self._scale, self._reference_R)[0])
+        chunks = [self._run(batch[lo : lo + PREDICT_CHUNK], np.float64)
+                  for lo in range(0, max(len(batch), 1), PREDICT_CHUNK)]
         out = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
         return out[0] if X.ndim == 3 else out
 

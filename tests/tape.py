@@ -29,6 +29,7 @@ from ncal.errors import DegenerateRotation, NcalError, ShapeMismatch
 from ncal.losses import LAM1, LAM2, PARAM_SCALE
 from ncal.nn import autodiff as ad
 from ncal.nn import functional as F
+from ncal.nn import model as model_module
 from ncal.nn.autodiff import subgradient
 
 
@@ -450,12 +451,14 @@ def forward(model, X) -> Tensor:
 
 def encode(model, x) -> Tensor:
     """The model's encoder stack as one node over x and the block
-    parameters, whose gradients its pullback returns with x's."""
+    parameters, whose gradients the model's backward loop returns with
+    x's."""
     names = [k for k in model.params if k.startswith("layer")]
-    out, pullback = model.encode(x.data)
+    stages = []
+    out = model.encode(x.data, stages)
 
     def backward(g):
-        gx, grads = pullback(g)
+        gx, grads = model_module._backward(stages, g, model._halves(len(g)), x.data.dtype)
         return (gx, *(grads[k] for k in names))
 
     return _node(out, (x, *(model.params[k] for k in names)), backward)

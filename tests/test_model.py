@@ -182,10 +182,11 @@ class TestEmbed:
 
     def test_float32_input_computes_in_float32(self):
         # The float64 weights are cast to the input's dtype, so the output
-        # and both gradients stay float32.
+        # and both gradients stay float32; the data gets no gradient.
         rng = np.random.default_rng(9)
         out, backward = tiny_model().embed(rng.normal(size=(5, 3, 4, 2)).astype(np.float32))
-        grads = backward(rng.normal(size=out.shape).astype(np.float32))
+        gx, *grads = backward(rng.normal(size=out.shape).astype(np.float32))
+        assert gx is None
         assert [a.dtype for a in (out, *grads)] == [np.float32] * 3
 
 
@@ -507,9 +508,12 @@ class TestLinear:
         out.backward(upstream)
         want = [out.data] + [t.grad for t in ts]
         got = [F.linear(x, w, b), *F.linear_grad(upstream, x, w)]
-        # The embedding of data: the weight and bias gradients only.
+        # The embedding of data: no input gradient, then the weight and
+        # bias gradients.
         out, backward = F.embed(x, w, b)
-        got += [out, *backward(upstream)]
+        gx, *grads = backward(upstream)
+        assert gx is None
+        got += [out, *grads]
         want += [want[0], want[2], want[3]]
         assert len(got) == len(want) == 7
         for g, wnt in zip(got, want):
@@ -607,6 +611,29 @@ class TestKeptMemory:
             tracemalloc.stop()
         assert peak < bound
 
+    def test_predict_peak_does_not_grow_with_depth(self):
+        # predict drops each block's backward, and the encoder's input,
+        # before the next block starts, so a 4-block model peaks where a
+        # 1-block one does, within half of one (B, N, d_model) activation.
+        # Holding the encoder's input would add that activation, and a
+        # backward held into the next block the set its block keeps, ~8 of
+        # them.
+        X = np.random.default_rng(34).uniform(100, 900, size=(self.BATCH, 4, 8, 2))
+
+        def peak(n_layers):
+            m = tiny_model(**dict(self.CONFIG, n_layers=n_layers))
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                m.predict(X)
+                return tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+
+        cfg = self.CONFIG
+        activation = 8 * self.BATCH * cfg["n_cameras"] * cfg["d_model"]
+        assert abs(peak(4) - peak(1)) < activation / 2
+
     def backward_memory(self, dtype):
         """Traced bytes of a forward in dtype and its backward: (kept by the
         forward, peak during the backward, left after it, with the
@@ -670,7 +697,7 @@ class TestEncoder:
         rng = np.random.default_rng(9)
         m = random_encoder(rng)
         x = rng.normal(size=(2, 3, 8))
-        out, _ = m.encode(x)
+        out = m.encode(x)
         ref = x.copy()
         for i in range(2):
             ref = loop_reference_block(ref, m.params, i, n_heads=2)
@@ -683,7 +710,7 @@ class TestEncoder:
         rng = np.random.default_rng(12)
         m = random_encoder(rng)
         x = rng.normal(size=(2, 3, 8))
-        out, _ = m.encode(x)
+        out = m.encode(x)
         ref = x.copy()
         for i in range(2):
             ref = loop_reference_block(ref, m.params, i, n_heads=2,
@@ -696,7 +723,7 @@ class TestEncoder:
             if k.startswith("layer") and not k.endswith("ln1_g") and not k.endswith("ln2_g"):
                 t.data = np.zeros_like(t.data)
         x = np.random.default_rng(10).normal(size=(2, 3, 8))
-        out, _ = m.encode(x)
+        out = m.encode(x)
         np.testing.assert_allclose(out, x, atol=1e-14)
 
     def test_shape_mismatch(self):
@@ -831,6 +858,18 @@ class TestForward:
         out = m.predict(X)
         assert out.shape == (3, 21)
         assert out.tobytes() == m.forward(X[None]).data[0].tobytes()
+
+    def test_batch_predict_equals_forward_bitwise(self):
+        # Within one chunk predict runs forward's stages on the same shapes,
+        # so a batch matches bit for bit, not only a single capture. Across
+        # chunks the products run at other shapes, where OpenBLAS may round
+        # differently (test_predict_in_chunks_matches_one_forward).
+        m = tiny_model(n_layers=2)
+        rng = np.random.default_rng(18)
+        for t in m.params.values():
+            t.data = rng.normal(size=t.data.shape) * 0.3
+        X = rng.uniform(0, 1024, size=(5, 3, 4, 2))
+        assert m.predict(X).tobytes() == m.forward(X).data.tobytes()
 
     def test_forward_rejects_single_capture(self):
         # forward takes batches; predict is the single-capture path.

@@ -5,7 +5,8 @@ a name the package no longer calls through would read 0 in every traced
 run. This runs a small session under the tracer and requires a span for
 every name ``install()`` wraps, and exactly one ``autodiff.backward`` span
 per training epoch, none inside another, so the backward figure counts each
-pullback once.
+pullback once. Inference runs the same model-level stages, so a traced
+``predict`` records them too.
 """
 
 import importlib.util
@@ -104,3 +105,22 @@ def test_split_step_closes_every_span_in_order(split_calls, monkeypatch):
             assert spans[s[PARENT]][START] <= s[START] <= s[END] <= spans[s[PARENT]][END]
     backward = [s for s in spans if s[tracing.NAME] == "autodiff.backward"]
     assert len(backward) == len(result.records) == 2
+
+
+def test_predict_records_embed_and_encode_per_chunk(monkeypatch):
+    # Inference runs forward's stages through PtModel.embed and
+    # PtModel.encode, so a traced predict is visible at model level: one
+    # span of each per PREDICT_CHUNK captures, for one capture and a batch.
+    tracing = load_tracing()
+    monkeypatch.setattr(model_module, "PREDICT_CHUNK", 2)
+    sc, model = tiny_setup()
+    observations = scene.synthesize_batch(sc, 5, 1).observations
+    for X, chunks in ((observations[0], 1), (observations, 3)):
+        tracer = tracing.Tracer()
+        installed = tracing.install(tracer)
+        try:
+            model.predict(X)
+        finally:
+            installed.remove()
+        names = [s[tracing.NAME] for s in tracer.spans]
+        assert names.count("model.embed") == names.count("model.encode") == chunks

@@ -322,17 +322,13 @@ class TestStep:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_second_backward_raises(self, dtype):
         # The pullback frees each stage's saved arrays as it runs, so it
-        # cannot run again; neither can the encoder's.
+        # cannot run again.
         model, X, args = small_step_inputs(True, 2)
         pred = model.forward(X, dtype)
         grad = compound_loss(pred.data, *args)[2]
         pred.backward(grad)
         with pytest.raises(RuntimeError, match="backward runs once"):
             pred.backward(grad)
-        out, pullback = model.encode(np.zeros((2, 6, 64), dtype))
-        pullback(np.ones(out.shape))
-        with pytest.raises(RuntimeError, match="already run"):
-            pullback(np.ones(out.shape))
 
     def test_backward_reads_weights_as_at_forward(self):
         # The backward rebuilds each block's norm outputs from the gains and

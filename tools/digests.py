@@ -66,6 +66,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from ncal import losses, scene, training  # noqa: E402
 from ncal.errors import SynthesisStalled  # noqa: E402
 from ncal.nn import checkpoint, optim  # noqa: E402
+from ncal.nn import model as model_module  # noqa: E402
 from ncal.nn.model import PtModel, PtModelConfig  # noqa: E402
 from ncal.scene import PerturbationSpec, PoseRanges, SceneConfig  # noqa: E402
 
@@ -211,14 +212,17 @@ def encoder_lines():
         if k.endswith(("ln1_g", "ln2_g")):
             t.data += 1.0
     x = rng.normal(size=(4, cfg.n_cameras, 512))
-    out, pullback = model.encode(x)
+    halves = model._halves(len(x))
+    stages = []
+    out = model.encode(x, stages)
     g = rng.normal(size=out.shape)
-    gx, grads = pullback(g)
+    gx, grads = model_module._backward(stages, g, halves, np.float64)
     yield "encoder paper width", digest(out, gx, *(grads[k] for k in layers))
     # The same encoder on the same input cast to float32, the precision
-    # train() runs it in; the pullback casts g and returns float64 gradients.
-    out, pullback = model.encode(x.astype(np.float32))
-    gx, grads = pullback(g)
+    # train() runs it in, under g cast to float32; the gradients come back
+    # in float64.
+    out = model.encode(x.astype(np.float32), stages)
+    gx, grads = model_module._backward(stages, g.astype(np.float32), halves, np.float32)
     yield "encoder paper width float32", digest(out, gx, *(grads[k] for k in layers))
 
 
