@@ -1,5 +1,6 @@
 """Camera mathematics on flattened parameter arrays: projection, its
-Jacobian, the proper-rotation test and the image-size rule.
+Jacobian, the proper-rotation test, the image-size rule and the cross
+product.
 
 Conventions
 -----------
@@ -63,6 +64,15 @@ def is_proper_rotation(R) -> bool:
     R = np.asarray(R, dtype=float)
     err = np.linalg.norm(np.swapaxes(R, -1, -2) @ R - np.eye(3), axis=(-2, -1))
     return bool(np.all(err <= ROTATION_TOL) and np.all(abs(np.linalg.det(R) - 1.0) <= ROTATION_TOL))
+
+
+def cross(a, b) -> np.ndarray:
+    """Cross product along the last axis (size 3) of broadcast arrays: bitwise
+    np.cross, which computes the same three differences of products, at a
+    fraction of its per-call cost."""
+    a0, a1, a2 = a[..., 0:1], a[..., 1:2], a[..., 2:3]
+    b0, b1, b2 = b[..., 0:1], b[..., 1:2], b[..., 2:3]
+    return np.concatenate([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
 def _project_forward(params_vec, pts):

@@ -277,7 +277,7 @@ def rot6d_to_matrix_t(r6: np.ndarray):
     n2 = n2sq**0.5
     b2 = u2 / n2
     # Rows of the (3, 3) block are b1, b2, b3 == R^T; transpose to row-major R.
-    rt = np.concatenate([b1, b2, _cross3(b1, b2)], axis=-1)
+    rt = np.concatenate([b1, b2, geometry.cross(b1, b2)], axis=-1)
     batch = rt.shape[:-1]
     r9 = np.swapaxes(rt.reshape(batch + (3, 3)), -1, -2).reshape(batch + (9,))
     return r9, (a1, a2, n1sq, n1, b1, d, u2, n2sq, n2, b2)
@@ -290,8 +290,8 @@ def rot6d_grad(g: np.ndarray, saved: tuple):
     grt = np.swapaxes(g.reshape(g.shape[:-1] + (3, 3)), -1, -2).reshape(g.shape)
     gb3 = grt[..., 6:9]
     # b3 = b1 x b2
-    gb1 = grt[..., 0:3] + _cross3(b2, gb3)
-    gb2 = grt[..., 3:6] + _cross3(gb3, b1)
+    gb1 = grt[..., 0:3] + geometry.cross(b2, gb3)
+    gb2 = grt[..., 3:6] + geometry.cross(gb3, b1)
     # b2 = u2 / n2 with n2 = (u2 . u2) ** 0.5
     gn2 = (-gb2 * u2 / (n2 * n2)).sum(axis=-1, keepdims=True)
     t = gn2 * ad.subgradient(lambda: 0.5 * n2sq**-0.5, n2sq == 0.0) * u2
@@ -304,10 +304,3 @@ def rot6d_grad(g: np.ndarray, saved: tuple):
     gn1 = (-gb1 * a1 / (n1 * n1)).sum(axis=-1, keepdims=True)
     t = gn1 * ad.subgradient(lambda: 0.5 * n1sq**-0.5, n1sq == 0.0) * a1
     return gb1 / n1 + t + t, ga2
-
-
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product along the last axis (size 3)."""
-    a0, a1, a2 = a[..., 0:1], a[..., 1:2], a[..., 2:3]
-    b0, b1, b2 = b[..., 0:1], b[..., 1:2], b[..., 2:3]
-    return np.concatenate([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)

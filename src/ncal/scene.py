@@ -29,16 +29,24 @@ pose kernels take leading batch axes: pose angles ``(...)`` give rotations
 ``(..., 3, 3)`` and placed rigs ``(..., N_C, 21)``, bitwise as if one by one.
 
 Sampling is deterministic: sample ``i`` of a batch generated with seed ``s``
-draws from its own PCG64 stream seeded by ``(s, i)``, so a sample does not
-depend on the size of the batch it is drawn in. The draws are per sample, the
-arithmetic is stacked: the perturbation kernels take the batch's generators
-and compute once over ``(n, N_C, ...)``, and each attempt round places,
+draws from the stream of ``default_rng(SeedSequence([s, i]))``, so a sample
+does not depend on the size of the batch it is drawn in. Each sample draws,
+in this order: its intrinsic uniforms ``(N_C, 9)``, its mount translation
+uniforms ``(N_C, 3)``, its mount rotation axes ``(N_C, 3)`` (standard
+normal), its mount rotation angle uniforms ``(N_C,)``, then one theta, phi,
+alpha uniform triple per attempt round. A batch computes every stream's
+starting PCG64 state in one vectorized pass (``_pcg64_states``) and draws
+all samples from one generator, whose state it sets before each sample's
+draws; a rejected sample resumes from the state its last draw left. The
+arithmetic is stacked: the perturbation kernels take the batch's draws and
+compute once over ``(n, N_C, ...)``, and each attempt round places,
 projects and checks all samples still without a visible pose at once.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -261,9 +269,9 @@ def look_at_rotation(eye, target) -> np.ndarray:
     # cross((0,1,0), f) has norm sqrt(fz^2 + fx^2), so |x| >= 1e-6 below.
     near_y = np.hypot(f[..., 0], f[..., 2]) < 1e-6
     up = np.where(near_y[..., None], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    x = np.cross(up, f)
+    x = geometry.cross(up, f)
     x = x / np.sqrt(_dot(x, x))[..., None]
-    return np.stack([x, np.cross(f, x), f], axis=-1)
+    return np.stack([x, geometry.cross(f, x), f], axis=-1)
 
 
 def roll_rotation(alpha) -> np.ndarray:
@@ -307,15 +315,15 @@ def _uniform(lo, hi, u):
     return lo + (hi - lo) * u
 
 
-def perturb_intrinsics(intr, kappa, rngs):
-    """Multiplicative perturbation of each intrinsic scalar by U(-kappa, kappa),
-    one (N_C, 9) draw per generator: intrinsics (N_C, 9) give (len(rngs), N_C, 9).
+def perturb_intrinsics(intr, kappa, u):
+    """Multiplicative perturbation of each intrinsic scalar by U(-kappa, kappa):
+    intrinsics (N_C, 9) and uniform draws u (n, N_C, 9) in [0, 1), one per
+    scalar, give (n, N_C, 9).
 
     Distortion coefficients that are exactly zero are instead shifted by
     delta * ZERO_DISTORTION_SCALE so the perturbation is not a no-op.
     """
-    shape = (len(rngs),) + intr.shape
-    delta = _uniform(-kappa, kappa, np.reshape([rng.random(intr.shape) for rng in rngs], shape))
+    delta = _uniform(-kappa, kappa, u)
     out = intr * (1.0 + delta)
     if np.any(intr[..., 4:9] == 0.0):
         zero_dist = np.zeros(intr.shape, dtype=bool)
@@ -342,53 +350,134 @@ def _axis_angle_batch(axes, angles):
     return _EYE3 + s * K + c * (K @ K)
 
 
-def perturb_mounts(mount_R, mount_t, kappa, rngs):
-    """Perturb mount transforms once per generator: translation multiplicatively
-    per component, rotation by composing a random axis-angle of at most
-    kappa * 10 degrees. Mounts (N_C, 3, 3) / (N_C, 3) give (len(rngs), N_C, ...)."""
-    n = mount_R.shape[0]
-    delta_t = np.empty((len(rngs), n, 3))
-    axes = np.empty((len(rngs), n, 3))
-    u = np.empty((len(rngs), n))
-    for i, rng in enumerate(rngs):
-        delta_t[i] = rng.random((n, 3))
-        axes[i] = rng.normal(size=(n, 3))
-        u[i] = rng.random(n)
-    axes /= np.linalg.norm(axes, axis=-1, keepdims=True)
-    t = mount_t * (1.0 + _uniform(-kappa, kappa, delta_t))
-    R = mount_R @ _axis_angle_batch(axes, _uniform(-1.0, 1.0, u) * kappa * EXT_ROT_MAX_ANGLE)
+def perturb_mounts(mount_R, mount_t, kappa, u_t, axes, u_angle):
+    """Perturb mount transforms: translation multiplicatively per component,
+    rotation by composing a random axis-angle of at most kappa * 10 degrees.
+    Mounts (N_C, 3, 3) / (N_C, 3) and the draws give (n, N_C, 3, 3) /
+    (n, N_C, 3): translation uniforms u_t (n, N_C, 3) in [0, 1), rotation axes
+    (n, N_C, 3) drawn standard normal and angle uniforms u_angle (n, N_C)."""
+    axes = axes / np.linalg.norm(axes, axis=-1, keepdims=True)
+    t = mount_t * (1.0 + _uniform(-kappa, kappa, u_t))
+    R = mount_R @ _axis_angle_batch(axes, _uniform(-1.0, 1.0, u_angle) * kappa * EXT_ROT_MAX_ANGLE)
     return R, t
+
+
+# NumPy's SeedSequence hash (NEP 19): its pool size and hash constants.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+# PCG64's 128-bit LCG multiplier (O'Neill 2014).
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(h, mult):
+    """NumPy's SeedSequence hashmix on uint32 arrays, from hash constant h:
+    each call xors its value with the constant, steps the constant by mult
+    and multiplies by it, then folds the high half into the low."""
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * mult & _MASK32
+        v = v * h
+        return v ^ (v >> 16)
+    return hashmix
+
+
+def _mix(x, y):
+    """NumPy's SeedSequence mix of two uint32 arrays."""
+    r = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return r ^ (r >> 16)
+
+
+def _pcg64_states(seed: int, n: int) -> list:
+    """The starting state dicts of default_rng(SeedSequence([seed, i])).bit_generator
+    for i < n, for an integer seed >= 0, without a generator per sample.
+
+    SeedSequence hashes the entropy's uint32 words, those of seed and then
+    i, into a pool of four: vectorized over i here, since every sample's
+    entropy has the same length. generate_state(4, uint64) gives two 128-bit
+    words s0, s1, and PCG64 seeds with inc = 2 s1 + 1 and state
+    ((s0 + inc) M + inc) mod 2^128.
+    """
+    seed = operator.index(seed)
+    words = [np.full(n, seed >> shift & _MASK32, dtype=np.uint32)
+             for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(words[k] if k < len(words) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hashmix(_INIT_B, _MULT_B)
+    out = np.array([hashmix(pool[k % _POOL_SIZE]) for k in range(8)], dtype=np.uint64)
+    s0_hi, s0_lo, s1_hi, s1_lo = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+    states = []
+    for a, b, c, d in zip(s0_hi, s0_lo, s1_hi, s1_lo):
+        inc = ((c << 64 | d) << 1 | 1) & _MASK128
+        state = (((a << 64 | b) + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     """Generate exactly n visible samples: gt (n, N_C, 21), obs (n, N_C, N_fid, 2).
 
-    Sample i draws from the stream seeded by (seed, i), in this order: its
-    intrinsic perturbation, its mount perturbation, then theta, phi, alpha
-    per attempt round, so the first k samples of a batch of n > k equal a
-    batch of k. The perturbation arithmetic runs once on the stacked draws,
-    and each round places, projects and checks all pending samples in one
-    call. Raises ValueError for a negative n, and SynthesisStalled, naming
-    the lowest sample with no visible pose in MAX_ATTEMPTS_PER_SAMPLE draws.
+    Sample i draws from the stream seeded by (seed, i) in the order the
+    module docstring states, so the first k samples of a batch of n > k
+    equal a batch of k; its draws up to its first attempt round take three
+    calls. Raises ValueError for a negative n or seed, TypeError for a seed
+    that is not an integer, and SynthesisStalled, naming the lowest sample
+    with no visible pose in MAX_ATTEMPTS_PER_SAMPLE draws.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    rngs = [np.random.default_rng(np.random.SeedSequence([seed, i])) for i in range(n)]
+    nc = cfg.n_cameras
+    u = np.empty((n, 13 * nc + 3))
+    axes = np.empty((n, nc, 3))
+    states = []
+    if n:
+        # NumPy validates the seed; its state for sample 0 checks the others'.
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 0])))
+        states = _pcg64_states(seed, n)
+        if states[0] != gen.bit_generator.state:
+            raise RuntimeError(f"vectorized seeding disagrees with SeedSequence([{seed}, 0])")
+    for i, state in enumerate(states):
+        gen.bit_generator.state = state
+        gen.random(out=u[i, :12 * nc])
+        axes[i] = gen.normal(size=(nc, 3))
+        gen.random(out=u[i, 12 * nc:])
+        states[i] = gen.bit_generator.state  # where a rejected sample resumes
     pert, ranges = cfg.perturbation, cfg.pose_ranges
-    intr = perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, rngs)
-    mR, mt = perturb_mounts(cfg.rig.mount_R, cfg.rig.mount_t, pert.kappa_ext, rngs)
+    intr = perturb_intrinsics(cfg.oem.intrinsics, pert.kappa_int, u[:, :9 * nc].reshape(n, nc, 9))
+    mR, mt = perturb_mounts(cfg.rig.mount_R, cfg.rig.mount_t, pert.kappa_ext,
+                            u[:, 9 * nc:12 * nc].reshape(n, nc, 3), axes, u[:, 12 * nc:13 * nc])
     pose_lo, pose_hi = np.transpose([ranges.theta, ranges.phi, ranges.alpha])
 
-    gt = np.empty((n, cfg.n_cameras, N_PARAMS))
-    obs = np.empty((n, cfg.n_cameras, cfg.n_fiducials, 2))
+    gt = np.empty((n, nc, N_PARAMS))
+    obs = np.empty((n, nc, cfg.n_fiducials, 2))
     hi = np.subtract(cfg.rig.image_size, VISIBILITY_MARGIN)
     pending = np.arange(n)
+    pose_u = u[:, 13 * nc:]
     attempts = 0
-    for _ in range(MAX_ATTEMPTS_PER_SAMPLE):
+    for r in range(MAX_ATTEMPTS_PER_SAMPLE):
         if pending.size == 0:
             break
-        u = np.array([rngs[i].random(3) for i in pending])
-        theta, phi, alpha = _uniform(pose_lo, pose_hi, u).T
+        if r:
+            pose_u = np.empty((pending.size, 3))
+            for k, i in enumerate(pending):
+                gen.bit_generator.state = states[i]
+                gen.random(out=pose_u[k])
+                states[i] = gen.bit_generator.state
+        theta, phi, alpha = _uniform(pose_lo, pose_hi, pose_u).T
         attempts += pending.size
         params = place_rig(mR[pending], mt[pending], intr[pending], theta, phi, alpha, cfg.radius)
         pixels, valid = geometry.project_array(params, cfg.obj.fiducials)

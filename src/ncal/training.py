@@ -239,8 +239,9 @@ def detect_decalibration(
     shape raises ShapeMismatch, before the model predicts.
     threshold: >= 0; an infinite one flags only non-finite distances.
     Returns {"distances": per-camera values, "drifted": bool per camera,
-    "any_drift": bool}. A camera whose distance is not finite (a NaN or inf
-    in the capture or the prediction) counts as drifted.
+    "any_drift": bool, "threshold": the threshold given}. A camera whose
+    distance is not finite (a NaN or inf in the capture or the prediction)
+    counts as drifted.
     """
     if not threshold >= 0.0:
         raise ValueError(f"threshold must be >= 0 and not NaN, got {threshold!r}")

@@ -6,7 +6,8 @@ kernels they are used to check: ``geometry.project_array``,
 ``geometry.project_jacobian_array`` and ``ncal.nn.functional``, and a
 per-eye look-at rotation for the batched ``scene.look_at_rotation``, and a
 one-sample, one-camera-at-a-time rig perturbation for the stacked
-``scene.perturb_intrinsics`` and ``scene.perturb_mounts``. Only constants,
+``scene.perturb_intrinsics`` and ``scene.perturb_mounts`` (with
+``mount_draws``, the draws the latter takes). Only constants,
 ``is_proper_rotation`` and error classes come from the package.
 """
 
@@ -199,6 +200,16 @@ def look_at(eye, target) -> np.ndarray:
     x = _cross(up, f)
     x = x / np.sqrt(x @ x)
     return np.stack([x, _cross(f, x), f], axis=1)
+
+
+def mount_draws(rng, n_samples, n_cameras):
+    """n_samples samples' mount draws from rng, one sample after another, in
+    synthesis order: translation uniforms (n_samples, N_C, 3), rotation axes
+    (n_samples, N_C, 3) and angle uniforms (n_samples, N_C), the arguments
+    ``scene.perturb_mounts`` takes after kappa."""
+    per_sample = [(rng.random((n_cameras, 3)), rng.normal(size=(n_cameras, 3)),
+                   rng.random(n_cameras)) for _ in range(n_samples)]
+    return tuple(np.stack(a) for a in zip(*per_sample))
 
 
 def perturb_rig(intr, mount_R, mount_t, kappa_int, kappa_ext, rng):

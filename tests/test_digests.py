@@ -13,6 +13,8 @@ LABELS = {
     "synthesis O-10/cube27 kappa 0 n=512 seed=3 attempts",
     "synthesis O-10/cube27 kappa 0.05 n=512 seed=3 attempts",
     "synthesis O-6/cube8 radius 0.7 kappa 0.2 n=48 seed=7 attempts",
+    "synthesis O-6/cube8 radius 0.7 kappa 0.2 n=48 seed=1267650600228229401496703205387 "
+    "attempts",
     "synthesis O-6/cube8 zero distortion kappa 0.05 n=64 seed=5 attempts",
     "stall message: sample 9: no visible pose in 1000 attempts (rig=O-6, object=cube8, "
     "radius=0.7)",

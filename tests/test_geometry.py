@@ -6,7 +6,7 @@ import pytest
 from scipy.spatial.transform import Rotation as ScipyRotation
 
 from ncal.errors import DegenerateRotation
-from ncal.geometry import project_array, project_jacobian_array
+from ncal.geometry import cross, project_array, project_jacobian_array
 from oracle import (
     BehindCamera,
     CameraParams,
@@ -306,6 +306,14 @@ class TestProjectJacobian:
             for f in range(6):
                 single = point_jacobian(pts[i, f], vecs[i])
                 np.testing.assert_allclose(jac[i, f], single, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape_a,shape_b", [
+    ((3,), (3,)), ((5, 3), (5, 3)), ((4, 7, 3), (4, 7, 3)), ((3,), (5, 3)), ((5, 3), (3,))])
+def test_cross_bitwise_equals_numpy(shape_a, shape_b):
+    rng = np.random.default_rng(8)
+    a, b = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    assert cross(a, b).tobytes() == np.cross(a, b).tobytes()
 
 
 class TestParamVector:

@@ -3,9 +3,10 @@ and of pose synthesis's determinism over random seeds, sizes and kappas."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ncal import scene
 from ncal.errors import DegenerateLookAt
 from ncal.geometry import project_array, project_jacobian_array
 from ncal.scene import (
@@ -21,7 +22,7 @@ from ncal.scene import (
     place_rig,
     synthesize_batch,
 )
-from oracle import look_at, matrix_to_rot6d, rot6d_to_matrix
+from oracle import look_at, matrix_to_rot6d, mount_draws, rot6d_to_matrix
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -137,6 +138,21 @@ def test_synthesis_repeatable_and_prefix_stable(seed, n, extra, kappa_int, kappa
     assert large.observations[:n].tobytes() == small.observations.tobytes()
 
 
+@PROPERTY
+@given(seed=st.integers(0, 2**130 - 1), n=st.integers(0, 70))
+@example(seed=2**32 - 1, n=3)
+@example(seed=2**96, n=70)
+@example(seed=2**130 - 1, n=70)
+def test_vectorized_seeding_equals_seed_sequence(seed, n):
+    # Seeds of 1 to 5 uint32 words: with the word of i, entropy of 5 or 6
+    # words runs SeedSequence's mixing past its pool of four.
+    states = scene._pcg64_states(seed, n)
+    assert len(states) == n
+    for i, state in enumerate(states):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        assert state == rng.bit_generator.state
+
+
 def test_synthesis_prefix_stable_with_rejected_poses():
     # At radius 0.7 some drawn poses put a fiducial outside the margin, so
     # the batch needs re-draws; sample i still depends only on (seed, i).
@@ -163,8 +179,9 @@ _poses = st.tuples(_floats(0.0, TWO_PI), _floats(0.0, HALF_PI), _floats(0.0, TWO
 def test_place_rig_stack_equals_single_calls(poses, seed, kappa, rho):
     rng = np.random.default_rng(seed)
     k = len(poses)
-    intr = perturb_intrinsics(_O6_OEM.intrinsics, kappa, [rng] * k)
-    mR, mt = perturb_mounts(_O6_RIG.mount_R, _O6_RIG.mount_t, kappa, [rng] * k)
+    intr = perturb_intrinsics(_O6_OEM.intrinsics, kappa, rng.random((k, _O6_RIG.n_cameras, 9)))
+    mR, mt = perturb_mounts(_O6_RIG.mount_R, _O6_RIG.mount_t, kappa,
+                            *mount_draws(rng, k, _O6_RIG.n_cameras))
     theta, phi, alpha = np.array(poses).T
     stacked = place_rig(mR, mt, intr, theta, phi, alpha, rho)
     assert stacked.shape == (k, _O6_RIG.n_cameras, 21)

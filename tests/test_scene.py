@@ -24,7 +24,7 @@ from ncal.scene import (
     roll_rotation,
     synthesize_batch,
 )
-from oracle import CameraParams, geodesic_distance, perturb_rig
+from oracle import CameraParams, geodesic_distance, mount_draws, perturb_rig
 
 
 @pytest.fixture
@@ -170,8 +170,10 @@ class TestPerturb:
 
     def test_zero_kappa_identity(self):
         rng = np.random.default_rng(0)
-        np.testing.assert_array_equal(perturb_intrinsics(self.INTR, 0.0, [rng])[0], self.INTR)
-        R, t = (a[0] for a in perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, [rng]))
+        u = rng.random((1,) + self.INTR.shape)
+        np.testing.assert_array_equal(perturb_intrinsics(self.INTR, 0.0, u)[0], self.INTR)
+        R, t = (a[0] for a in perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0,
+                                             *mount_draws(rng, 1, 1)))
         np.testing.assert_array_equal(R, self.MOUNT_R)
         np.testing.assert_array_equal(t, self.MOUNT_T)
 
@@ -179,7 +181,7 @@ class TestPerturb:
         # The same delta draw from a twin generator: nonzero entries are
         # scaled by (1 + delta), zero distortion slots become delta * scale.
         intr = np.array([[1000.0, 1100.0, 512.0, 500.0, 0.01, 0.0, -0.02, 0.0, 0.01]] * 3)
-        out = perturb_intrinsics(intr, 0.1, [np.random.default_rng(5)])[0]
+        out = perturb_intrinsics(intr, 0.1, np.random.default_rng(5).random((1,) + intr.shape))[0]
         delta = np.random.default_rng(5).uniform(-0.1, 0.1, size=intr.shape)
         zero = intr == 0.0
         np.testing.assert_array_equal(out[~zero], (intr * (1.0 + delta))[~zero])
@@ -190,10 +192,11 @@ class TestPerturb:
         kappa = 0.1
         ratios = []
         for _ in range(2000):
-            out = perturb_intrinsics(self.INTR, kappa, [rng])[0]
+            out = perturb_intrinsics(self.INTR, kappa, rng.random((1,) + self.INTR.shape))[0]
             ratios.append(out / self.INTR - 1.0)
             # extrinsics untouched when kappa_ext = 0
-            R, t = (a[0] for a in perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0, [rng]))
+            R, t = (a[0] for a in perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.0,
+                                                 *mount_draws(rng, 1, 1)))
             np.testing.assert_array_equal(R, self.MOUNT_R)
             np.testing.assert_array_equal(t, self.MOUNT_T)
         ratios = np.concatenate(ratios)
@@ -203,14 +206,15 @@ class TestPerturb:
         # The perturbation spans the whole [-kappa, kappa] range.
         rng = np.random.default_rng(11)
         kappa = 0.1
-        ratios = np.stack([perturb_intrinsics(self.INTR, kappa, [rng])[0] / self.INTR - 1.0
-                           for _ in range(2000)])
+        ratios = np.stack([
+            perturb_intrinsics(self.INTR, kappa, rng.random((1,) + self.INTR.shape))[0]
+            / self.INTR - 1.0 for _ in range(2000)])
         assert 0.95 * kappa <= np.abs(ratios).max() <= kappa
 
     def test_extrinsic_perturbation_keeps_rotation_valid(self):
         rng = np.random.default_rng(13)
         for _ in range(200):
-            R = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.1, [rng])[0][0, 0]
+            R = perturb_mounts(self.MOUNT_R, self.MOUNT_T, 0.1, *mount_draws(rng, 1, 1))[0][0, 0]
             assert np.linalg.norm(R.T @ R - np.eye(3)) < 1e-12
             # rotation deviation bounded by kappa_ext * 10 degrees
             angle = geodesic_distance(self.MOUNT_R[0], R)
@@ -219,16 +223,16 @@ class TestPerturb:
     def test_zero_distortion_perturbs_additively(self):
         intr = np.array([[1000.0, 1000.0, 512.0, 512.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
         rng = np.random.default_rng(17)
-        dist = perturb_intrinsics(intr, 0.1, [rng])[0, 0, 4:9]
+        dist = perturb_intrinsics(intr, 0.1, rng.random((1,) + intr.shape))[0, 0, 4:9]
         assert np.any(dist != 0.0)
         assert np.abs(dist).max() <= 0.1 * scene.ZERO_DISTORTION_SCALE
 
     @pytest.mark.parametrize("kappa", [0.0, 0.15])
     @pytest.mark.parametrize("distortion", [0.01, 0.0])
     def test_stacked_equals_one_generator_per_call(self, kappa, distortion):
-        # n generators in one call give bitwise the n single-generator calls
-        # and the one-camera-at-a-time oracle, also where zero distortion
-        # takes the ZERO_DISTORTION_SCALE branch.
+        # The draws of n generators in one call give bitwise the n
+        # single-generator calls and the one-camera-at-a-time oracle, also
+        # where zero distortion takes the ZERO_DISTORTION_SCALE branch.
         rig, oem = make_rig("O-6")
         intr = oem.intrinsics.copy()
         intr[:, 4:9] = distortion
@@ -236,13 +240,18 @@ class TestPerturb:
         def rngs():
             return [np.random.default_rng([3, i]) for i in range(5)]
 
-        stacked_rngs = rngs()
-        intr_n = perturb_intrinsics(intr, kappa, stacked_rngs)
-        R_n, t_n = perturb_mounts(rig.mount_R, rig.mount_t, kappa, stacked_rngs)
+        def draws(rng):
+            # One generator's draws in synthesis order, each with a leading axis of 1.
+            return (rng.random((1,) + intr.shape),) + mount_draws(rng, 1, rig.n_cameras)
+
+        u, *mount = (np.concatenate(a) for a in zip(*map(draws, rngs())))
+        intr_n = perturb_intrinsics(intr, kappa, u)
+        R_n, t_n = perturb_mounts(rig.mount_R, rig.mount_t, kappa, *mount)
         assert intr_n.shape == (5, 6, 9) and R_n.shape == (5, 6, 3, 3) and t_n.shape == (5, 6, 3)
         for i, (rng, twin) in enumerate(zip(rngs(), rngs())):
-            assert intr_n[i].tobytes() == perturb_intrinsics(intr, kappa, [rng])[0].tobytes()
-            R, t = perturb_mounts(rig.mount_R, rig.mount_t, kappa, [rng])
+            u, *mount = draws(rng)
+            assert intr_n[i].tobytes() == perturb_intrinsics(intr, kappa, u)[0].tobytes()
+            R, t = perturb_mounts(rig.mount_R, rig.mount_t, kappa, *mount)
             assert R_n[i].tobytes() == R[0].tobytes()
             assert t_n[i].tobytes() == t[0].tobytes()
             ref = perturb_rig(intr, rig.mount_R, rig.mount_t, kappa, kappa, twin)
@@ -364,6 +373,12 @@ class TestSynthesis:
     def test_negative_count_rejected(self, o6_config):
         with pytest.raises(ValueError, match="n must be >= 0"):
             synthesize_batch(o6_config, -1, seed=1)
+
+    @pytest.mark.parametrize("seed,error", [(-1, ValueError), (2.5, TypeError)])
+    def test_bad_seed_rejected(self, o6_config, seed, error):
+        # NumPy's SeedSequence refuses the seed of sample 0.
+        with pytest.raises(error):
+            synthesize_batch(o6_config, 2, seed)
 
     def test_seeded_determinism(self, o6_config):
         a = synthesize_batch(o6_config, 16, seed=42)

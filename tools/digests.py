@@ -106,6 +106,10 @@ def synthesis_lines():
         ("O-10/cube27 kappa 0", config("O-10", "cube27", 0.0), 512, 3),
         ("O-10/cube27 kappa 0.05", config("O-10", "cube27", 0.05), 512, 3),
         ("O-6/cube8 radius 0.7 kappa 0.2", config("O-6", "cube8", 0.2, radius=0.7), 48, 7),
+        # A seed of four 32-bit words, so SeedSequence mixes entropy past its
+        # pool of four.
+        ("O-6/cube8 radius 0.7 kappa 0.2", config("O-6", "cube8", 0.2, radius=0.7), 48,
+         2**100 + 11),
         ("O-6/cube8 zero distortion kappa 0.05", replace(o6, oem=pinhole), 64, 5),
     ]
     for name, cfg, n, seed in cases:
