@@ -13,13 +13,13 @@ Layout (little-endian):
 The config block is ``json.dumps(config, sort_keys=True)`` of a dict with
 the keys "model" (the PtModelConfig fields), "image_size", "radius",
 "model_seed", "has_optimizer", "adam_step" and "extra", a dict for training
-state (epoch, scheduler state). Blob names are unique. The blobs are the
+state (epoch, scheduler state). The config fixes the blobs, and each blob
+header must be exactly the bytes of this layout, in this order: the
 model's trainable parameters in parameter order (``embed_w`` and
 ``embed_b``, 15 per encoder block, whose keys have no bias, then the
 head's ``head_w`` and ``head_b``), its (n_cameras, 21) ``reference``
-calibration, then optionally the Adam moments: one ``adam_m:<parameter>``
-blob per first moment, then the matching ``adam_v:<parameter>`` blobs in
-the same order.
+calibration, then, in a file saved with Adam moments, ``adam_m:<p>`` and
+then ``adam_v:<p>`` for every parameter p in parameter order.
 
 A model is stored as its constructor's inputs plus its trainable
 parameters: config, image size, radius, seed and ``reference``. Everything
@@ -40,8 +40,10 @@ interpreter lock. A smaller body is hashed on the calling thread: each
 buffer just before it is written, or the whole body after it is read. The
 model is built only after the digest matches, and a load draws no weights. A
 digest mismatch is reported ahead of any parse error or unsupported version,
-since a damaged file may parse as anything; a header that declares more
-bytes than the file holds is refused before anything is allocated.
+since a damaged file may parse as anything. A config whose values need
+more bytes than the file holds is refused before its layout is built, and
+each blob header is checked against the layout before its array is
+allocated.
 
 Version history: version 1 stored the absolute reference rotation as the
 rotation head's center. Version 2 stored the derived constants as frozen
@@ -60,13 +62,15 @@ import json
 import math
 import os
 import struct
+import threading
 from dataclasses import asdict
 
 import numpy as np
 
-from ..errors import CorruptCheckpoint, ShapeMismatch, UnsupportedVersion
+from ..errors import CorruptCheckpoint, UnsupportedVersion
+from ..geometry import N_PARAMS
 from . import parallel
-from .model import PtModel, PtModelConfig
+from .model import PtModel, PtModelConfig, _block_spec, _param_spec, is_integer
 from .optim import AdamState
 
 MAGIC = b"NCAL"
@@ -112,21 +116,24 @@ class _Reader:
         if n > self.left:
             raise CorruptCheckpoint("checkpoint truncated")
         self.left -= n
-        try:
-            a = np.empty(shape, dtype="<f8")
-        except ValueError as e:
-            raise CorruptCheckpoint(f"bad blob shape {shape}: {e}") from e
+        a = np.empty(shape, dtype="<f8")
         if self.f.readinto(a) != n:
             raise CorruptCheckpoint("checkpoint truncated")
         return a.astype(np.float64, copy=False)
+
+
+def _blob_header(name: str, shape: tuple) -> bytes:
+    nb = name.encode("utf-8")
+    return struct.pack(f"<H{len(nb)}sB{len(shape)}Q", len(nb), nb, len(shape), *shape)
 
 
 def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = None,
                     extra: dict | None = None) -> None:
     """Write model (and optionally optimizer) state to a checkpoint file.
 
-    The file is written next to `path` under a temporary name and moved over
-    `path` only once complete, so a failed save leaves the previous file.
+    The file is written next to `path` under a temporary name of its own
+    (one per process and thread) and moved over `path` only once complete,
+    so a failed save leaves the previous file.
     """
     config = {
         "model": asdict(model.config),
@@ -150,11 +157,10 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
     buffers = [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(cfg_bytes)) + cfg_bytes
                + struct.pack("<I", len(blobs))]
     for name, arr in blobs.items():
-        nb = name.encode("utf-8")
         a = np.ascontiguousarray(arr, dtype="<f8")
-        buffers.append(struct.pack(f"<H{len(nb)}sB{a.ndim}Q", len(nb), nb, a.ndim, *a.shape))
+        buffers.append(_blob_header(name, a.shape))
         buffers.append(memoryview(a.reshape(-1)).cast("B"))
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(tmp, "wb") as f:
             if sum(map(len, buffers)) >= _THREAD_MIN_BYTES:
@@ -185,26 +191,6 @@ def _sha256(buffers, f=None) -> bytes:
     return h.digest()
 
 
-def _optimizer_state(blobs: dict, params: dict, step) -> AdamState:
-    """The Adam moments among `blobs`, checked against the model's parameters."""
-    # A negative step would turn the next Adam steps' bias corrections into NaN.
-    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-        raise CorruptCheckpoint(f"adam_step must be a non-negative integer, got {step!r}")
-    m = {k[len("adam_m:") :]: a for k, a in blobs.items() if k.startswith("adam_m:")}
-    v = {k[len("adam_v:") :]: a for k, a in blobs.items() if k.startswith("adam_v:")}
-    if m.keys() != v.keys():
-        raise CorruptCheckpoint("adam_m and adam_v blobs name different parameters")
-    for k in m:
-        if k not in params:
-            raise CorruptCheckpoint(f"Adam moments for unknown parameter {k!r}")
-        shape = params[k].data.shape
-        if m[k].shape != shape or v[k].shape != shape:
-            raise CorruptCheckpoint(
-                f"Adam moments of {k}: expected {shape}, got {m[k].shape} and {v[k].shape}"
-            )
-    return AdamState(m, v, step)
-
-
 def _digest_matches(fd: int, end: int) -> bool:
     """Whether the sha256 of bytes [0, end) of `fd` equals the 32 bytes
     stored after them. Reads by position through one reused buffer, so it
@@ -221,8 +207,47 @@ def _digest_matches(fd: int, end: int) -> bool:
     return digest.digest() == os.pread(fd, _DIGEST_SIZE, end)
 
 
+def _layout(config, n_blobs: int, left: int) -> tuple:
+    """(PtModelConfig, name -> shape of each blob in file order) of a file
+    with this config, `n_blobs` blobs and `left` bytes after the count;
+    raises CorruptCheckpoint on a bad config, another blob count or more
+    bytes of values than are left."""
+    try:
+        model_config = PtModelConfig(**config["model"])
+        has_optimizer, step, extra = config["has_optimizer"], config["adam_step"], config["extra"]
+    except (LookupError, TypeError, ValueError) as e:
+        raise CorruptCheckpoint(f"config does not describe a model: {e}") from e
+    # A negative step would turn the next Adam steps' bias corrections into NaN.
+    if not (isinstance(has_optimizer, bool) and is_integer(step) and step >= 0
+            and isinstance(extra, dict)):
+        raise CorruptCheckpoint(f"need a bool has_optimizer, an integer adam_step >= 0 and an "
+                                f"object extra, got {has_optimizer!r}, {step!r} and "
+                                f"{type(extra).__name__}")
+    # The layers' blobs, then embed_w, embed_b, head_w and head_b.
+    block = _block_spec(model_config)
+    n_params = len(block) * model_config.n_layers + 4
+    moments = has_optimizer and n_blobs == 3 * n_params + 1
+    if n_blobs != (3 if moments else 1) * n_params + 1:
+        raise CorruptCheckpoint(f"{n_blobs} blobs do not fit the config's {n_params} parameters")
+    # The layers' values must fit in the file before a layout that long is
+    # built, and then all of them. Every dimension is at least 1, so each is
+    # then below 2**64, as a blob header needs.
+    if 8 * model_config.n_layers * sum(math.prod(s) for s, _kind in block.values()) > left:
+        raise CorruptCheckpoint("checkpoint truncated")
+    params = {k: shape for k, (shape, _kind) in _param_spec(model_config).items()}
+    layout = {**params, "reference": (model_config.n_cameras, N_PARAMS)}
+    if moments:
+        layout.update((f"adam_m:{k}", shape) for k, shape in params.items())
+        layout.update((f"adam_v:{k}", shape) for k, shape in params.items())
+    if 8 * sum(map(math.prod, layout.values())) > left:
+        raise CorruptCheckpoint("checkpoint truncated")
+    return model_config, layout
+
+
 def _parse(r: _Reader) -> tuple:
-    """The config dict and the name -> array blobs of a checkpoint body."""
+    """(config dict, PtModelConfig, name -> array) of a checkpoint body,
+    each blob header checked against the config's layout before its array
+    is read."""
     if r.take(4) != MAGIC:
         raise CorruptCheckpoint("bad magic")
     (version,) = r.unpack("<I")
@@ -230,26 +255,19 @@ def _parse(r: _Reader) -> tuple:
         raise UnsupportedVersion(f"checkpoint format {version}, expected {FORMAT_VERSION}")
     try:
         config = json.loads(str(r.take(r.unpack("<Q")[0]), "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as e:
         raise CorruptCheckpoint(f"bad config block: {e}") from e
-    if not isinstance(config, dict):
-        raise CorruptCheckpoint("config block is not a JSON object")
     (n_blobs,) = r.unpack("<I")
-    blobs = {}
-    for _ in range(n_blobs):
-        # The name and the ndim byte after it, in one read.
-        (n,) = r.unpack("<H")
-        head = r.take(n + 1)
-        try:
-            name = str(head[:n], "utf-8")
-        except UnicodeDecodeError as e:
-            raise CorruptCheckpoint(f"bad blob name: {e}") from e
-        if name in blobs:
-            raise CorruptCheckpoint(f"duplicate blob {name!r}")
-        blobs[name] = r.array(r.unpack(f"<{head[n]}Q"))
+    model_config, layout = _layout(config, n_blobs, r.left)
+    arrays = {}
+    for name, shape in layout.items():
+        header = _blob_header(name, shape)
+        if r.take(len(header)) != header:
+            raise CorruptCheckpoint(f"blob {len(arrays)} is not {name!r} of shape {shape}")
+        arrays[name] = r.array(shape)
     if r.left:
         raise CorruptCheckpoint("trailing bytes after last blob")
-    return config, blobs
+    return config, model_config, arrays
 
 
 def _try_parse(f, end: int) -> tuple:
@@ -272,13 +290,10 @@ def load_checkpoint(path):
     error or format version its damage happens to produce.
 
     Raises CorruptCheckpoint on a file too short to hold a checkpoint, on
-    hash, magic and structure failures, on a config that does not describe
-    a model matching the stored blobs, on a blob that is neither a
-    parameter, the reference nor an Adam moment, and on Adam moments that
-    do not pair up with the model's parameters or that a file saved without
-    an optimizer holds, and on an Adam step count that is not a
-    non-negative integer; UnsupportedVersion on a correctly hashed file of a
-    format version this build cannot read.
+    hash and magic failures, on a config that does not describe a model or
+    whose fields have the wrong types, and on blobs that are not the
+    module docstring's layout for that config; UnsupportedVersion on a
+    correctly hashed file of a format version this build cannot read.
     """
     with open(path, "rb") as f:
         fd = f.fileno()
@@ -295,27 +310,15 @@ def load_checkpoint(path):
         raise CorruptCheckpoint("content hash mismatch") from error
     if error is not None:
         raise error
-    config, blobs = parsed
+    config, model_config, arrays = parsed
 
     try:
-        model = PtModel.from_state_arrays(
-            PtModelConfig(**config["model"]),
-            blobs,
-            tuple(config["image_size"]),
-            config["radius"],
-            seed=config["model_seed"],
-        )
-        moments = {k for k in blobs if k.startswith(("adam_m:", "adam_v:"))}
-        unexpected = blobs.keys() - model.params.keys() - {"reference"} - moments
-        if unexpected:
-            raise CorruptCheckpoint(f"blobs the model does not have: {sorted(unexpected)}")
-        opt_state = None
-        if config.get("has_optimizer"):
-            opt_state = _optimizer_state(blobs, model.params, config.get("adam_step", 0))
-        elif moments:
-            raise CorruptCheckpoint("Adam moments in a checkpoint saved without an optimizer")
-    except LookupError as e:
-        raise CorruptCheckpoint(f"missing config entry or blob: {e}") from e
-    except (TypeError, ValueError, ShapeMismatch) as e:
+        model = PtModel.from_state_arrays(model_config, arrays, tuple(config["image_size"]),
+                                          config["radius"], seed=config["model_seed"])
+    except (LookupError, TypeError, ValueError, OverflowError) as e:
         raise CorruptCheckpoint(f"config does not describe the stored model: {e}") from e
-    return model, opt_state, config.get("extra", {})
+    opt_state = None
+    if config["has_optimizer"]:
+        m = {k: arrays[f"adam_m:{k}"] for k in model.params if f"adam_m:{k}" in arrays}
+        opt_state = AdamState(m, {k: arrays[f"adam_v:{k}"] for k in m}, config["adam_step"])
+    return model, opt_state, config["extra"]

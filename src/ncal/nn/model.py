@@ -128,6 +128,11 @@ _SPLIT_MIN_VALUES = 1 << 20
 PREDICT_CHUNK = 1024
 
 
+def is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class PtModelConfig:
     """Architecture hyper-parameters of the point-based model."""
@@ -143,7 +148,7 @@ class PtModelConfig:
     def __post_init__(self):
         for name in ("n_cameras", "n_fiducials", "d_model", "n_layers", "n_heads", "d_ff"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v <= 0:
+            if not is_integer(v) or v <= 0:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
             object.__setattr__(self, name, int(v))  # a checkpoint stores it as JSON
         if self.d_model % self.n_heads != 0:
@@ -370,6 +375,8 @@ class PtModel:
         self.radius = float(radius)
         if not 0.0 < self.radius < np.inf:
             raise ValueError(f"radius must be finite and positive, got {radius!r}")
+        if not is_integer(seed):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self.seed = int(seed)
         ref = np.asarray(reference_params, dtype=float)
         if ref.shape != (config.n_cameras, geometry.N_PARAMS):

@@ -73,10 +73,13 @@ DEFAULT_RADIUS = 1.5
 # A visible fiducial projects at least this many pixels inside every image edge.
 VISIBILITY_MARGIN = 8.0
 
+# The nine intrinsics in their column order, as a rig file names them.
+INTRINSIC_NAMES = ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2")
+
 # Built-in rigs: the O rigs place their cameras on a ring of this radius (the
 # U and T layouts use it as their grid pitch), every camera has these factory
-# intrinsics (fx, fy, cx, cy, k1, k2, k3, p1, p2), and the mounts aim at a
-# point DEFAULT_RADIUS in front of the rig.
+# intrinsics, in INTRINSIC_NAMES order, and the mounts aim at a point
+# DEFAULT_RADIUS in front of the rig.
 RING_RADIUS = 0.25
 RIG_INTRINSICS = np.array([1100.0, 1100.0, 512.0, 512.0, 0.01, 0.01, 0.01, 0.01, 0.01])
 RIG_INTRINSICS.flags.writeable = False
@@ -580,8 +583,7 @@ def load_rig(path: str):
         cams = doc["cameras"]
         mount_R = np.stack([np.asarray(c["R"], dtype=float).reshape(3, 3) for c in cams])
         mount_t = np.stack([np.asarray(c["t"], dtype=float).reshape(3) for c in cams])
-        keys = ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2")
-        intr = np.array([[float(d[k]) for k in keys] for d in doc["intrinsics"]])
+        intr = np.array([[float(d[k]) for k in INTRINSIC_NAMES] for d in doc["intrinsics"]])
         rig = RigSpec(str(doc["name"]), mount_R, mount_t, tuple(doc["image_size"]))
         oem = OEMCalibration(intr)
         if oem.n_cameras != rig.n_cameras:
@@ -592,7 +594,6 @@ def load_rig(path: str):
 
 
 def save_rig(rig: RigSpec, oem: OEMCalibration, path: str) -> None:
-    keys = ("fx", "fy", "cx", "cy", "k1", "k2", "k3", "p1", "p2")
     doc = {
         "name": rig.name,
         "image_size": list(rig.image_size),
@@ -601,7 +602,7 @@ def save_rig(rig: RigSpec, oem: OEMCalibration, path: str) -> None:
             for i in range(rig.n_cameras)
         ],
         "intrinsics": [
-            dict(zip(keys, oem.intrinsics[i].tolist())) for i in range(oem.n_cameras)
+            dict(zip(INTRINSIC_NAMES, oem.intrinsics[i].tolist())) for i in range(oem.n_cameras)
         ],
     }
     with open(path, "w") as f:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
 from .geometry import INTRINSICS_SLICE
 from .losses import PARAM_SCALE, compound_loss, reprojection_rmse
-from .nn.model import PtModel
+from .nn.model import PtModel, is_integer
 from .nn.optim import AdamState, PlateauScheduler, adam_step, clip_gradients
 from .scene import SceneConfig, synthesize_batch
 
@@ -60,7 +60,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "phase1_epochs", "batch_size", "seed"):
             v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+            if not is_integer(v):
                 raise ConfigError(f"{name} must be an integer, got {v!r}")
         if min(self.epochs, self.phase1_epochs, self.seed) < 0 or self.batch_size < 1:
             raise ConfigError("epochs, phase1_epochs and seed must be >= 0 and batch_size >= 1")
@@ -188,12 +188,13 @@ def evaluate(
     Each trial synthesizes n_samples captures from the evaluation seed
     stream, predicts all camera parameters, and scores the RMSE between
     fiducial projections under the predicted parameters and the observed
-    (ground-truth) projections.
+    (ground-truth) projections. Raises ConfigError unless n_samples and
+    trials are integers >= 1 and seed an integer >= 0.
     """
-    if n_samples < 1 or trials < 1 or seed < 0:
-        raise ConfigError(
-            f"need n_samples >= 1, trials >= 1 and seed >= 0, got {n_samples}, {trials} and {seed}"
-        )
+    if (not all(map(is_integer, (n_samples, trials, seed)))
+            or min(n_samples, trials) < 1 or seed < 0):
+        raise ConfigError(f"need integers n_samples >= 1, trials >= 1 and seed >= 0, "
+                          f"got {n_samples!r}, {trials!r} and {seed!r}")
     fiducials = scene_cfg.obj.fiducials
     image_size = scene_cfg.rig.image_size
     res, cams = [], []
@@ -268,11 +269,13 @@ def calibrate_detection_threshold(
 ) -> float:
     """Threshold = margin x the largest per-camera distance observed on a
     clean (unperturbed) sample set drawn from the detection seed stream.
-    Raises ValueError unless 1 <= margin < inf (a NaN, infinite or shrinking
-    margin would give a NaN, negative or too tight threshold), or if any of
-    those distances is not finite."""
-    if n_samples < 1 or seed < 0:
-        raise ConfigError(f"need n_samples >= 1 and seed >= 0, got {n_samples} and {seed}")
+    Raises ConfigError unless n_samples is an integer >= 1 and seed an
+    integer >= 0, and ValueError unless 1 <= margin < inf (a NaN, infinite
+    or shrinking margin would give a NaN, negative or too tight threshold),
+    or if any of those distances is not finite."""
+    if not (is_integer(n_samples) and is_integer(seed)) or n_samples < 1 or seed < 0:
+        raise ConfigError(f"need integers n_samples >= 1 and seed >= 0, "
+                          f"got {n_samples!r} and {seed!r}")
     if not 1.0 <= margin < np.inf:
         raise ValueError(f"margin must be finite and >= 1, got {margin!r}")
     reference = model.reference_params

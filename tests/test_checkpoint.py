@@ -363,6 +363,9 @@ MALFORMED = {
     "image_size_too_short": dict(edit_config=lambda c: {**c, "image_size": [1024]}),
     "image_size_zero": dict(edit_config=lambda c: {**c, "image_size": [0, 1024]}),
     "radius_nan": dict(edit_config=lambda c: {**c, "radius": float("nan")}),
+    # JSON integers too large for a float.
+    "radius_past_float": dict(edit_config=lambda c: {**c, "radius": 10**400}),
+    "image_size_past_float": dict(edit_config=lambda c: {**c, "image_size": [10**400, 1024]}),
     "cie_noise_sigma_negative": dict(edit_config=_model(cie_noise_sigma=-0.01)),
     "bad_adam_step": dict(edit_config=lambda c: {**c, "has_optimizer": True, "adam_step": "x"}),
     "blob_size_overflows": dict(blob_bytes=(_blob_header(b"reference", 3, 21),
@@ -392,6 +395,16 @@ MALFORMED = {
     "adam_moments_without_has_optimizer": dict(
         optimizer=AdamState(m={"embed_b": np.zeros(16)}, v={"embed_b": np.zeros(16)}),
         edit_config=lambda c: {**c, "has_optimizer": False}),
+    # Config fields of the wrong JSON type: none is what save_checkpoint writes.
+    "has_optimizer_not_a_bool": dict(edit_config=lambda c: {**c, "has_optimizer": "no"}),
+    "extra_not_an_object": dict(edit_config=lambda c: {**c, "extra": [1, 2]}),
+    "model_seed_fractional": dict(edit_config=lambda c: {**c, "model_seed": 1.9}),
+    "model_seed_string": dict(edit_config=lambda c: {**c, "model_seed": "3"}),
+    "model_seed_bool": dict(edit_config=lambda c: {**c, "model_seed": True}),
+    # Dimensions no blob header can hold, refused by the bytes of values
+    # they imply: d_model is in every layer, n_cameras only in reference.
+    "dim_past_uint64": dict(edit_config=_model(d_model=2**64)),
+    "camera_count_past_uint64": dict(edit_config=_model(n_cameras=2**64)),
 }
 
 
@@ -490,3 +503,88 @@ class TestCrashSafety:
                 save_checkpoint(ckpt, randomize(tiny_model()))
             assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
             load_checkpoint(ckpt)
+
+
+class TestLayout:
+    """The blobs of a file must be exactly the layout its config implies."""
+
+    def test_moments_in_another_order_refused(self, ckpt, monkeypatch):
+        # Every moment is present with its parameter's shape, but inserted
+        # in reverse parameter order.
+        m = tiny_model(d_model=16)
+        state = AdamState(step=3)
+        for k in reversed(m.params):
+            state.m[k] = np.ones(m.params[k].data.shape)
+            state.v[k] = np.ones(m.params[k].data.shape)
+        save_checkpoint(ckpt, m, optimizer_state=state)
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open(), pytest.raises(CorruptCheckpoint, match="'adam_m:embed_w'"):
+                load_checkpoint(ckpt)
+
+    def test_wrong_header_names_the_expected_blob(self, ckpt, monkeypatch):
+        save_checkpoint(ckpt, tiny_model(d_model=16))
+        _resign(ckpt, blob_bytes=(_blob_header(b"embed_b", 16), _blob_header(b"embed_c", 16)))
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open(), pytest.raises(
+                    CorruptCheckpoint, match=r"blob 1 is not 'embed_b' of shape \(16,\)"):
+                load_checkpoint(ckpt)
+
+    def test_deeply_nested_config_refused(self, ckpt, monkeypatch):
+        # json.loads raises RecursionError on it, not a decode error.
+        cfg = b"[" * 100_000 + b"]" * 100_000
+        body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(cfg)) + cfg + struct.pack("<I", 0)
+        ckpt.write_bytes(body + hashlib.sha256(body).digest())
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open(), pytest.raises(CorruptCheckpoint, match="bad config block"):
+                load_checkpoint(ckpt)
+
+    def test_layer_count_past_the_blob_count_refused(self, ckpt):
+        save_checkpoint(ckpt, tiny_model(d_model=16))
+        _resign(ckpt, edit_config=_model(n_layers=10**4))
+        # Refused by the blob count, before a layout of 10,000 layers is built.
+        with pytest.raises(CorruptCheckpoint, match="20 blobs do not fit the config's 150004 "):
+            load_checkpoint(ckpt)
+
+    def test_layers_past_the_file_size_refused_before_the_layout(self, ckpt, monkeypatch):
+        # The blob count agrees with a million layers, whose values need
+        # far more bytes than the file has: refused before the million
+        # layers' layout is built.
+        save_checkpoint(ckpt, tiny_model(d_model=16))
+        _resign(ckpt, edit_config=_model(n_layers=10**6))
+        body = bytearray(ckpt.read_bytes()[:-32])
+        (n,) = struct.unpack_from("<Q", body, 8)
+        struct.pack_into("<I", body, 16 + n, 15 * 10**6 + 5)
+        ckpt.write_bytes(bytes(body) + hashlib.sha256(body).digest())
+        monkeypatch.setattr(checkpoint, "_param_spec", None)
+        with pytest.raises(CorruptCheckpoint, match="truncated"):
+            load_checkpoint(ckpt)
+
+
+def test_concurrent_saves_to_one_path(tmp_path):
+    # Two threads save different models to one path at once, again and
+    # again: both saves return, the file left is one of the two, whole, and
+    # no temporary file stays behind.
+    path = tmp_path / "model.ckpt"
+    models = [randomize(tiny_model(d_model=64), seed=s) for s in (1, 2)]
+    wanted = [{k: a.tobytes() for k, a in m.state_arrays().items()} for m in models]
+    for _ in range(50):
+        barrier = threading.Barrier(2)
+        errors = []
+
+        def save(model):
+            try:
+                barrier.wait(timeout=30)
+                save_checkpoint(path, model)
+            except BaseException as e:
+                errors.append(e)
+
+        threads = [threading.Thread(target=save, args=(m,)) for m in models]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        loaded, _, _ = load_checkpoint(path)
+        assert {k: a.tobytes() for k, a in loaded.state_arrays().items()} in wanted
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]

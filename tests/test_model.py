@@ -149,6 +149,26 @@ class TestCIE:
         np.testing.assert_array_equal(m1.cie, m2.cie)
 
 
+class TestSeed:
+    # int() would build a float, string or bool seed as another integer's
+    # model: 1.9 and True as seed 1, "3" as seed 3.
+    @pytest.mark.parametrize("seed", [1.9, "3", True, np.float64(1.0)])
+    def test_non_integer_seed_rejected(self, seed):
+        m = tiny_model()
+        with pytest.raises(ValueError, match="seed"):
+            PtModel(m.config, m.reference_params, m.image_size, m.radius, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            PtModel.from_state_arrays(m.config, m.state_arrays(), m.image_size, m.radius,
+                                      seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        m = tiny_model(seed=3)
+        m2 = PtModel(m.config, m.reference_params, m.image_size, m.radius, seed=np.int64(3))
+        assert type(m2.seed) is int and m2.seed == 3
+        for k, a in m.state_arrays().items():
+            assert m2.state_arrays()[k].tobytes() == a.tobytes()
+
+
 class TestEmbed:
     def test_zero_input_zero_bias_gives_zero(self):
         m = tiny_model()

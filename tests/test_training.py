@@ -479,6 +479,20 @@ class TestEvaluate:
         with pytest.raises(ConfigError, match="seed"):
             evaluate(model, scn, n_samples=4, trials=1, seed=-1)
 
+    # derive_seed's int() would truncate a float seed, and a float count
+    # would fail inside numpy rather than as a ConfigError.
+    @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"seed": True}, {"n_samples": 4.0},
+                                     {"trials": 1.0}, {"seed": "2"}])
+    def test_non_integer_counts_rejected(self, bad):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="integers"):
+            evaluate(model, scn, **{"n_samples": 4, "trials": 1, "seed": 0, **bad})
+
+    def test_numpy_integer_counts_accepted(self):
+        scn, model = small_setup(kappa=0.02)
+        rep = evaluate(model, scn, n_samples=np.int64(5), trials=np.int32(2), seed=np.uint8(3))
+        assert rep.re_trials == evaluate(model, scn, n_samples=5, trials=2, seed=3).re_trials
+
     def test_trials_use_distinct_draws(self):
         scn, model = small_setup(kappa=0.02)
         rep = evaluate(model, scn, n_samples=15, trials=3, seed=17)
@@ -537,6 +551,17 @@ class TestDetection:
         scn, model = small_setup()
         with pytest.raises(ConfigError, match="seed"):
             calibrate_detection_threshold(model, scn, n_samples=4, seed=-1)
+
+    @pytest.mark.parametrize("bad", [{"seed": 1.5}, {"seed": True}, {"n_samples": 4.0}])
+    def test_threshold_non_integer_counts_rejected(self, bad):
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="integers"):
+            calibrate_detection_threshold(model, scn, **{"n_samples": 4, "seed": 0, **bad})
+
+    def test_threshold_numpy_integer_counts_accepted(self):
+        scn, model = small_setup(kappa=0.0)
+        thr = calibrate_detection_threshold(model, scn, n_samples=np.int64(8), seed=np.int32(1))
+        assert thr == calibrate_detection_threshold(model, scn, n_samples=8, seed=1)
 
     @pytest.mark.parametrize("threshold", [1.0, np.inf])
     def test_non_finite_capture_counts_as_drift(self, threshold):
