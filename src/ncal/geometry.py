@@ -1,6 +1,6 @@
 """Camera mathematics on flattened parameter arrays: projection, its
-Jacobian, the proper-rotation test, the image-size rule and the cross
-product.
+Jacobian, the proper-rotation test, the integer and image-size rules and
+the cross product.
 
 Conventions
 -----------
@@ -47,13 +47,16 @@ INTRINSICS_SLICE = slice(12, 21)  # focal, principal point and distortion
 N_PARAMS = 21
 
 
+def is_integer(v) -> bool:
+    """Whether v is a Python or numpy integer, and not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def checked_image_size(image_size) -> tuple[int, int]:
     """(width, height) as two Python ints; raises ValueError unless the value
     is two positive integers (bools and floats are refused)."""
     size = tuple(image_size) if np.ndim(image_size) == 1 else ()
-    if len(size) != 2 or not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v > 0 for v in size
-    ):
+    if len(size) != 2 or not all(is_integer(v) and v > 0 for v in size):
         raise ValueError(f"image_size must be two positive integers, got {image_size!r}")
     return int(size[0]), int(size[1])
 

@@ -68,9 +68,9 @@ from dataclasses import asdict
 import numpy as np
 
 from ..errors import CorruptCheckpoint, UnsupportedVersion
-from ..geometry import N_PARAMS
+from ..geometry import N_PARAMS, is_integer
 from . import parallel
-from .model import PtModel, PtModelConfig, _block_spec, _param_spec, is_integer
+from .model import PtModel, PtModelConfig, _block_spec, _param_spec
 from .optim import AdamState
 
 MAGIC = b"NCAL"

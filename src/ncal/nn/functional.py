@@ -43,7 +43,7 @@ import math
 import numpy as np
 
 from .. import geometry
-from ..errors import DegenerateRotation, ShapeMismatch
+from ..errors import DegenerateRotation
 from . import autodiff as ad
 
 
@@ -138,8 +138,6 @@ def encoder_block(x: np.ndarray, weights, n_heads: int):
     than once.
     """
     (g1, b1, wq, bq, wk, wv, bv, wo, bo, g2, b2, w1, c1, w2, c2) = weights
-    if x.ndim != 3 or x.shape[-1] % n_heads != 0:
-        raise ShapeMismatch(f"encoder block expects (B, N, d_model), got {x.shape}")
     a, xhat1, inv_std1 = layer_norm(x, g1, b1)
     q, k, v = linear(a, wq, bq), linear(a, wk), linear(a, wv, bv)
     del a
@@ -294,7 +292,7 @@ def rot6d_grad(g: np.ndarray, saved: tuple):
     gb2 = grt[..., 3:6] + geometry.cross(gb3, b1)
     # b2 = u2 / n2 with n2 = (u2 . u2) ** 0.5
     gn2 = (-gb2 * u2 / (n2 * n2)).sum(axis=-1, keepdims=True)
-    t = gn2 * ad.subgradient(lambda: 0.5 * n2sq**-0.5, n2sq == 0.0) * u2
+    t = gn2 * (0.5 * n2sq**-0.5) * u2
     gu2 = gb2 / n2 + t + t
     # u2 = a2 - d * b1 with d = b1 . a2
     gd = (-gu2 * b1).sum(axis=-1, keepdims=True)
@@ -302,5 +300,5 @@ def rot6d_grad(g: np.ndarray, saved: tuple):
     ga2 = gu2 + gd * b1
     # b1 = a1 / n1 with n1 = (a1 . a1) ** 0.5
     gn1 = (-gb1 * a1 / (n1 * n1)).sum(axis=-1, keepdims=True)
-    t = gn1 * ad.subgradient(lambda: 0.5 * n1sq**-0.5, n1sq == 0.0) * a1
+    t = gn1 * (0.5 * n1sq**-0.5) * a1
     return gb1 / n1 + t + t, ga2

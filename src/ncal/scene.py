@@ -206,7 +206,6 @@ class Batch:
 
     gt_params: np.ndarray
     observations: np.ndarray
-    seed: int
     attempts: int  # total pose draws including rejections
 
     def __len__(self) -> int:
@@ -327,12 +326,9 @@ def perturb_intrinsics(intr, kappa, u):
     delta * ZERO_DISTORTION_SCALE so the perturbation is not a no-op.
     """
     delta = _uniform(-kappa, kappa, u)
-    out = intr * (1.0 + delta)
-    if np.any(intr[..., 4:9] == 0.0):
-        zero_dist = np.zeros(intr.shape, dtype=bool)
-        zero_dist[..., 4:9] = intr[..., 4:9] == 0.0
-        out = np.where(zero_dist, delta * ZERO_DISTORTION_SCALE, out)
-    return out
+    zero_dist = np.zeros(intr.shape, dtype=bool)
+    zero_dist[..., 4:9] = intr[..., 4:9] == 0.0
+    return np.where(zero_dist, delta * ZERO_DISTORTION_SCALE, intr * (1.0 + delta))
 
 
 _EYE3 = np.eye(3)
@@ -492,7 +488,7 @@ def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
             f"sample {pending[0]}: no visible pose in {MAX_ATTEMPTS_PER_SAMPLE} attempts "
             f"(rig={cfg.rig.name}, object={cfg.obj.name}, radius={cfg.radius})"
         )
-    return Batch(gt_params=gt, observations=obs, seed=seed, attempts=attempts)
+    return Batch(gt_params=gt, observations=obs, attempts=attempts)
 
 
 def make_object(kind: str) -> CalibrationObject:
@@ -502,15 +498,11 @@ def make_object(kind: str) -> CalibrationObject:
     origin. cube27: the 3x3x3 grid spanning the same cube. sphere64: 64 points
     on a Fibonacci lattice of radius SPHERE_RADIUS.
     """
-    if kind == "cube8":
+    if kind in ("cube8", "cube27"):
         h = OBJECT_EDGE / 2.0
-        pts = np.array([[x, y, z] for x in (-h, h) for y in (-h, h) for z in (-h, h)])
-        return CalibrationObject("cube8", pts)
-    if kind == "cube27":
-        h = OBJECT_EDGE / 2.0
-        axis = (-h, 0.0, h)
+        axis = (-h, h) if kind == "cube8" else (-h, 0.0, h)
         pts = np.array([[x, y, z] for x in axis for y in axis for z in axis])
-        return CalibrationObject("cube27", pts)
+        return CalibrationObject(kind, pts)
     if kind == "sphere64":
         n = 64
         i = np.arange(n)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NonFiniteLoss, ShapeMismatch
-from .geometry import INTRINSICS_SLICE
+from .geometry import INTRINSICS_SLICE, is_integer
 from .losses import PARAM_SCALE, compound_loss, reprojection_rmse
-from .nn.model import PtModel, is_integer
+from .nn.model import PtModel
 from .nn.optim import AdamState, PlateauScheduler, adam_step, clip_gradients
 from .scene import SceneConfig, synthesize_batch
 
@@ -85,9 +85,6 @@ class EvalReport:
     re_std: float
     re_trials: list
     per_camera: list  # mean per-camera RMSE across trials
-    n_samples: int
-    trials: int
-    seed: int = 0
 
 
 def train(
@@ -209,9 +206,6 @@ def evaluate(
         re_std=float(np.std(res, ddof=1)) if trials > 1 else 0.0,
         re_trials=[float(r) for r in res],
         per_camera=list(np.mean(cams, axis=0)),
-        n_samples=n_samples,
-        trials=trials,
-        seed=seed,
     )
 
 
