@@ -283,7 +283,8 @@ def rot6d_to_matrix_t(r6: np.ndarray):
 
 def rot6d_grad(g: np.ndarray, saved: tuple):
     """Gradients of rot6d_to_matrix_t's two input columns, (..., 3) each,
-    for the upstream gradient g of its (..., 9) output."""
+    for the upstream gradient g of its (..., 9) output. Both norms exceed
+    GS_EPS (rot6d_to_matrix_t checks), so their derivatives are finite."""
     a1, a2, n1sq, n1, b1, d, u2, n2sq, n2, b2 = saved
     grt = np.swapaxes(g.reshape(g.shape[:-1] + (3, 3)), -1, -2).reshape(g.shape)
     gb3 = grt[..., 6:9]

@@ -322,7 +322,8 @@ class PtModel:
     reference_params: (n_cameras, 21) world calibration of the rig at its
     reference pose; defines the centers of the affine output maps. Its
     rotation blocks become the frozen matrices that the predicted residual
-    rotations are composed onto.
+    rotations are composed onto. It must be finite, with proper rotations
+    and positive focal lengths.
     """
 
     def __init__(self, config: PtModelConfig, reference_params, image_size, radius, seed=0):
@@ -376,6 +377,8 @@ class PtModel:
         ref = np.asarray(reference_params, dtype=float)
         if ref.shape != (config.n_cameras, geometry.N_PARAMS):
             raise ShapeMismatch(f"reference params must be (n_cameras, 21), got {ref.shape}")
+        if not np.isfinite(ref).all() or np.any(ref[:, geometry.FOCAL_SLICE] <= 0.0):
+            raise ValueError("reference params must be finite with positive focal lengths")
 
         rng = np.random.default_rng(np.random.SeedSequence([self.seed]))
         self.cie = camera_identity_encoding(

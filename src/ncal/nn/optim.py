@@ -45,8 +45,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
     resolves a parameter to its group. lr_scale (from the scheduler)
     multiplies every base rate, floored at lr_min. Raises ValueError, with
     the parameters and state untouched, when any resulting rate is not
-    finite or is negative, when grads names other parameters than params,
-    or when a parameter and its gradient are not float64 arrays of one shape.
+    finite or is negative, when group_of names a group lr_map lacks, when
+    grads names other parameters than params, or when a parameter and its
+    gradient are not float64 arrays of one shape.
 
     Each parameter and its moments are written in their own arrays. From
     _SPLIT_MIN_VALUES values on, the kept worker updates the parameters
@@ -60,6 +61,10 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
     bad = {group: lr for group, lr in rates.items() if not 0.0 <= lr < np.inf}
     if bad:
         raise ValueError(f"learning rates must be finite and >= 0, got {bad}")
+    rate = {name: rates.get(group_of(name)) for name in params}
+    unknown = [name for name, r in rate.items() if r is None]
+    if unknown:
+        raise ValueError(f"lr_map has no rate for the groups of {unknown}")
     if grads.keys() != params.keys():
         raise ValueError(
             f"gradients missing for {sorted(params.keys() - grads.keys())}, "
@@ -77,7 +82,6 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr_map: dict, group_o
         if name not in state.m:
             state.m[name] = np.zeros_like(p)
             state.v[name] = np.zeros_like(p)
-    rate = {name: rates[group_of(name)] for name in params}
 
     def update(names):
         for name in names:
@@ -144,11 +148,17 @@ class PlateauScheduler:
 
     @staticmethod
     def from_state_dict(d: dict) -> "PlateauScheduler":
-        """The scheduler a state_dict() describes. Raises ValueError if best
-        is NaN, bad_count is not an int in [0, PLATEAU_PATIENCE) or lr_scale
-        is not finite and >= 0, so a damaged state fails where it is read."""
+        """The scheduler a state_dict() describes. Raises ValueError unless d
+        holds exactly best, a float but not NaN, bad_count, an int in
+        [0, PLATEAU_PATIENCE), and lr_scale, a finite float >= 0, so a
+        damaged state fails where it is read."""
+        if not isinstance(d, dict) or d.keys() != {"best", "bad_count", "lr_scale"}:
+            raise ValueError(f"scheduler state must hold exactly best, bad_count and lr_scale, "
+                             f"got {d!r}")
         s = PlateauScheduler(**d)
-        if np.isnan(s.best):
+        if not all(isinstance(v, float) for v in (s.best, s.lr_scale)):
+            raise ValueError(f"scheduler best and lr_scale must be floats, got {d!r}")
+        if s.best != s.best:
             raise ValueError("scheduler best must not be NaN")
         if (isinstance(s.bad_count, bool) or not isinstance(s.bad_count, int)
                 or not 0 <= s.bad_count < PLATEAU_PATIENCE):

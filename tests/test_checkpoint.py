@@ -4,6 +4,7 @@ import builtins
 import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import struct
@@ -352,6 +353,15 @@ def _blob_header(name: bytes, *dims):
     return struct.pack(f"<H{len(name)}sB{len(dims)}Q", len(name), name, len(dims), *dims)
 
 
+def _reference_entry(row, column, value):
+    """blob_bytes that set one entry of tiny_model's stored reference."""
+    ref = tiny_model().reference_params
+    edited = ref.copy()
+    edited[row, column] = value
+    header = _blob_header(b"reference", *ref.shape)
+    return header + ref.astype("<f8").tobytes(), header + edited.astype("<f8").tobytes()
+
+
 # Each file has a valid hash but does not describe a loadable model.
 MALFORMED = {
     "unknown_model_key": dict(edit_config=_model(colour="red")),
@@ -405,6 +415,11 @@ MALFORMED = {
     # they imply: d_model is in every layer, n_cameras only in reference.
     "dim_past_uint64": dict(edit_config=_model(d_model=2**64)),
     "camera_count_past_uint64": dict(edit_config=_model(n_cameras=2**64)),
+    # References the model would build on, each giving non-finite or
+    # nonsensical predictions.
+    "reference_translation_nan": dict(blob_bytes=_reference_entry(0, 9, np.nan)),
+    "reference_focal_negative": dict(blob_bytes=_reference_entry(1, 12, -1100.0)),
+    "reference_distortion_inf": dict(blob_bytes=_reference_entry(2, 16, np.inf)),
 }
 
 
@@ -537,6 +552,29 @@ class TestLayout:
         for _ in each_hash_path(monkeypatch):
             with nothing_left_open(), pytest.raises(CorruptCheckpoint, match="bad config block"):
                 load_checkpoint(ckpt)
+
+    def test_trailing_bytes_refused(self, ckpt, monkeypatch):
+        # Bytes after the last blob, with the blob count unchanged.
+        save_checkpoint(ckpt, tiny_model(d_model=16))
+        body = ckpt.read_bytes()[:-32] + bytes(8)
+        ckpt.write_bytes(body + hashlib.sha256(body).digest())
+        for _ in each_hash_path(monkeypatch):
+            with nothing_left_open(), pytest.raises(CorruptCheckpoint,
+                                                    match="trailing bytes after last blob"):
+                load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("read", [lambda r: r.take(8), lambda r: r.array((2,))],
+                             ids=["take", "array"])
+    def test_reader_refuses_a_body_shorter_than_its_end(self, read):
+        # The file ends before the end the reader was given.
+        with pytest.raises(CorruptCheckpoint, match="checkpoint truncated"):
+            read(checkpoint._Reader(io.BytesIO(bytes(4)), 32))
+
+    def test_digest_of_a_range_past_the_file_does_not_match(self, ckpt):
+        data = _small_checkpoint(ckpt)
+        with open(ckpt, "rb") as f:
+            assert checkpoint._digest_matches(f.fileno(), len(data) - 32)
+            assert not checkpoint._digest_matches(f.fileno(), len(data) + 1)
 
     def test_layer_count_past_the_blob_count_refused(self, ckpt):
         save_checkpoint(ckpt, tiny_model(d_model=16))

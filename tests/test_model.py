@@ -860,6 +860,25 @@ class TestForward:
         with pytest.raises(ValueError):
             PtModel(m.config, ref, m.image_size, m.radius)
 
+    @pytest.mark.parametrize("entry, value", [(9, np.nan), (12, -1100.0), (13, 0.0),
+                                              (16, np.inf), (20, -np.inf)],
+                             ids=["NaN translation", "negative fx", "zero fy",
+                                  "infinite k1", "infinite p2"])
+    def test_rejects_unusable_reference(self, entry, value):
+        # Each would build a model whose output maps are not finite or whose
+        # focal lengths are not a camera's; OEMCalibration refuses the same.
+        m = tiny_model()
+        ref = m.reference_params
+        ref[1, entry] = value
+        with pytest.raises(ValueError, match="finite with positive focal lengths"):
+            PtModel(m.config, ref, m.image_size, m.radius)
+
+    @pytest.mark.parametrize("shape", [(2, 21), (3, 20), (3, 21, 1)])
+    def test_rejects_reference_of_wrong_shape(self, shape):
+        m = tiny_model()
+        with pytest.raises(ShapeMismatch, match=r"must be \(n_cameras, 21\)"):
+            PtModel(m.config, np.zeros(shape), m.image_size, m.radius)
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_radius_rejected(self, radius):
         m = tiny_model()

@@ -144,6 +144,20 @@ class TestAdam:
             with pytest.raises(ValueError, match=message):
                 adam_step(p, grads, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
 
+    def test_unknown_group_rejected_before_anything_is_written(self):
+        # Refused only after the step count and the moments were written,
+        # a caller that went on would resume with its bias corrections a
+        # step ahead.
+        p = {"head_w": np.ones(3), "enc_w": np.ones((2, 2))}
+        before = {k: a.copy() for k, a in p.items()}
+        state = AdamState()
+        grads = {k: np.ones_like(a) for k, a in p.items()}
+        with pytest.raises(ValueError, match=r"no rate for the groups of \['head_w'\]"):
+            adam_step(p, grads, state, {"encoder": 1e-3}, groups)
+        assert state.step == 0
+        assert state.m == {} and state.v == {}
+        assert all(p[k].tobytes() == a.tobytes() for k, a in before.items())
+
     def test_updates_each_parameter_in_its_own_array(self):
         # The textbook update out of place on copies, from the moments the
         # step leaves, equals bitwise what the step wrote in place.
@@ -253,4 +267,32 @@ class TestPlateauScheduler:
     def test_invalid_state_rejected(self, bad):
         d = {**PlateauScheduler().state_dict(), **bad}
         with pytest.raises(ValueError, match=next(iter(bad))):
+            PlateauScheduler.from_state_dict(d)
+
+    @pytest.mark.parametrize("bad", [
+        {"best": "1.0"},
+        {"best": None},
+        {"best": True},
+        {"best": 10**400},
+        {"lr_scale": "0.5"},
+        {"lr_scale": False},
+        {"lr_scale": 10**400},
+    ])
+    def test_state_of_wrong_type_rejected(self, bad):
+        # An int past the float range would overflow in update() or in
+        # adam_step's rates.
+        d = {**PlateauScheduler().state_dict(), **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            PlateauScheduler.from_state_dict(d)
+
+    @pytest.mark.parametrize("d", [
+        {},
+        {"best": 1.0, "bad_count": 3},
+        {"best": 1.0, "bad_count": 3, "lr_scale": 0.5, "patience": 10},
+        [("best", 1.0), ("bad_count", 3), ("lr_scale", 0.5)],
+        None,
+    ], ids=["empty", "missing key", "unknown key", "pairs", "None"])
+    def test_state_without_exactly_its_keys_rejected(self, d):
+        # An empty state would otherwise restart the schedule at lr_scale 1.
+        with pytest.raises(ValueError, match="exactly best, bad_count and lr_scale"):
             PlateauScheduler.from_state_dict(d)

@@ -311,3 +311,9 @@ class TestSplitAdam:
         # whose gradient raised is not written.
         assert all(model.params[k].data is a for k, a in params.items())
         assert params[failing].tobytes() == unchanged.tobytes()
+
+
+def test_no_bundled_openblas_leaves_the_thread_count_alone(monkeypatch):
+    # Another BLAS: no library matches, so there is no count to get or set.
+    monkeypatch.setattr(parallel.glob, "glob", lambda pattern: [])
+    assert parallel._openblas() is None

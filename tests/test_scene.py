@@ -294,6 +294,19 @@ class TestObjects:
         with pytest.raises(BadObjectFile):
             scene.load_object(str(path))
 
+    def test_fewer_than_four_fiducials_rejected(self):
+        with pytest.raises(ValueError, match="at least 4 fiducials"):
+            scene.CalibrationObject("three", make_object("cube8").fiducials[:3])
+
+    @pytest.mark.parametrize("kind", ["cube8", "cube27", "sphere64"])
+    def test_make_object_reads_an_object_file(self, tmp_path, kind):
+        obj = make_object(kind)
+        path = tmp_path / "obj.json"
+        scene.save_object(obj, path)
+        back = make_object(str(path))
+        assert back.name == kind
+        assert back.fiducials.tobytes() == obj.fiducials.tobytes()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_object_file_with_non_finite_fiducial_rejected(self, tmp_path, value):
         obj = make_object("cube8")
@@ -313,6 +326,20 @@ class TestRigs:
         mount_R[2] = mount_R[2] @ defect  # a scaled axis, or a reflection
         with pytest.raises(ValueError, match="proper rotations"):
             RigSpec("bad", mount_R, rig.mount_t)
+
+    @pytest.mark.parametrize("mount_R, mount_t", [
+        (np.tile(np.eye(3), (2, 1, 1)), np.zeros((3, 3))),
+        (np.eye(3), np.zeros((1, 3))),
+        (np.zeros((2, 3, 2)), np.zeros((2, 3))),
+        (np.tile(np.eye(3), (2, 1, 1)), np.zeros((2, 2))),
+    ], ids=["counts differ", "no camera axis", "not 3 x 3", "translations not 3-vectors"])
+    def test_inconsistent_mount_shapes_rejected(self, mount_R, mount_t):
+        with pytest.raises(ValueError, match="inconsistent mount shapes"):
+            RigSpec("bad", mount_R, mount_t)
+
+    def test_rig_without_cameras_rejected(self):
+        with pytest.raises(ValueError, match="at least one camera"):
+            RigSpec("empty", np.zeros((0, 3, 3)), np.zeros((0, 3)))
 
     @pytest.mark.parametrize("kind,n", [("O-10", 10), ("O-6", 6), ("U-7", 7), ("T-4", 4)])
     def test_builtin_counts(self, kind, n):
@@ -353,6 +380,27 @@ class TestRigs:
         with pytest.raises(BadObjectFile, match="finite"):
             scene.load_rig(str(path))
 
+    def test_rig_file_camera_count_mismatch_rejected(self, tmp_path):
+        rig, oem = make_rig("T-4")
+        path = tmp_path / "rig.json"
+        scene.save_rig(rig, oem, path)
+        doc = json.loads(path.read_text())
+        doc["intrinsics"].pop()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(BadObjectFile, match="camera/intrinsics count mismatch"):
+            scene.load_rig(str(path))
+
+    @pytest.mark.parametrize("kind", ["O-6", "U-7"])
+    def test_make_rig_reads_a_rig_file(self, tmp_path, kind):
+        rig, oem = make_rig(kind)
+        path = tmp_path / "rig.json"
+        scene.save_rig(rig, oem, path)
+        rig2, oem2 = make_rig(str(path))
+        assert (rig2.name, rig2.image_size) == (kind, rig.image_size)
+        assert rig2.mount_R.tobytes() == rig.mount_R.tobytes()
+        assert rig2.mount_t.tobytes() == rig.mount_t.tobytes()
+        assert oem2.intrinsics.tobytes() == oem.intrinsics.tobytes()
+
     def test_rig_file_round_trip(self, tmp_path):
         rig, oem = make_rig("T-4")
         path = tmp_path / "rig.json"
@@ -362,6 +410,29 @@ class TestRigs:
         np.testing.assert_allclose(rig2.mount_t, rig.mount_t)
         np.testing.assert_allclose(oem2.intrinsics, oem.intrinsics)
         assert rig2.image_size == rig.image_size
+
+
+class TestOEMCalibration:
+    @pytest.mark.parametrize("shape", [(9,), (4, 8), (4, 10), (2, 4, 9)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"must be \(N_C, 9\)"):
+            OEMCalibration(np.ones(shape))
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("focal", [0.0, -1100.0])
+    def test_non_positive_focal_length_rejected(self, column, focal):
+        intr = np.tile(scene.RIG_INTRINSICS, (3, 1))
+        intr[1, column] = focal
+        with pytest.raises(ValueError, match="focal lengths must be positive"):
+            OEMCalibration(intr)
+
+
+class TestPerturbationSpec:
+    @pytest.mark.parametrize("name", ["kappa_int", "kappa_ext"])
+    @pytest.mark.parametrize("kappa", [-0.01, 0.51, np.inf, np.nan])
+    def test_kappa_outside_its_range_rejected(self, name, kappa):
+        with pytest.raises(ValueError, match=r"kappa must lie in \[0, 0.5\]"):
+            PerturbationSpec(**{name: kappa})
 
 
 class TestSynthesis:
@@ -507,6 +578,19 @@ class TestSynthesis:
             mapped = lo + (hi - lo) * np.random.default_rng(seed).random(3)
             rng = np.random.default_rng(seed)
             assert mapped.tobytes() == np.array([rng.uniform(*b) for b in bounds]).tobytes()
+
+    def test_vectorized_seeding_checked_against_numpy(self, o6_config, monkeypatch):
+        # One wrong starting state must stop the batch, not be drawn from.
+        vectorized = scene._pcg64_states
+
+        def one_wrong(seed, n):
+            states = vectorized(seed, n)
+            states[0]["state"]["state"] ^= 1
+            return states
+
+        monkeypatch.setattr(scene, "_pcg64_states", one_wrong)
+        with pytest.raises(RuntimeError, match=r"disagrees with SeedSequence\(\[5, 0\]\)"):
+            synthesize_batch(o6_config, 3, seed=5)
 
     def test_stall_on_infeasible_radius(self):
         rig, oem = make_rig("O-6")
