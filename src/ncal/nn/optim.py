@@ -158,7 +158,7 @@ class PlateauScheduler:
         s = PlateauScheduler(**d)
         if not all(isinstance(v, float) for v in (s.best, s.lr_scale)):
             raise ValueError(f"scheduler best and lr_scale must be floats, got {d!r}")
-        if s.best != s.best:
+        if np.isnan(s.best):
             raise ValueError("scheduler best must not be NaN")
         if (isinstance(s.bad_count, bool) or not isinstance(s.bad_count, int)
                 or not 0 <= s.bad_count < PLATEAU_PATIENCE):

@@ -145,9 +145,8 @@ class TestAdam:
                 adam_step(p, grads, state, {"encoder": 1e-3, "heads": 1e-3}, groups)
 
     def test_unknown_group_rejected_before_anything_is_written(self):
-        # Refused only after the step count and the moments were written,
-        # a caller that went on would resume with its bias corrections a
-        # step ahead.
+        # A refusal after the step count and the moments were written would
+        # leave a caller that goes on with its bias corrections a step ahead.
         p = {"head_w": np.ones(3), "enc_w": np.ones((2, 2))}
         before = {k: a.copy() for k, a in p.items()}
         state = AdamState()
