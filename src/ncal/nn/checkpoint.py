@@ -13,13 +13,17 @@ Layout (little-endian):
 The config block is ``json.dumps(config, sort_keys=True)`` of a dict with
 the keys "model" (the PtModelConfig fields), "image_size", "radius",
 "model_seed", "has_optimizer", "adam_step" and "extra", a dict for training
-state (epoch, scheduler state). The config fixes the blobs, and each blob
-header must be exactly the bytes of this layout, in this order: the
-model's trainable parameters in parameter order (``embed_w`` and
-``embed_b``, 15 per encoder block, whose keys have no bias, then the
-head's ``head_w`` and ``head_b``), its (n_cameras, 21) ``reference``
-calibration, then, in a file saved with Adam moments, ``adam_m:<p>`` and
-then ``adam_v:<p>`` for every parameter p in parameter order.
+state (epoch, scheduler state). The config fixes the blobs, by one layout
+(``_layout``) that both the save and the load follow: the save writes
+exactly its blobs in its order, and the load checks that each blob header
+is exactly the bytes of this layout, in this order: the model's trainable
+parameters in parameter order (``embed_w`` and ``embed_b``, 15 per encoder
+block, whose keys have no bias, then the head's ``head_w`` and
+``head_b``), its (n_cameras, 21) ``reference`` calibration, then, in a file
+saved with Adam moments, ``adam_m:<p>`` and then ``adam_v:<p>`` for every
+parameter p in parameter order, whatever order the moment dicts hold them
+in. A state the layout cannot describe is refused by the save, so every
+file it writes loads.
 
 A model is stored as its constructor's inputs plus its trainable
 parameters: config, image size, radius, seed and ``reference``. Everything
@@ -131,6 +135,13 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
                     extra: dict | None = None) -> None:
     """Write model (and optionally optimizer) state to a checkpoint file.
 
+    The blobs are those the module docstring's layout names for this state,
+    in its order. Raises ValueError, before any file is opened, when the
+    layout cannot describe the state: Adam moments that are not an ``m`` and
+    a ``v`` of every parameter's shape (none at all is a file without
+    moments), a step that is not an integer >= 0 (bools are refused), or an
+    ``extra`` that is not a dict; `path` then keeps its bytes.
+
     The file is written next to `path` under a temporary name of its own
     (one per process and thread) and moved over `path` only once complete,
     so a failed save leaves the previous file.
@@ -144,21 +155,28 @@ def save_checkpoint(path, model: PtModel, optimizer_state: AdamState | None = No
         "adam_step": optimizer_state.step if optimizer_state is not None else 0,
         "extra": extra or {},
     }
-    blobs = dict(model.state_arrays())
+    arrays = model.state_arrays()
     if optimizer_state is not None:
-        for k, v in optimizer_state.m.items():
-            blobs[f"adam_m:{k}"] = v
-        for k, v in optimizer_state.v.items():
-            blobs[f"adam_v:{k}"] = v
+        arrays.update((f"adam_m:{k}", a) for k, a in optimizer_state.m.items())
+        arrays.update((f"adam_v:{k}", a) for k, a in optimizer_state.v.items())
+    try:
+        # A save has no file whose size bounds its values.
+        layout = _layout(config, len(arrays), math.inf)[1]
+    except CorruptCheckpoint as e:
+        raise ValueError(f"no checkpoint layout describes this state: {e}") from e
 
     cfg_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
     # The file in order, without a copy of any array: the leading header,
-    # then each blob's header and the bytes of its array.
+    # then each blob's header and the bytes of its array. _layout took
+    # len(arrays) as the blob count, so if every blob it names is present
+    # there is no other.
     buffers = [MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(cfg_bytes)) + cfg_bytes
-               + struct.pack("<I", len(blobs))]
-    for name, arr in blobs.items():
-        a = np.ascontiguousarray(arr, dtype="<f8")
-        buffers.append(_blob_header(name, a.shape))
+               + struct.pack("<I", len(layout))]
+    for name, shape in layout.items():
+        if name not in arrays or np.shape(arrays[name]) != shape:
+            raise ValueError(f"the state has no {name!r} of shape {shape} to save")
+        a = np.ascontiguousarray(arrays[name], dtype="<f8")
+        buffers.append(_blob_header(name, shape))
         buffers.append(memoryview(a.reshape(-1)).cast("B"))
     tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:

@@ -434,9 +434,12 @@ def synthesize_batch(cfg: SceneConfig, n: int, seed: int) -> Batch:
     module docstring states, so the first k samples of a batch of n > k
     equal a batch of k; its draws up to its first attempt round take three
     calls. Raises ValueError for a negative n or seed, TypeError for a seed
-    that is not an integer, and SynthesisStalled, naming the lowest sample
-    with no visible pose in MAX_ATTEMPTS_PER_SAMPLE draws.
+    that is not a Python or numpy integer (a bool is not one), and
+    SynthesisStalled, naming the lowest sample with no visible pose in
+    MAX_ATTEMPTS_PER_SAMPLE draws.
     """
+    if not geometry.is_integer(seed):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     nc = cfg.n_cameras

@@ -41,7 +41,10 @@ COMPUTE_DTYPE = np.float32
 
 
 def derive_seed(root_seed: int, stream: int, index: int) -> int:
-    """Deterministic child seed for (root, stream, index)."""
+    """Deterministic child seed for (root, stream, index); raises TypeError
+    unless all three are Python or numpy integers (bools are refused)."""
+    if not all(map(is_integer, (root_seed, stream, index))):
+        raise TypeError(f"seeds must be integers, got {(root_seed, stream, index)!r}")
     ss = np.random.SeedSequence([int(root_seed), int(stream), int(index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
@@ -98,9 +101,10 @@ def train(
 ) -> TrainResult:
     """Run epochs [start_epoch, cfg.epochs); the model is updated in place.
 
-    start_epoch must lie in [0, cfg.epochs]: start_epoch == cfg.epochs is a
-    finished run and returns no records, and a larger one raises ConfigError,
-    so a resume under a shortened TrainConfig cannot silently train nothing.
+    start_epoch must be an integer (not a bool) in [0, cfg.epochs], or
+    ConfigError is raised: start_epoch == cfg.epochs is a finished run and
+    returns no records, and a larger one is refused, so a resume under a
+    shortened TrainConfig cannot silently train nothing.
 
     Each epoch runs the model's embedding and encoder in COMPUTE_DTYPE,
     clips the float64 gradients of its phase's compound loss to CLIP_NORM
@@ -113,8 +117,9 @@ def train(
     epoch_callback(epoch, record, model, optimizer, scheduler) runs after
     each update, e.g. to write checkpoints.
     """
-    if not 0 <= start_epoch <= cfg.epochs:
-        raise ConfigError(f"start_epoch must be in [0, {cfg.epochs}], got {start_epoch}")
+    if not (is_integer(start_epoch) and 0 <= start_epoch <= cfg.epochs):
+        raise ConfigError(f"start_epoch must be an integer in [0, {cfg.epochs}], "
+                          f"got {start_epoch!r}")
     optimizer = optimizer if optimizer is not None else AdamState()
     scheduler = scheduler if scheduler is not None else PlateauScheduler()
     fiducials = scene_cfg.obj.fiducials

@@ -386,7 +386,8 @@ MALFORMED = {
     # No bytes, but a shape numpy cannot allocate.
     "empty_blob_with_huge_dim": dict(extra_blob=_blob_header(b"embed_c", 0, 2**63)),
     "duplicate_blob_name": dict(extra_blob=_blob_header(b"embed_b", 16) + bytes(16 * 8)),
-    # Saved with these Adam moments; each would make a resumed train() fail
+    # Written with these Adam moments by the independent writer, as
+    # save_checkpoint refuses them; each would make a resumed train() fail
     # inside adam_step.
     "adam_moment_shape_mismatch": dict(
         optimizer=AdamState(m={"embed_b": np.zeros(5)}, v={"embed_b": np.zeros(5)})),
@@ -426,7 +427,13 @@ MALFORMED = {
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_checkpoint_is_corrupt(ckpt, case, monkeypatch):
     edits = dict(MALFORMED[case])
-    save_checkpoint(ckpt, tiny_model(d_model=16), optimizer_state=edits.pop("optimizer", None))
+    model, optimizer = tiny_model(d_model=16), edits.pop("optimizer", None)
+    if optimizer is None:
+        save_checkpoint(ckpt, model)
+    else:
+        with pytest.raises(ValueError):
+            save_checkpoint(ckpt, model, optimizer_state=optimizer)
+        ckpt.write_bytes(_pack_reference(model, optimizer))
     _resign(ckpt, **edits)
     for _ in each_hash_path(monkeypatch):
         with nothing_left_open(), pytest.raises(CorruptCheckpoint):
@@ -520,18 +527,83 @@ class TestCrashSafety:
             load_checkpoint(ckpt)
 
 
+def _optimizer_states(model) -> dict:
+    """name -> (optimizer state, extra, whether save_checkpoint writes it)
+    for `model`: the states it writes, and those it refuses with ValueError."""
+    rng = np.random.default_rng(7)
+    m = {k: rng.normal(size=t.data.shape) for k, t in model.params.items()}
+    v = {k: rng.uniform(0, 1, size=t.data.shape) for k, t in model.params.items()}
+    renamed = {("no_such_param" if k == "embed_b" else k): a for k, a in m.items()}
+    return {
+        "complete": (AdamState(m, v, 11), {"epoch": 4}, True),
+        "complete_in_reverse_order": (
+            AdamState(dict(reversed(m.items())), dict(reversed(v.items())), 11), {}, True),
+        "empty": (AdamState(), {}, True),
+        "step_without_moments": (AdamState(step=5), {}, True),
+        "one_parameter_only": (AdamState({"embed_b": m["embed_b"]}, {"embed_b": v["embed_b"]}),
+                               {}, False),
+        "unknown_name_in_place_of_one": (AdamState(renamed, v, 11), {}, False),
+        "unknown_name_besides_all": (
+            AdamState({**m, "no_such_param": np.ones(3)}, {**v, "no_such_param": np.ones(3)}),
+            {}, False),
+        # As many values as embed_w, in its transposed shape.
+        "wrong_shape": (AdamState({**m, "embed_w": m["embed_w"].T}, v, 11), {}, False),
+        "m_without_v": (AdamState(m, {}, 11), {}, False),
+        "step_negative": (AdamState(m, v, -1), {}, False),
+        "step_fractional": (AdamState(m, v, 2.5), {}, False),
+        "step_bool": (AdamState(m, v, True), {}, False),
+        "extra_not_a_dict": (AdamState(m, v, 11), [1, 2], False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_optimizer_states(tiny_model(d_model=16))))
+def test_save_writes_only_what_load_returns(ckpt, tmp_path, case, monkeypatch):
+    # Either the file loads back bitwise, with the moments in parameter
+    # order, or the save refuses the state before it touches any file.
+    model = randomize(tiny_model(d_model=16), seed=8)
+    state, extra, saved = _optimizer_states(model)[case]
+    for _ in each_hash_path(monkeypatch):
+        save_checkpoint(ckpt, tiny_model(d_model=16))
+        before = ckpt.read_bytes()
+        with nothing_left_open():
+            if not saved:
+                with pytest.raises(ValueError):
+                    save_checkpoint(ckpt, model, optimizer_state=state, extra=extra)
+                assert ckpt.read_bytes() == before
+            else:
+                save_checkpoint(ckpt, model, optimizer_state=state, extra=extra)
+                loaded, state2, extra2 = load_checkpoint(ckpt)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [ckpt.name]
+        if not saved:
+            continue
+        want = model.state_arrays()
+        assert list(loaded.state_arrays()) == list(want)
+        for k, a in loaded.state_arrays().items():
+            assert a.tobytes() == want[k].tobytes(), k
+        order = [k for k in model.params if k in state.m]
+        assert list(state2.m) == list(state2.v) == order
+        for k in order:
+            assert state2.m[k].tobytes() == state.m[k].tobytes(), k
+            assert state2.v[k].tobytes() == state.v[k].tobytes(), k
+        assert type(state2.step) is int and state2.step == state.step
+        assert extra2 == extra
+
+
 class TestLayout:
     """The blobs of a file must be exactly the layout its config implies."""
 
     def test_moments_in_another_order_refused(self, ckpt, monkeypatch):
-        # Every moment is present with its parameter's shape, but inserted
-        # in reverse parameter order.
+        # Every moment is present with its parameter's shape, but written in
+        # reverse parameter order by the independent writer: save_checkpoint
+        # writes the same state in parameter order.
         m = tiny_model(d_model=16)
         state = AdamState(step=3)
         for k in reversed(m.params):
             state.m[k] = np.ones(m.params[k].data.shape)
             state.v[k] = np.ones(m.params[k].data.shape)
         save_checkpoint(ckpt, m, optimizer_state=state)
+        assert list(load_checkpoint(ckpt)[1].m) == list(m.params)
+        ckpt.write_bytes(_pack_reference(m, state))
         for _ in each_hash_path(monkeypatch):
             with nothing_left_open(), pytest.raises(CorruptCheckpoint, match="'adam_m:embed_w'"):
                 load_checkpoint(ckpt)

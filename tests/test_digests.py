@@ -44,6 +44,7 @@ LABELS = {
     "split pullback O-10/cube27 batch 1639 float32 phase 1",
     "blocked jacobian O-10/cube27 batch 40 float32 phase 2",
     "split adam O-10/cube27 d_model 128 values 274066 two steps",
+    "deployed predict O-10/cube27 d_model 512 batch 32, one capture and its drift distances",
 }
 
 

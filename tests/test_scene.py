@@ -451,6 +451,15 @@ class TestSynthesis:
         with pytest.raises(error):
             synthesize_batch(o6_config, 2, seed)
 
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_bool_seed_rejected(self, o6_config, n):
+        # True would seed as 1; an empty batch checks its seed too. A numpy
+        # integer is an integer.
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            synthesize_batch(o6_config, n, True)
+        a, b = synthesize_batch(o6_config, n, np.int64(1)), synthesize_batch(o6_config, n, 1)
+        assert a.observations.tobytes() == b.observations.tobytes()
+
     def test_seeded_determinism(self, o6_config):
         a = synthesize_batch(o6_config, 16, seed=42)
         b = synthesize_batch(o6_config, 16, seed=42)

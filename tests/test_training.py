@@ -236,6 +236,14 @@ class TestTrainLoop:
             train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4),
                   start_epoch=3)
 
+    @pytest.mark.parametrize("start_epoch", [True, 1.0])
+    def test_start_epoch_not_an_integer_rejected(self, start_epoch):
+        # True would run epochs [1, 2].
+        scn, model = small_setup()
+        with pytest.raises(ConfigError, match="start_epoch must be an integer"):
+            train(model, scn, TrainConfig(epochs=2, phase1_epochs=1, batch_size=4),
+                  start_epoch=start_epoch)
+
     def test_start_epoch_at_the_end_is_a_finished_run(self):
         scn, model = small_setup()
         before = {k: t.data.copy() for k, t in model.params.items()}
@@ -263,6 +271,15 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=np.int64(10), phase1_epochs=np.int32(5),
                           batch_size=np.uint16(4), seed=np.int64(3))
         assert (cfg.epochs, cfg.phase1_epochs, cfg.batch_size, cfg.seed) == (10, 5, 4, 3)
+
+
+@pytest.mark.parametrize("args", [(1.9, 1, 0), (1, True, 0), (1, 1, np.float64(0.0))])
+def test_derive_seed_refuses_non_integers(args):
+    # int() would truncate 1.9 to 1 and take True as 1. Numpy integers are
+    # integers.
+    with pytest.raises(TypeError, match="seeds must be integers"):
+        derive_seed(*args)
+    assert derive_seed(np.int64(1), np.int32(1), np.uint8(0)) == derive_seed(1, 1, 0)
 
 
 def small_step_inputs(random_heads, phase):

@@ -41,8 +41,11 @@ Covered, in the order the lines print:
   in two halves, one on each core, and a phase-2 step whose reprojection
   backward builds its Jacobian in several blocks, with one camera that sees
   every fiducial behind it;
-- last, two Adam steps of a model large enough that the update runs in two
-  parts, one on each core: the parameters and both moments.
+- two Adam steps of a model large enough that the update runs in two
+  parts, one on each core: the parameters and both moments;
+- last, the deployed path at the paper's width, with heads near zero: the
+  prediction of a batch, of one capture alone, and that capture's drift
+  distances.
 """
 
 from __future__ import annotations
@@ -230,6 +233,15 @@ def encoder_lines():
     yield "encoder paper width float32", digest(out, gx, *(grads[k] for k in layers))
 
 
+def with_random_heads(model, scale, seed) -> PtModel:
+    """model, its heads set to scale * N(0, 1) from seed's generator."""
+    rng = np.random.default_rng(seed)
+    for k, t in model.params.items():
+        if k.startswith("head_"):
+            t.data = scale * rng.standard_normal(t.data.shape)
+    return model
+
+
 def random_heads_model(cfg, ref, scale, seed) -> PtModel:
     """A d_model 64 x 2 model on cfg's rig and the reference ref, built from
     seed 6, whose heads are scale * N(0, 1) from seed's generator: non-zero,
@@ -237,12 +249,8 @@ def random_heads_model(cfg, ref, scale, seed) -> PtModel:
     all carry gradient."""
     mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials, d_model=64, n_layers=2,
                          n_heads=4, d_ff=128)
-    model = PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6)
-    rng = np.random.default_rng(seed)
-    for k, t in model.params.items():
-        if k.startswith("head_"):
-            t.data = scale * rng.standard_normal(t.data.shape)
-    return model
+    return with_random_heads(PtModel(mcfg, ref, cfg.rig.image_size, cfg.radius, seed=6),
+                             scale, seed)
 
 
 def step_digest(model, cfg, batch, phase, dtype=np.float64) -> str:
@@ -326,6 +334,22 @@ def split_adam_lines():
            digest(arrays_digest(params), arrays_digest(state.m), arrays_digest(state.v)))
 
 
+def deployed_lines():
+    # The deployed recalibrator: a paper-width model whose heads are 1e-3 *
+    # N(0, 1), as a model starts near its reference, predicts a batch, then
+    # the batch's first capture alone, then that capture's drift distances
+    # from the model's reference.
+    cfg = config("O-10", "cube27", 0.05)
+    mcfg = PtModelConfig(cfg.n_cameras, cfg.n_fiducials)
+    model = with_random_heads(PtModel(mcfg, scene.reference_params(cfg.rig, cfg.oem, cfg.radius),
+                                      cfg.rig.image_size, cfg.radius, seed=1), 1e-3, 13)
+    batch = scene.synthesize_batch(cfg, 32, 14).observations
+    flags = training.detect_decalibration(model, batch[0], model.reference_params, 1.0)
+    yield (f"deployed predict O-10/cube27 d_model {mcfg.d_model} batch 32, one capture and "
+           "its drift distances",
+           digest(model.predict(batch), model.predict(batch[0]), flags["distances"]))
+
+
 def ground_truth_lines():
     # At pred = gt the parameter and reprojection residuals are exactly zero;
     # scaling the rotations by 1 - 4 eps puts (trace - 1) / 2 a few ULP
@@ -352,7 +376,7 @@ def reference_lines():
 
 SECTIONS = (synthesis_lines, training_lines, penalty_lines, construction_lines, encoder_lines,
             heads_lines, ground_truth_lines, reference_lines, split_lines,
-            blocked_jacobian_lines, split_adam_lines)
+            blocked_jacobian_lines, split_adam_lines, deployed_lines)
 
 
 def lines() -> list:
